@@ -21,11 +21,9 @@ from .algorithms import (
     run_generic_parallel,
     run_one_plus_lambda,
     run_rls,
-    track_potential,
 )
 from .bitstring import (
     BitString,
-    complement,
     hamming_ball_size,
     hamming_distance,
     random_bitstring,
@@ -40,7 +38,6 @@ from .harness import (
     check_lower_bound,
     read_runs,
     run_experiment,
-    sweep_cutoff,
 )
 from .rng import derive_rng, derive_run_seed
 from .variation import (

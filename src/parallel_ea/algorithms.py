@@ -24,7 +24,8 @@ ONE_PLUS_LAMBDA_ADAPTIVE = "one-plus-lambda-adaptive"
 RLS = "rls"
 GENERIC_PARALLEL = "generic-parallel"
 
-_ALGORITHMS = (ONE_PLUS_LAMBDA_FIXED, ONE_PLUS_LAMBDA_ADAPTIVE, RLS, GENERIC_PARALLEL)
+ELITIST = (ONE_PLUS_LAMBDA_FIXED, ONE_PLUS_LAMBDA_ADAPTIVE, RLS)  # run by run_one_plus_lambda
+_ALGORITHMS = ELITIST + (GENERIC_PARALLEL,)
 
 
 class ContractViolationError(RuntimeError):
@@ -76,8 +77,12 @@ class RunRecord:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.hit_target and self.first_hit_evaluation is not None:
-            assert self.first_hit_evaluation <= self.evaluations_used
+        if (self.hit_target and self.first_hit_evaluation is not None
+                and self.first_hit_evaluation > self.evaluations_used):
+            raise ValueError(
+                f"first hit at evaluation {self.first_hit_evaluation} lies after the "
+                f"{self.evaluations_used} evaluations used"
+            )
 
 
 @dataclass
@@ -107,10 +112,6 @@ class PotentialTracker:
         return self
 
 
-def track_potential(tracker: PotentialTracker, batch: Sequence[BitString]) -> PotentialTracker:
-    return tracker.update(batch)
-
-
 def adaptive_rate(i: int, n: int, lam: int) -> float:
     """Zero-count-adaptive mutation rate max{ln(lam)/(n ln(en/i)), 1/n}.
 
@@ -124,28 +125,27 @@ def adaptive_rate(i: int, n: int, lam: int) -> float:
     return max(math.log(lam) / (n * math.log(math.e * n / i)), 1.0 / n)
 
 
-def _is_better(direction: str):
-    if direction == "max":
-        return lambda a, b: a > b
-    return lambda a, b: a < b
-
-
 def _argbest_uniform(fitnesses: Sequence[float], direction: str, rng: np.random.Generator) -> int:
     best = max(fitnesses) if direction == "max" else min(fitnesses)
     idx = [i for i, f in enumerate(fitnesses) if f == best]
     return idx[int(rng.integers(len(idx)))] if len(idx) > 1 else idx[0]
 
 
-def _zero_count_estimate(obj: Objective, x: BitString, best_f: float) -> int:
-    """Adaptive-rate state: zeros for onemax, n - round(best fitness) otherwise.
+def _operator_schedule(cfg: AlgoConfig) -> Callable[[BitString], UnaryOperator]:
+    """Map the parent to the operator of its next generation, once per run.
 
-    The general rule is a heuristic extension of the onemax analysis; it
-    coincides with the zero count there.
+    RLS reuses one single-bit operator and the fixed-rate EA one standard
+    mutation; the adaptive EA sets p from the parent's zero count, taken as
+    at least 1 so that the rate stays defined at the all-ones point.
     """
-    if obj.name == "onemax":
-        return max(1, x.count_zeros())
-    n = obj.n
-    return min(n, max(1, n - round(best_f)))
+    if cfg.algorithm == RLS:
+        op = single_bit()
+    elif cfg.algorithm == ONE_PLUS_LAMBDA_FIXED:
+        op = standard_mutation(cfg.p if cfg.p is not None else 1.0 / cfg.n)
+    else:
+        n, lam = cfg.n, cfg.lam
+        return lambda x: standard_mutation(adaptive_rate(max(1, x.count_zeros()), n, lam))
+    return lambda x: op
 
 
 def run_one_plus_lambda(
@@ -155,32 +155,33 @@ def run_one_plus_lambda(
     initial: Optional[BitString] = None,
     on_generation: Optional[Callable[[int, BitString, float], None]] = None,
 ) -> RunRecord:
-    """(1+lambda) EA with standard bit mutation, fixed or adaptive rate.
+    """Elitist (1+lambda) search: RLS, or the EA with a fixed or adaptive rate.
 
-    Initialisation is one uniform batch of lambda points, counted against
-    the budget; `initial` forces a single-point start (1 evaluation) for
-    tests.  Ties among best offspring break uniformly at random, and the
-    offspring replaces the parent when its fitness is at least as good.
+    Each generation draws lambda offspring of the current point with the
+    operator from `_operator_schedule`; the best offspring replaces the
+    parent when its fitness is at least as good, and ties among best
+    offspring break uniformly at random.  Initialisation is one uniform
+    batch of lambda points, counted against the budget; `initial` forces a
+    single-point start (1 evaluation) for tests.
     """
-    if cfg.algorithm not in (ONE_PLUS_LAMBDA_FIXED, ONE_PLUS_LAMBDA_ADAPTIVE):
-        raise ValueError(f"config is for {cfg.algorithm}, not a (1+lambda) EA")
+    if cfg.algorithm not in ELITIST:
+        raise ValueError(f"config is for {cfg.algorithm}, not an elitist (1+lambda) algorithm")
     if obj.n != cfg.n:
         raise ValueError("objective dimension does not match config")
     rng = rng if rng is not None else derive_rng(cfg.seed)
     n, lam = cfg.n, cfg.lam
-    adaptive = cfg.algorithm == ONE_PLUS_LAMBDA_ADAPTIVE
-    p_fixed = cfg.p if cfg.p is not None else 1.0 / n
-    better = _is_better(obj.direction)
+    evaluate, contains, better = obj.evaluate, obj.target.contains, obj.better
+    operator_for = _operator_schedule(cfg)
 
     if initial is not None:
         batch = [initial]
     else:
         batch = [random_bitstring(n, rng) for _ in range(lam)]
-    fits = [obj.evaluate(y) for y in batch]
+    fits = [evaluate(y) for y in batch]
     evals = len(batch)
     first_hit = None
     for k, y in enumerate(batch):
-        if obj.target.contains(y):
+        if contains(y):
             first_hit = k + 1
             break
     best_idx = _argbest_uniform(fits, obj.direction, rng)
@@ -190,69 +191,28 @@ def run_one_plus_lambda(
         on_generation(0, x, fx)
 
     while first_hit is None and evals + lam <= cfg.budget:
-        if adaptive:
-            i = _zero_count_estimate(obj, x, fx)
-            p = adaptive_rate(i, n, lam)
-        else:
-            p = p_fixed
-        op = standard_mutation(p)
-        offspring = [apply(op, x, rng) for _ in range(lam)]
-        ofits = [obj.evaluate(y) for y in offspring]
-        gens += 1
-        for k, y in enumerate(offspring):
-            if obj.target.contains(y):
+        op = operator_for(x)
+        # One pass evaluates, checks the target and selects, so that lambda = 1
+        # pays for no batch lists; ties are listed only when they occur, and
+        # their one draw follows the lambda apply calls, as in _argbest_uniform.
+        z = ties = None
+        for k in range(lam):
+            y = apply(op, x, rng)
+            fy = evaluate(y)
+            if first_hit is None and contains(y):
                 first_hit = evals + k + 1
-                break
+            if z is None or better(fy, fz):
+                z, fz, ties = y, fy, None
+            elif fy == fz:
+                if ties is None:
+                    ties = [z]
+                ties.append(y)
+        if ties is not None:
+            z = ties[int(rng.integers(len(ties)))]
         evals += lam
-        z_idx = _argbest_uniform(ofits, obj.direction, rng)
-        if not better(fx, ofits[z_idx]):
-            x, fx = offspring[z_idx], ofits[z_idx]
-        if on_generation is not None:
-            on_generation(gens, x, fx)
-
-    return RunRecord(
-        evaluations_used=evals,
-        generations_used=gens,
-        hit_target=first_hit is not None,
-        best_fitness=fx,
-        first_hit_evaluation=first_hit,
-        seed=cfg.seed,
-    )
-
-
-def run_rls(
-    cfg: AlgoConfig,
-    obj: Objective,
-    rng: Optional[np.random.Generator] = None,
-    initial: Optional[BitString] = None,
-    on_generation: Optional[Callable[[int, BitString, float], None]] = None,
-) -> RunRecord:
-    """Randomised local search: single-bit flips, accept on fitness >= current."""
-    if cfg.algorithm != RLS:
-        raise ValueError(f"config is for {cfg.algorithm}, not rls")
-    if obj.n != cfg.n:
-        raise ValueError("objective dimension does not match config")
-    rng = rng if rng is not None else derive_rng(cfg.seed)
-    better = _is_better(obj.direction)
-    op = single_bit()
-
-    x = initial if initial is not None else random_bitstring(cfg.n, rng)
-    fx = obj.evaluate(x)
-    evals = 1
-    gens = 0
-    first_hit = 1 if obj.target.contains(x) else None
-    if on_generation is not None:
-        on_generation(0, x, fx)
-
-    while first_hit is None and evals + 1 <= cfg.budget:
-        y = apply(op, x, rng)
-        fy = obj.evaluate(y)
-        evals += 1
         gens += 1
-        if obj.target.contains(y):
-            first_hit = evals
-        if not better(fx, fy):
-            x, fx = y, fy
+        if not better(fx, fz):
+            x, fx = z, fz
         if on_generation is not None:
             on_generation(gens, x, fx)
 
@@ -264,6 +224,9 @@ def run_rls(
         first_hit_evaluation=first_hit,
         seed=cfg.seed,
     )
+
+
+run_rls = run_one_plus_lambda
 
 
 class HistoryView:

@@ -99,10 +99,6 @@ def hamming_distance(x: BitString, y: BitString) -> int:
     return (x.value ^ y.value).bit_count()
 
 
-def complement(x: BitString) -> BitString:
-    return x.complement()
-
-
 def hamming_ball_size(n: int, d: int) -> int:
     """Exact number of points within Hamming distance d of a fixed point.
 

@@ -13,18 +13,11 @@ import json
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from math import log
 from typing import Optional, Sequence
 
-from .algorithms import (
-    ONE_PLUS_LAMBDA_ADAPTIVE,
-    ONE_PLUS_LAMBDA_FIXED,
-    RLS,
-    AlgoConfig,
-    run_one_plus_lambda,
-    run_rls,
-)
+from .algorithms import ELITIST, RLS, AlgoConfig, run_one_plus_lambda
 from .objectives.registry import make_objective
 from .rng import derive_rng, derive_run_seed
 from .theory.bounds import BoundSpec, get_bound, ln_plus
@@ -79,7 +72,18 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
-        return cls(**json.loads(text))
+        data = json.loads(text)
+        keys = [f.name for f in fields(cls)]
+        required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+        if not isinstance(data, dict):
+            faults = ["not a JSON object"]
+        else:
+            faults = [f"unknown key {k!r}" for k in data if k not in keys]
+            faults += [f"missing key {k!r}" for k in required if k not in data]
+        if faults:
+            raise ConfigError(f"bad spec ({', '.join(faults)}); allowed keys: {', '.join(keys)}; "
+                              f"required: {', '.join(required)}")
+        return cls(**data)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -180,15 +184,11 @@ def _execute_run(task: dict) -> dict:
     budget = int(algo.get("budget", 10**9))
     seed = task["seed"]
     cfg = AlgoConfig(algorithm=name, n=n, lam=lam, p=p, budget=budget, seed=seed)
-    rng = derive_rng(seed)
-    if name == RLS:
-        if lam != 1:
-            raise ConfigError("rls is sequential; use lambda = 1")
-        record = run_rls(cfg, obj, rng)
-    elif name in (ONE_PLUS_LAMBDA_FIXED, ONE_PLUS_LAMBDA_ADAPTIVE):
-        record = run_one_plus_lambda(cfg, obj, rng)
-    else:
+    if name == RLS and lam != 1:
+        raise ConfigError("rls is sequential; use lambda = 1")
+    if name not in ELITIST:
         raise ConfigError(f"harness cannot run algorithm {name!r}")
+    record = run_one_plus_lambda(cfg, obj, derive_rng(seed))
     return {
         "run_id": task["run_id"],
         "problem": obj.name,
@@ -228,6 +228,14 @@ def append_rows(path: str, rows: Sequence[dict]) -> None:
             writer.writerow(_format_row(row))
 
 
+def _parse_number(text: str) -> int | float:
+    """Inverse of _format_row on numbers: "20" is the int 20, "20.0" a float."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def read_runs(path: str) -> list[dict]:
     rows = []
     with open(path, newline="") as fh:
@@ -247,7 +255,7 @@ def read_runs(path: str) -> list[dict]:
                     "first_hit_evaluation": (
                         None if rec["first_hit_evaluation"] == "" else int(rec["first_hit_evaluation"])
                     ),
-                    "best_fitness": float(rec["best_fitness"]),
+                    "best_fitness": _parse_number(rec["best_fitness"]),
                 }
             )
     return rows
@@ -320,11 +328,6 @@ def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> Sweep
         master_seed=spec.master_seed,
         per_lambda=per_lambda,
     )
-
-
-def sweep_cutoff(spec: ExperimentSpec, workers: Optional[int] = None) -> SweepSummary:
-    """run_experiment plus the mean-vs-lambda tables used for cut-off plots."""
-    return run_experiment(spec, workers=workers)
 
 
 def check_lower_bound(

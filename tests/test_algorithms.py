@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from parallel_ea import algorithms
 from parallel_ea.algorithms import (
     AlgoConfig,
     ContractViolationError,
     PotentialTracker,
+    RunRecord,
     adaptive_rate,
     make_best_so_far_policy,
     run_generic_parallel,
     run_one_plus_lambda,
     run_rls,
-    track_potential,
 )
 from parallel_ea.bitstring import BitString, random_bitstring
 from parallel_ea.objectives import make_objective, onemax_objective
@@ -145,12 +146,39 @@ def test_one_plus_one_matches_reference_implementation():
     assert 0.7 <= np.mean(ours) / np.mean(ref) <= 1.4
 
 
+def test_adaptive_rate_follows_parent_zero_count(monkeypatch):
+    # jump-3 at n=100: a parent with 10 zeros has fitness 93, so a rate
+    # read off the fitness would be the one for 7 zeros
+    n, lam = 100, 64
+    assert adaptive_rate(10, n, lam) != adaptive_rate(7, n, lam)
+    obj = make_objective("jump", n, k=3)
+    parent = BitString(n, ((1 << n) - 1) ^ ((1 << 10) - 1))
+    rates = []
+    real_apply = algorithms.apply
+
+    def recording_apply(op, x, rng):
+        rates.append(op.p)
+        return real_apply(op, x, rng)
+
+    monkeypatch.setattr(algorithms, "apply", recording_apply)
+    cfg = AlgoConfig("one-plus-lambda-adaptive", n=n, lam=lam, budget=1 + lam, seed=0)
+    rec = run_one_plus_lambda(cfg, obj, derive_rng(0), initial=parent)
+    assert rec.generations_used == 1
+    assert rates == [adaptive_rate(10, n, lam)] * lam
+
+
 def test_adaptive_variant_runs_and_hits():
     obj = onemax_objective(100)
     cfg = AlgoConfig("one-plus-lambda-adaptive", n=100, lam=16, budget=10**7, seed=4)
     rec = run_one_plus_lambda(cfg, obj)
     assert rec.hit_target
     assert rec.best_fitness == 100
+
+
+def test_run_record_rejects_first_hit_after_budget():
+    with pytest.raises(ValueError):
+        RunRecord(5, 4, True, 1.0, 9, 0)
+    assert RunRecord(9, 8, True, 1.0, 9, 0).first_hit_evaluation == 9
 
 
 # -------------------------------------------------------------------- RLS
@@ -213,7 +241,7 @@ def test_tracker_monotone():
     t = PotentialTracker()
     seen = []
     for _ in range(50):
-        track_potential(t, [random_bitstring(64, rng) for _ in range(4)])
+        t.update([random_bitstring(64, rng) for _ in range(4)])
         seen.append(t.s)
     assert all(a >= b for a, b in zip(seen, seen[1:]))
     assert t.trajectory == seen

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from parallel_ea.bitstring import (
     BitString,
-    complement,
     hamming_ball_size,
     hamming_distance,
     random_bitstring,
@@ -30,9 +29,9 @@ def test_hamming_distance_dimension_error():
 
 
 def test_complement_examples():
-    assert str(complement(bs("000"))) == "111"
-    assert str(complement(bs("101"))) == "010"
-    assert complement(complement(bs("1101"))) == bs("1101")
+    assert str(bs("000").complement()) == "111"
+    assert str(bs("101").complement()) == "010"
+    assert bs("1101").complement().complement() == bs("1101")
 
 
 def test_hamming_ball_size_examples():

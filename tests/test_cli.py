@@ -92,6 +92,21 @@ def test_run_with_spec_file(tmp_path, capsys):
     assert json.loads(out)["problem"] == "jump"
 
 
+@pytest.mark.parametrize("bad", ['{"objective": {"name": "onemax", "n": 10}, '
+                                 '"algorithm": {"algorithm": "rls"}, "repetitions": 1, '
+                                 '"lambdas": [1], "lambda": 3}',
+                                 '{"objective": {"name": "onemax", "n": 10}}',
+                                 '[1, 2]'], ids=["unknown-key", "missing-key", "not-an-object"])
+def test_run_with_bad_spec_file_exits_2(tmp_path, capsys, bad):
+    path = tmp_path / "spec.json"
+    path.write_text(bad)
+    assert main(["run", "--spec", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "allowed keys: objective, algorithm, repetitions, lambdas" in err
+    assert "Traceback" not in err
+
+
 def test_run_missing_args_exits_2(capsys):
     assert main(["run"]) == 2
     assert main(["sweep", "--objective", "onemax", "--n", "10"]) == 2

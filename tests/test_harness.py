@@ -11,7 +11,6 @@ from parallel_ea.harness import (
     check_lower_bound,
     read_runs,
     run_experiment,
-    sweep_cutoff,
 )
 
 
@@ -86,6 +85,17 @@ def test_csv_round_trip(tmp_path):
     assert len(read_runs(spec.output)) == 10
 
 
+@pytest.mark.parametrize("objective", [{"name": "onemax", "n": 30},
+                                       {"name": "partition", "n": 12, "seed": 3}])
+def test_csv_rows_round_trip_bytes(tmp_path, objective):
+    # onemax writes integer fitness values, partition floats
+    spec = onemax_spec(tmp_path, "a.csv", objective=objective)
+    run_experiment(spec)
+    rows = read_runs(spec.output)
+    append_rows(str(tmp_path / "b.csv"), rows)
+    assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+
+
 def test_initial_batch_hit_rate_matches_exact_probability(tmp_path):
     # budget = lambda: only the initial batch runs; for onemax n=10,
     # lambda=1024 the hit probability is 1 - (1 - 2^-10)^1024 ~ 0.6325
@@ -127,7 +137,7 @@ def test_sweep_generations_decrease_with_lambda(tmp_path):
         output=None,
         master_seed=13,
     )
-    summary = sweep_cutoff(spec)
+    summary = run_experiment(spec)
     gens = [s.mean_generations for s in summary.per_lambda]
     assert gens[0] > gens[-1]
     table = summary.table()
