@@ -151,7 +151,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     bound = bounds_mod.get_bound(args.id)
     kwargs = {"n": args.n, "lam": args.lam, "delta": args.delta}
-    value = bound(**{k: kwargs[k] for k in bound.params})
+    value = bound(**kwargs)
     print(
         json.dumps(
             {

@@ -15,6 +15,7 @@ import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from math import log
+from numbers import Integral
 from typing import Optional, Sequence
 
 from .algorithms import ELITIST, RLS, AlgoConfig, run_one_plus_lambda
@@ -45,6 +46,10 @@ class ConfigError(ValueError):
     pass
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentSpec:
     """One experiment: an objective, an algorithm, repetitions per lambda."""
@@ -59,12 +64,24 @@ class ExperimentSpec:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
+        for key, ok, kind in (
+            ("objective", isinstance(self.objective, dict), "an object"),
+            ("algorithm", isinstance(self.algorithm, dict), "an object"),
+            ("repetitions", _is_int(self.repetitions), "an integer"),
+            ("lambdas", isinstance(self.lambdas, (list, tuple)) and all(map(_is_int, self.lambdas)),
+             "a list of integers"),
+            ("master_seed", _is_int(self.master_seed), "an integer"),
+        ):
+            if not ok:
+                raise ConfigError(f"{key} must be {kind}, got {getattr(self, key)!r}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
         if not self.lambdas or any(l < 1 for l in self.lambdas):
             raise ConfigError("every lambda must be >= 1")
         if "name" not in self.objective or "n" not in self.objective:
             raise ConfigError("objective spec needs 'name' and 'n'")
+        if not _is_int(self.objective["n"]):
+            raise ConfigError(f"objective n must be an integer, got {self.objective['n']!r}")
         if "algorithm" not in self.algorithm:
             raise ConfigError("algorithm spec needs 'algorithm'")
         for bound_id in self.bounds:
@@ -164,10 +181,12 @@ _OBJECTIVE_CACHE: dict = {}
 def _build_objective(objective_spec: dict, target: str):
     key = (json.dumps(objective_spec, sort_keys=True), target)
     if key not in _OBJECTIVE_CACHE:
+        name, n = objective_spec["name"], int(objective_spec["n"])
         params = {k: v for k, v in objective_spec.items() if k not in ("name", "n")}
-        _OBJECTIVE_CACHE[key] = make_objective(
-            objective_spec["name"], int(objective_spec["n"]), target=target, **params
-        )
+        try:
+            _OBJECTIVE_CACHE[key] = make_objective(name, n, target=target, **params)
+        except TypeError as exc:
+            raise ConfigError(f"objective {name!r} rejects its parameters {params}: {exc}") from None
     return _OBJECTIVE_CACHE[key]
 
 
@@ -272,6 +291,7 @@ def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> Sweep
     order and all values are independent of the worker count.
     """
     workers = workers if workers is not None else _worker_count()
+    _build_objective(spec.objective, spec.target)  # bad parameters fail here, before any run
     tasks = []
     for li, lam in enumerate(spec.lambdas):
         for ri in range(spec.repetitions):
@@ -352,8 +372,7 @@ def check_lower_bound(
         )
     violations = []
     for row in rows:
-        kwargs = {"n": row["n"], "lam": row["lambda"], "delta": delta}
-        threshold = safety * bound(**{k: kwargs[k] for k in bound.params})
+        threshold = safety * bound(n=row["n"], lam=row["lambda"], delta=delta)
         fh = row["first_hit_evaluation"]
         if fh is not None and fh < threshold:
             violations.append({"run_id": row["run_id"], "first_hit": fh, "threshold": threshold})

@@ -373,6 +373,13 @@ def sat_count(inst: SatInstance, x: BitString) -> int:
     return sum(1 for c in inst.clauses if clause_satisfied(c, x))
 
 
+def _satisfies_all(inst: SatInstance, x: BitString) -> bool:
+    """sat_count(inst, x) == inst.m, stopping at the first unsatisfied clause."""
+    if x.n != inst.n:
+        raise ValueError("dimension mismatch")
+    return all(clause_satisfied(c, x) for c in inst.clauses)
+
+
 def gen_planted_3sat(
     n: int, m: int, c1: float = 3.0 / 7.0, c3: float = 1.0 / 7.0, seed: int = 0
 ) -> SatInstance:
@@ -410,7 +417,7 @@ def matching_literals(clause: Sequence[int], planted: BitString) -> int:
 def planted_3sat_objective(inst: SatInstance, name: str = "planted-3sat") -> Objective:
     target = TargetSet(
         kind=GLOBAL_OPTIMA,
-        contains=lambda x, _i=inst: sat_count(_i, x) == _i.m,
+        contains=lambda x, _i=inst: _satisfies_all(_i, x),
         size_bound=1 << inst.n,
         description="assignments satisfying every clause",
     )

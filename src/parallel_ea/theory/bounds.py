@@ -43,12 +43,7 @@ def _check_n(n: float) -> None:
 def lb_unique(n: float, lam: float, delta: float) -> float:
     """Explicit-constant lower bound for hitting any small target set:
     max{lam n / (60 ln+ lam), (1 - delta) n ln n}."""
-    _check_n(n)
-    if lam < 1:
-        raise ValueError("lambda must be >= 1")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    return max(lam * n / (60.0 * ln_plus(lam)), (1.0 - delta) * n * log(n))
+    return max(lb_parallel_term(n, lam), lb_nlogn_term(n, delta))
 
 
 def lb_parallel_term(n: float, lam: float) -> float:
@@ -264,9 +259,7 @@ def tail_lower(
         log_raw = logs[-1] + shift
     else:
         # log sum over s = 1..t-1 of prod_{r<s} beta
-        terms = logs[1:-1] if len(logs) > 2 else []
-        if not terms and len(logs) == 2:
-            terms = []
+        terms = logs[1:-1]
         if not terms:
             return DriftTail(0.0, 0.0, -math.inf)
         peak = max(terms)

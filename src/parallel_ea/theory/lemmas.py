@@ -9,9 +9,8 @@ with pass=False carries every violating grid point.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
-from math import comb, exp, inf, log, sqrt
+from math import exp, inf, log, sqrt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,10 +19,11 @@ from ..rng import derive_rng
 from .pmf import (
     EXACT,
     ProgressParams,
+    _delta0_counts,
+    _delta0_tail_support,
     delta0_pmf,
     delta0_point_log_prob,
     delta0_tail_prob,
-    hypergeom_support,
 )
 
 # Explicit constants carried by the bounds being verified.
@@ -41,8 +41,8 @@ MAX_VIOLATIONS_KEPT = 25
 class LemmaReport:
     lemma: str
     grid: str
-    points_checked: int
-    max_slack: float
+    points_checked: int = 0
+    max_slack: float = 0.0
     violations: list = field(default_factory=list)
     passed: bool = True
     details: dict = field(default_factory=dict)
@@ -51,6 +51,13 @@ class LemmaReport:
         self.passed = False
         if len(self.violations) < MAX_VIOLATIONS_KEPT:
             self.violations.append({**point, "slack": slack})
+
+    def observe(self, slack: float, violation: Optional[dict] = None) -> None:
+        """Raise max_slack to slack; a violating point is recorded with it."""
+        if slack > self.max_slack:
+            self.max_slack = slack
+        if violation is not None:
+            self.record(violation, slack)
 
     def to_dict(self) -> dict:
         return {
@@ -67,8 +74,18 @@ class LemmaReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _comb_floats(n: int) -> list[list[float]]:
-    return [[float(comb(a, b)) for b in range(a + 1)] for a in range(n + 1)]
+def _comb_table(n: int) -> list[list[int]]:
+    """Pascal's triangle as rows[a][b] = C(a, b) for 0 <= a, b <= n, with
+    C(a, b) = 0 for b > a."""
+    rows = [[1] + [0] * n]
+    for _ in range(n):
+        prev = rows[-1]
+        rows.append([1] + [prev[b - 1] + prev[b] for b in range(1, n + 1)])
+    return rows
+
+
+def _floats(rows: list[list[int]]) -> list[list[float]]:
+    return [[float(c) for c in row] for row in rows]
 
 
 def verify_hypergeom_tail(n: int) -> LemmaReport:
@@ -79,13 +96,12 @@ def verify_hypergeom_tail(n: int) -> LemmaReport:
     report = LemmaReport(
         lemma="hypergeom-tail",
         grid=f"n={n}, all 0<=m,r<=n, z in support",
-        points_checked=0,
-        max_slack=0.0,
     )
-    cf = _comb_floats(n)
+    ci = _comb_table(n)
+    cf = _floats(ci)
     for m in range(n + 1):
         for r in range(n + 1):
-            den = comb(n, r)
+            den = ci[n][r]
             den_f = cf[n][r]
             mz = 1  # m^z
             nz = 1  # n^z
@@ -95,17 +111,15 @@ def verify_hypergeom_tail(n: int) -> LemmaReport:
                     mz *= m
                     nz *= n
                     four_z *= 4
-                num = comb(m, z) * comb(n - m, r - z)
-                bound_int = comb(r, z) * mz
+                num = ci[m][z] * ci[n - m][r - z]
+                bound_int = ci[r][z] * mz
                 report.points_checked += 1
                 if num * nz > bound_int * den:
                     report.record({"m": m, "r": r, "z": z, "which": "binomial-bound"}, inf)
                 if num and bound_int:
                     pmf_f = cf[m][z] * cf[n - m][r - z] / den_f
-                    slack = pmf_f / (cf[r][z] * (m / n) ** z)
-                    if slack > report.max_slack:
-                        report.max_slack = slack
-                if 2 * z >= r and comb(r, z) > four_z:
+                    report.observe(pmf_f / (cf[r][z] * (m / n) ** z))
+                if 2 * z >= r and ci[r][z] > four_z:
                     report.record({"m": m, "r": r, "z": z, "which": "4^z-bound"}, inf)
     return report
 
@@ -116,31 +130,24 @@ def verify_improve_prob(n: int) -> LemmaReport:
     report = LemmaReport(
         lemma="improve-prob",
         grid=f"n={n}, s<=m<={n // 8}, r in [1,{n}], z>=1",
-        points_checked=0,
-        max_slack=0.0,
     )
-    cf = _comb_floats(n)
+    ci = _comb_table(n)
+    cf = _floats(ci)
     m_cap = n // 8
     for m in range(m_cap + 1):
         for s in range(m + 1):
             for r in range(1, n + 1):
-                den = comb(n, r)
+                den = ci[n][r]
                 den_f = cf[n][r]
+                counts = _delta0_counts(ci, n, s, m, r)
+                counts_f = _delta0_counts(cf, n, s, m, r)
+                report.points_checked += s
                 for z in range(1, s + 1):
-                    report.points_checked += 1
-                    t = z + r + m - s
-                    if t % 2:
-                        continue
-                    zh = t // 2
-                    if zh not in hypergeom_support(n, m, r):
-                        continue
-                    num = comb(m, zh) * comb(n - m, r - zh)
+                    num = counts[z]
                     if num * num << z > den * den:
                         report.record({"s": s, "m": m, "r": r, "z": z}, inf)
                     if num:
-                        slack = (cf[m][zh] * cf[n - m][r - zh] / den_f) / 0.5 ** (z / 2)
-                        if slack > report.max_slack:
-                            report.max_slack = slack
+                        report.observe(counts_f[z] / den_f / 0.5 ** (z / 2))
     return report
 
 
@@ -150,30 +157,21 @@ def verify_chvatal(n: int) -> LemmaReport:
     report = LemmaReport(
         lemma="chvatal",
         grid=f"n={n}, s<=m<={n // 2}, r in [1,{n}]",
-        points_checked=0,
-        max_slack=0.0,
     )
-    comb_t = [[comb(a, b) for b in range(a + 1)] for a in range(n + 1)]
+    ci = _comb_table(n)
     for m in range(n // 2 + 1):
         for s in range(m + 1):
             for r in range(1, n + 1):
-                den = comb_t[n][r]
-                z_hi = min(m, r)
-                z_lo = max(0, r - (n - m))
-                first = (r + m - s) // 2 + 1  # smallest Z with 2Z - r + s - m > 0
                 num = 0
-                for zh in range(max(z_lo, first), z_hi + 1):
-                    num += comb_t[m][zh] * comb_t[n - m][r - zh]
+                for zh in _delta0_tail_support(n, s, m, r):
+                    num += ci[m][zh] * ci[n - m][r - zh]
                 report.points_checked += 1
                 if num == 0:
                     continue
-                log_p = log(num) - log(den)
+                log_p = log(num) - log(ci[n][r])
                 log_bound = -((m - s) ** 2) / (2 * r)
-                slack = exp(log_p - log_bound)
-                if slack > report.max_slack:
-                    report.max_slack = slack
-                if log_p > log_bound + 1e-12:
-                    report.record({"s": s, "m": m, "r": r}, slack)
+                report.observe(exp(log_p - log_bound),
+                               {"s": s, "m": m, "r": r} if log_p > log_bound + 1e-12 else None)
     return report
 
 
@@ -201,33 +199,24 @@ def verify_mgf_bound(n: int, lam: int | Sequence[int] = (1, 64, 4096)) -> LemmaR
     report = LemmaReport(
         lemma="mgf",
         grid=f"n={n}, s<={n // 8}, s<=m<={n // 2}, r in [0,{n}], z in [1,s]",
-        points_checked=0,
-        max_slack=0.0,
     )
-    cf = _comb_floats(n)
+    ci = _comb_table(n)
     for s in range(n // 8 + 1):
         for m in range(s, n // 2 + 1):
             for r in range(n + 1):
-                den = comb(n, r)
-                den_f = cf[n][r]
+                den = ci[n][r]
+                den_f = float(den)
+                counts = _delta0_counts(ci, n, s, m, r)
+                mirror = _delta0_counts(ci, n, s, m, n - r)
+                report.points_checked += s
                 for z in range(1, s + 1):
-                    num = 0
-                    for rr in (r, n - r):
-                        t = z + rr + m - s
-                        if t % 2:
-                            continue
-                        zh = t // 2
-                        if zh in hypergeom_support(n, m, rr):
-                            num += comb(m, zh) * comb(n - m, rr - zh)
-                    report.points_checked += 1
+                    num = counts[z] + mirror[z]
                     if num == 0:
                         continue
                     # (num/den) <= 2 * 2^(-z/2)  <=>  num^2 * 2^z <= 4 den^2
                     if num * num << z > 4 * den * den:
                         report.record({"s": s, "m": m, "r": r, "z": z}, inf)
-                    slack = (num / den_f) / (2.0 * 0.5 ** (z / 2))
-                    if slack > report.max_slack:
-                        report.max_slack = slack
+                    report.observe((num / den_f) / (2.0 * 0.5 ** (z / 2)))
     series = {}
     for lam_v in lambdas:
         value = mgf_series_value(float(lam_v))
@@ -286,8 +275,6 @@ def verify_multibit_progress(
             f"{grid_points}-point geometric middle grid, r geometric + near-support, "
             f"z in [1,{z_max}]"
         ),
-        points_checked=0,
-        max_slack=0.0,
         details={"n_star": nstar},
     )
     log_low_bound = 2.0 * log(16.0 * nstar / n)
@@ -313,11 +300,9 @@ def verify_multibit_progress(
                     if lp == -inf:
                         continue
                     log_bound = log_low_bound - z * log2
-                    slack = exp(lp - log_bound)
-                    if slack > report.max_slack:
-                        report.max_slack = slack
-                    if lp > log_bound + 1e-12:
-                        report.record({"s": s, "m": m, "r": r, "z": z, "regime": "low/high"}, slack)
+                    report.observe(exp(lp - log_bound),
+                                   {"s": s, "m": m, "r": r, "z": z, "regime": "low/high"}
+                                   if lp > log_bound + 1e-12 else None)
         for m in _geometric_grid(two_nstar + 1, n - two_nstar - 1, grid_points):
             for r in radii_for(m):
                 m_sym, r_sym = (m, r) if m <= n / 2 else (n - m, n - r)
@@ -327,11 +312,9 @@ def verify_multibit_progress(
                     report.points_checked += 1
                     if lp == -inf:
                         continue
-                    slack = exp(lp - log_bound)
-                    if slack > report.max_slack:
-                        report.max_slack = slack
-                    if lp > log_bound + 1e-12:
-                        report.record({"s": s, "m": m, "r": r, "z": z, "regime": "middle"}, slack)
+                    report.observe(exp(lp - log_bound),
+                                   {"s": s, "m": m, "r": r, "z": z, "regime": "middle"}
+                                   if lp > log_bound + 1e-12 else None)
     return report
 
 
@@ -340,8 +323,6 @@ def verify_delta_symmetry(n: int) -> LemmaReport:
     report = LemmaReport(
         lemma="delta-symmetry",
         grid=f"n={n}, 0<=s<=n/2, s<=m<=n-s, 0<=r<=n",
-        points_checked=0,
-        max_slack=0.0,
     )
     for s in range(n // 2 + 1):
         for m in range(s, n - s + 1):
@@ -429,8 +410,6 @@ def verify_coupon(delta: float = 0.5, ns: Sequence[int] = (10, 100, 1000)) -> Le
     report = LemmaReport(
         lemma="coupon",
         grid=f"delta={delta}, n in {tuple(ns)}",
-        points_checked=0,
-        max_slack=0.0,
         details={"points": []},
     )
     for n in ns:
@@ -438,15 +417,13 @@ def verify_coupon(delta: float = 0.5, ns: Sequence[int] = (10, 100, 1000)) -> Le
         survival = (1.0 - 1.0 / n) ** ((1.0 - delta) * (n - 1) * log(n))
         floor_val = n ** (-(1.0 - delta))
         report.points_checked += 1
-        slack = floor_val / survival if survival > 0 else inf
-        if slack > report.max_slack:
-            report.max_slack = slack
         report.details["points"].append(
             {"n": n, "threshold": threshold, "prob_bound": prob,
              "survival": survival, "floor": floor_val}
         )
-        if survival < floor_val:
-            report.record({"n": n, "survival": survival, "floor": floor_val}, slack)
+        report.observe(floor_val / survival if survival > 0 else inf,
+                       {"n": n, "survival": survival, "floor": floor_val}
+                       if survival < floor_val else None)
     return report
 
 
@@ -471,5 +448,5 @@ def exact_vs_log_max_error(n: int) -> float:
 def chvatal_point_check(n: int, s: int, m: int, r: int) -> dict:
     """Exact tail value and bound at one cell, for spot checks."""
     tail = delta0_tail_prob(n, s, m, r)
-    bound = math.exp(-((m - s) ** 2) / (2 * r))
+    bound = exp(-((m - s) ** 2) / (2 * r))
     return {"tail": tail, "bound": bound, "pass": float(tail) <= bound}

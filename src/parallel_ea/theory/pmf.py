@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp, inf, lgamma, log
-from typing import Mapping, Union
+from typing import Mapping, Optional, Sequence, Union
 
 EXACT = "exact"
 LOG = "log"
@@ -100,59 +100,66 @@ class Pmf:
             raise AssertionError(f"log-space pmf sums to {total}, off by > {rel_tol}")
 
 
-def _delta0_value(s: int, m: int, r: int, z_hyper: int) -> int:
-    return max(2 * z_hyper - r + s - m, 0)
+def _delta0_index(s: int, m: int, r: int, z: int) -> Optional[int]:
+    """The one hypergeometric count Z whose drop 2Z - r + s - m is z >= 1,
+    or None when no integer Z has that drop."""
+    t = z + r + m - s
+    return None if t % 2 else t // 2
+
+
+def _delta0_tail_support(n: int, s: int, m: int, r: int) -> range:
+    """The Z values in the support whose drop 2Z - r + s - m is positive."""
+    support = hypergeom_support(n, m, r)
+    return range(max(support.start, (r + m - s) // 2 + 1), support.stop)
+
+
+def _delta0_counts(rows: Sequence[Sequence], n: int, s: int, m: int, r: int) -> list:
+    """counts[z] = C(m, Z) C(n-m, r-Z) = C(n, r) P(Delta_0 = z) for 1 <= z <= s
+    (counts[0] is 0), looked up in a binomial table rows[a][b] = C(a, b) of
+    integers or floats."""
+    counts = [0] * (s + 1)
+    for zh in _delta0_tail_support(n, s, m, r):
+        counts[2 * zh - r + s - m] = rows[m][zh] * rows[n - m][r - zh]
+    return counts
 
 
 def delta0_pmf(params: ProgressParams, mode: str = EXACT) -> Pmf:
-    """Distribution of the zero-potential drop max{2Z - r + s - m, 0}."""
+    """Distribution of the zero-potential drop max{2Z - r + s - m, 0}.
+
+    The positive part has at most s values, read off the point forms; the
+    mass at 0 is the complement.
+    """
+    if mode not in (EXACT, LOG):
+        raise ValueError(f"unknown pmf mode {mode!r}")
     n, s, m, r = params.n, params.s, params.m, params.r
-    if mode == EXACT:
-        entries: dict[int, Fraction] = {}
-        for zh in hypergeom_support(n, m, r):
-            d = _delta0_value(s, m, r, zh)
-            entries[d] = entries.get(d, Fraction(0)) + hypergeom_pmf(n, m, r, zh)
-        return Pmf(entries, EXACT)
-    if mode == LOG:
-        # positive part has at most s values; mass at 0 is the complement
-        entries_log: dict[int, float] = {}
-        tail = 0.0
-        for z in range(1, s + 1):
-            lp = delta0_point_log_prob(n, s, m, r, z)
-            if lp > -inf:
-                entries_log[z] = lp
-                tail += exp(lp)
-        if tail < 1.0:
-            entries_log[0] = log(1.0 - tail) if tail > 0 else 0.0
-        return Pmf(entries_log, LOG)
-    raise ValueError(f"unknown pmf mode {mode!r}")
+    point, nothing = (delta0_point_prob, 0) if mode == EXACT else (delta0_point_log_prob, -inf)
+    entries: dict[int, Prob] = {}
+    for z in range(1, s + 1):
+        p = point(n, s, m, r, z)
+        if p != nothing:
+            entries[z] = p
+    tail = Pmf(entries, mode).total()
+    if tail < 1:
+        entries[0] = 1 - tail if mode == EXACT else log(1.0 - tail)
+    return Pmf(entries, mode)
 
 
 def delta0_point_prob(n: int, s: int, m: int, r: int, z: int) -> Fraction:
     """Exact P(Delta_0 = z) for z >= 1 via the unique matching Z value."""
     if z < 1:
         raise ValueError("point form only valid for z >= 1; use delta0_pmf for z = 0")
-    t = z + r + m - s
-    if t % 2:
-        return Fraction(0)
-    return hypergeom_pmf(n, m, r, t // 2)
+    zh = _delta0_index(s, m, r, z)
+    return Fraction(0) if zh is None else hypergeom_pmf(n, m, r, zh)
 
 
 def delta0_point_log_prob(n: int, s: int, m: int, r: int, z: int) -> float:
     if z < 1:
         raise ValueError("point form only valid for z >= 1")
-    t = z + r + m - s
-    if t % 2:
-        return -inf
-    return hypergeom_log_pmf(n, m, r, t // 2)
+    zh = _delta0_index(s, m, r, z)
+    return -inf if zh is None else hypergeom_log_pmf(n, m, r, zh)
 
 
 def delta0_tail_prob(n: int, s: int, m: int, r: int) -> Fraction:
     """Exact P(Delta_0 > 0) = P(Z > (r + m - s) / 2)."""
-    num = 0
-    den = comb(n, r)
-    threshold = Fraction(r + m - s, 2)
-    for zh in hypergeom_support(n, m, r):
-        if zh > threshold:
-            num += comb(m, zh) * comb(n - m, r - zh)
-    return Fraction(num, den)
+    num = sum(comb(m, zh) * comb(n - m, r - zh) for zh in _delta0_tail_support(n, s, m, r))
+    return Fraction(num, comb(n, r))

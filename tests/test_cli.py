@@ -107,6 +107,29 @@ def test_run_with_bad_spec_file_exits_2(tmp_path, capsys, bad):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, value", [("repetitions", "3"), ("lambdas", "4"), ("lambdas", [2.5]),
+                                        ("master_seed", "7"), ("objective", "onemax"),
+                                        ("algorithm", "rls"), ("objective", {"name": "onemax", "n": [1]})],
+                         ids=["repetitions-str", "lambdas-str", "lambdas-float", "master_seed-str",
+                              "objective-str", "algorithm-str", "objective-n-list"])
+def test_run_with_wrong_typed_spec_value_exits_2(tmp_path, capsys, key, value):
+    spec = {"objective": {"name": "onemax", "n": 10}, "algorithm": {"algorithm": "rls"},
+            "repetitions": 1, "lambdas": [1], key: value}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["run", "--spec", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} ") and " must be " in err and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_run_with_unknown_objective_param_exits_2(capsys):
+    assert main(["run", "--objective", "onemax", "--n", "10", "--param", "k=2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: objective 'onemax'") and err.count("\n") == 1
+    assert "'k'" in err and "Traceback" not in err
+
+
 def test_run_missing_args_exits_2(capsys):
     assert main(["run"]) == 2
     assert main(["sweep", "--objective", "onemax", "--n", "10"]) == 2

@@ -42,6 +42,19 @@ def test_spec_validation():
                        repetitions=1, lambdas=[1], bounds=["no-such-bound"])
 
 
+def test_bad_objective_param_fails_before_fan_out(tmp_path, monkeypatch):
+    from parallel_ea import harness
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the worker pool was started")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    spec = onemax_spec(tmp_path, "bad.csv", objective={"name": "onemax", "n": 30, "k": 2})
+    with pytest.raises(ConfigError, match="'onemax'.*'k'"):
+        run_experiment(spec, workers=2)
+    assert not (tmp_path / "bad.csv").exists()
+
+
 def test_spec_json_round_trip():
     spec = ExperimentSpec(
         objective={"name": "jump", "n": 12, "k": 2},

@@ -9,6 +9,7 @@ from parallel_ea.objectives import (
     TargetSet,
     bichromatic_edges,
     cliff_d,
+    colouring_objective,
     gen_partition_random,
     gen_planted_3sat,
     gen_two_cliques,
@@ -23,9 +24,12 @@ from parallel_ea.objectives import (
     maxsat_hard_count,
     maxsat_hard_enum_count,
     monotone_poly,
+    monotone_poly_objective,
     nearest_peak,
     onemax,
     partition_makespan,
+    peaks_objective,
+    planted_3sat_objective,
     sat_count,
     twomax,
     twomax_prime,
@@ -335,6 +339,60 @@ def test_bitflip_symmetry_exhaustive(n):
 
 
 # ----------------------------------------------------------- target sets
+
+def assert_target_is_argmax(obj):
+    points = list(all_points(obj.n))
+    values = [obj.evaluate(x) for x in points]
+    best = max(values)
+    argmax = [x.value for x, v in zip(points, values) if v == best]
+    assert [x.value for x in points if obj.target.contains(x)] == argmax
+
+
+def test_colouring_target_is_exhaustive_argmax():
+    odd_cycle = GraphInstance(5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0)))
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    petersen = GraphInstance(10, tuple(outer + spokes + inner))
+    for g in (odd_cycle, petersen):
+        assert_target_is_argmax(colouring_objective(g))
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["nearest", "weighted"])
+def test_peaks_target_is_exhaustive_argmax(weighted):
+    cases = [
+        [PeakSpec(bs("00000000"), 12.0, 1.0), PeakSpec(bs("11111111"), 4.0, 2.0)],
+        # equal heights: both centres are optima
+        [PeakSpec(bs("0000000000"), 5.0, 1.0), PeakSpec(bs("1111100000"), 5.0, 0.5)],
+        [PeakSpec(bs("10101010"), 3.0, 0.25), PeakSpec(bs("11110000"), 7.5, 3.0),
+         PeakSpec(bs("00001111"), 7.0, 0.1)],
+    ]
+    for peaks in cases:
+        assert_target_is_argmax(peaks_objective(peaks, weighted=weighted))
+
+
+def test_monotone_poly_target_is_exhaustive_argmax():
+    poly = MonotonePolynomial((
+        (2.0, frozenset({0, 1})),
+        (0.5, frozenset({2})),
+        (1.0, frozenset({3, 4, 5})),
+        (3.0, frozenset({1, 5})),
+    ))
+    obj = monotone_poly_objective(poly, 8)  # variables 6 and 7 are free
+    assert_target_is_argmax(obj)
+    assert _count_members(obj.target, 8) == obj.target.size_bound == 4
+
+
+def test_planted_sat_target_matches_sat_count():
+    inst = gen_planted_3sat(10, 40, seed=4)
+    obj = planted_3sat_objective(inst)
+    members = 0
+    for x in all_points(10):
+        assert obj.target.contains(x) == (sat_count(inst, x) == inst.m)
+        members += obj.target.contains(x)
+    assert members >= 1  # the planted assignment
+
+
 
 def _count_members(target, n):
     return sum(1 for x in all_points(n) if target.contains(x))

@@ -193,3 +193,31 @@ def test_report_violation_capture():
     assert not report.passed
     assert report.to_dict()["pass"] is False
     assert report.violations[0]["slack"] == 2.0
+
+
+
+def _closed_form_grid_size(verify, n):
+    h, e = n // 2, n // 8
+    return {
+        # sum over 0 <= m, r <= n of min(m, r) + 1 values of z
+        verify_hypergeom_tail: (n + 1) ** 2 + n * (n + 1) * (2 * n + 1) // 6,
+        # sum over s <= m <= n/8 of n radii times s drops
+        verify_improve_prob: n * e * (e + 1) * (e + 2) // 6,
+        # m + 1 potentials per m <= n/2, n radii each
+        verify_chvatal: n * (h + 1) * (h + 2) // 2,
+        # sum over s <= n/8 of n/2 - s + 1 parents, n + 1 radii and s drops
+        verify_mgf_bound: (n + 1) * ((h + 1) * e * (e + 1) // 2 - e * (e + 1) * (2 * e + 1) // 6),
+    }[verify]
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize(
+    "verify",
+    [verify_hypergeom_tail, verify_improve_prob, verify_chvatal, verify_mgf_bound],
+    ids=["hypergeom-tail", "improve-prob", "chvatal", "mgf"],
+)
+def test_grid_points_match_closed_form(verify, n):
+    # every point of the stated grid is checked, none twice
+    report = verify(n)
+    assert report.passed
+    assert report.points_checked == _closed_form_grid_size(verify, n)
