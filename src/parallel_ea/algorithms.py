@@ -168,6 +168,9 @@ def run_one_plus_lambda(
         raise ValueError(f"config is for {cfg.algorithm}, not an elitist (1+lambda) algorithm")
     if obj.n != cfg.n:
         raise ValueError("objective dimension does not match config")
+    if cfg.algorithm == ONE_PLUS_LAMBDA_ADAPTIVE and not obj.target.contains(BitString.ones(cfg.n)):
+        raise ValueError(f"{cfg.algorithm} reads the zero count as the potential, but the target "
+                         f"of objective {obj.name!r} does not contain the all-ones point")
     rng = rng if rng is not None else derive_rng(cfg.seed)
     n, lam = cfg.n, cfg.lam
     evaluate, contains, better = obj.evaluate, obj.target.contains, obj.better
@@ -230,20 +233,21 @@ run_rls = run_one_plus_lambda
 
 
 class HistoryView:
-    """Read-only archive of all points evaluated in completed rounds.
-
-    Policies receive this snapshot when choosing the next round's lambda
-    variations, so by construction they cannot see same-round results.
-    Out-of-range parent indices raise ContractViolationError.
+    """Read-only window on the runner's append-only archive, with its length
+    and best index frozen when the round begins: a policy, even one that
+    keeps the view, sees only points of the rounds before it.  Out-of-range
+    parent indices raise ContractViolationError.
     """
 
-    def __init__(self, points: list[BitString], fitnesses: list[float], rounds: int):
+    def __init__(self, points: list[BitString], fitnesses: list[float], rounds: int, best: int):
         self._points = points
         self._fitnesses = fitnesses
         self._rounds = rounds
+        self._len = len(points)
+        self._best = best
 
     def __len__(self) -> int:
-        return len(self._points)
+        return self._len
 
     @property
     def rounds(self) -> int:
@@ -257,15 +261,14 @@ class HistoryView:
         self._check(i)
         return self._fitnesses[i]
 
-    def best_index(self, direction: str = "max") -> int:
-        f = self._fitnesses
-        best = max(f) if direction == "max" else min(f)
-        return f.index(best)
+    def best_index(self) -> int:
+        """First index of the best fitness in the view, in the objective's direction."""
+        return self._best
 
     def _check(self, i: int) -> None:
-        if not 0 <= i < len(self._points):
+        if not 0 <= i < self._len:
             raise ContractViolationError(
-                f"policy asked for history index {i}, but only {len(self._points)} "
+                f"policy asked for history index {i}, but only {self._len} "
                 "points from previous rounds are visible"
             )
 
@@ -293,70 +296,64 @@ def run_generic_parallel(
         raise ValueError("objective dimension does not match config")
     rng = rng if rng is not None else derive_rng(cfg.seed)
     n, lam = cfg.n, cfg.lam
+    evaluate, contains, better = obj.evaluate, obj.target.contains, obj.better
 
-    archive_points: list[BitString] = []
-    archive_fits: list[float] = []
-    evals = 0
-    gens = 0
+    points: list[BitString] = []  # append-only: every view is a prefix
+    fits: list[float] = []
+    evals = gens = best = 0
     first_hit = None
 
     def ingest(batch: list[BitString], free: list[BitString]) -> None:
-        nonlocal evals, first_hit
-        for k, y in enumerate(batch):
-            if first_hit is None and obj.target.contains(y):
-                first_hit = evals + k + 1
-        evals += len(batch)
-        for y in free:
+        nonlocal evals, first_hit, best
+        for k, y in enumerate(batch + free):
             # free complements hit at the cost already paid for the batch
-            if first_hit is None and obj.target.contains(y):
-                first_hit = evals
-        for y in batch + free:
-            archive_points.append(y)
-            archive_fits.append(obj.evaluate(y))
+            if first_hit is None and contains(y):
+                first_hit = evals + min(k + 1, len(batch))
+            fy = evaluate(y)
+            if fits and better(fy, fits[best]):
+                best = len(fits)
+            points.append(y)
+            fits.append(fy)
+        evals += len(batch)
         if tracker is not None:
             tracker.update(batch + free)
 
     batch = [random_bitstring(n, rng) for _ in range(lam)]
-    free = [y.complement() for y in batch] if mirror else []
-    ingest(batch, free)
+    ingest(batch, [y.complement() for y in batch] if mirror else [])
 
     while first_hit is None and evals + lam <= cfg.budget:
-        view = HistoryView(list(archive_points), list(archive_fits), gens + 1)
+        view = HistoryView(points, fits, gens + 1, best)
         choices = policy(view, rng)
         if len(choices) != lam:
             raise ContractViolationError(
                 f"policy must return exactly lambda={lam} choices, got {len(choices)}"
             )
-        batch = []
-        free = []
+        batch, free = [], []
         for parent_idx, op in choices:
-            view._check(parent_idx)
-            parent = archive_points[parent_idx]
+            parent = view.point(parent_idx)
             if mirror:
                 y, ybar = mirrored(op, parent, rng)
-                batch.append(y)
                 free.append(ybar)
             else:
-                batch.append(apply(op, parent, rng))
+                y = apply(op, parent, rng)
+            batch.append(y)
         gens += 1
         ingest(batch, free)
 
-    best = max(archive_fits) if obj.direction == "max" else min(archive_fits)
     return RunRecord(
         evaluations_used=evals,
         generations_used=gens,
         hit_target=first_hit is not None,
-        best_fitness=best,
+        best_fitness=fits[best],
         first_hit_evaluation=first_hit,
         seed=cfg.seed,
     )
 
 
-def make_best_so_far_policy(lam: int, op: UnaryOperator, direction: str = "max") -> Policy:
+def make_best_so_far_policy(lam: int, op: UnaryOperator) -> Policy:
     """Policy re-mutating the best archived point with a fixed operator."""
 
     def policy(view: HistoryView, rng: np.random.Generator) -> list[tuple[int, UnaryOperator]]:
-        best = view.best_index(direction)
-        return [(best, op)] * lam
+        return [(view.best_index(), op)] * lam
 
     return policy

@@ -13,7 +13,7 @@ import json
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from math import log
 from numbers import Integral
 from typing import Optional, Sequence
@@ -103,19 +103,7 @@ class ExperimentSpec:
         return cls(**data)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "objective": self.objective,
-                "algorithm": self.algorithm,
-                "repetitions": self.repetitions,
-                "lambdas": self.lambdas,
-                "target": self.target,
-                "bounds": self.bounds,
-                "output": self.output,
-                "master_seed": self.master_seed,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
 
 @dataclass

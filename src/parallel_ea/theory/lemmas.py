@@ -20,7 +20,7 @@ from .pmf import (
     EXACT,
     ProgressParams,
     _delta0_counts,
-    _delta0_tail_support,
+    _delta0_tail_counts,
     delta0_pmf,
     delta0_point_log_prob,
     delta0_tail_prob,
@@ -160,11 +160,10 @@ def verify_chvatal(n: int) -> LemmaReport:
     )
     ci = _comb_table(n)
     for m in range(n // 2 + 1):
+        tails = [_delta0_tail_counts(ci, n, m, r) for r in range(n + 1)]
         for s in range(m + 1):
             for r in range(1, n + 1):
-                num = 0
-                for zh in _delta0_tail_support(n, s, m, r):
-                    num += ci[m][zh] * ci[n - m][r - zh]
+                num = tails[r][s]
                 report.points_checked += 1
                 if num == 0:
                     continue

@@ -43,10 +43,14 @@ def hypergeom_support(n: int, m: int, r: int) -> range:
     return range(max(0, r - (n - m)), min(m, r) + 1)
 
 
-def hypergeom_pmf(n: int, m: int, r: int, z: int) -> Fraction:
-    """Exact P(Z = z) = C(m,z) C(n-m,r-z) / C(n,r); zero outside support."""
+def _check_mr(n: int, m: int, r: int) -> None:
     if not (0 <= m <= n and 0 <= r <= n):
         raise ValueError(f"need 0 <= m, r <= n, got n={n}, m={m}, r={r}")
+
+
+def hypergeom_pmf(n: int, m: int, r: int, z: int) -> Fraction:
+    """Exact P(Z = z) = C(m,z) C(n-m,r-z) / C(n,r); zero outside support."""
+    _check_mr(n, m, r)
     if z not in hypergeom_support(n, m, r):
         return Fraction(0)
     return Fraction(comb(m, z) * comb(n - m, r - z), comb(n, r))
@@ -59,8 +63,7 @@ def log_comb(a: int, b: int) -> float:
 
 
 def hypergeom_log_pmf(n: int, m: int, r: int, z: int) -> float:
-    if not (0 <= m <= n and 0 <= r <= n):
-        raise ValueError(f"need 0 <= m, r <= n, got n={n}, m={m}, r={r}")
+    _check_mr(n, m, r)
     if z not in hypergeom_support(n, m, r):
         return -inf
     return log_comb(m, z) + log_comb(n - m, r - z) - log_comb(n, r)
@@ -100,25 +103,40 @@ class Pmf:
             raise AssertionError(f"log-space pmf sums to {total}, off by > {rel_tol}")
 
 
-def _delta0_index(s: int, m: int, r: int, z: int) -> Optional[int]:
+def _delta0_index(n: int, s: int, m: int, r: int, z: int) -> Optional[int]:
     """The one hypergeometric count Z whose drop 2Z - r + s - m is z >= 1,
-    or None when no integer Z has that drop."""
+    or None when no integer Z has that drop.  An invalid (m, r) raises
+    ValueError: here on odd parity, in the pmf that reads Z on even."""
+    if z < 1:
+        raise ValueError("point form only valid for z >= 1; use delta0_pmf for z = 0")
     t = z + r + m - s
-    return None if t % 2 else t // 2
+    if t % 2:
+        _check_mr(n, m, r)
+        return None
+    return t // 2
 
 
-def _delta0_tail_support(n: int, s: int, m: int, r: int) -> range:
-    """The Z values in the support whose drop 2Z - r + s - m is positive."""
-    support = hypergeom_support(n, m, r)
-    return range(max(support.start, (r + m - s) // 2 + 1), support.stop)
+def _delta0_tail_support(s: int, m: int, r: int) -> range:
+    """The Z <= min(m, r) whose drop 2Z - r + s - m is positive; those below
+    the hypergeometric support have C(n-m, r-Z) = 0."""
+    return range((r + m - s) // 2 + 1, min(m, r) + 1)
+
+
+def _delta0_tail_counts(rows: Sequence[Sequence], n: int, m: int, r: int) -> list:
+    """tails[s] = C(n, r) P(Delta_0 > 0) for 0 <= s <= m, read off suffix sums of
+    C(m, Z) C(n-m, r-Z) in a zero-padded binomial table rows[a][b] = C(a, b)."""
+    suffix = [0] * (n + 2)  # suffix[Z] = C(n, r) P(Z' >= Z)
+    for zh in range(min(m, r), -1, -1):
+        suffix[zh] = suffix[zh + 1] + rows[m][zh] * rows[n - m][r - zh]
+    return [suffix[_delta0_tail_support(s, m, r).start] for s in range(m + 1)]
 
 
 def _delta0_counts(rows: Sequence[Sequence], n: int, s: int, m: int, r: int) -> list:
     """counts[z] = C(m, Z) C(n-m, r-Z) = C(n, r) P(Delta_0 = z) for 1 <= z <= s
-    (counts[0] is 0), looked up in a binomial table rows[a][b] = C(a, b) of
-    integers or floats."""
+    (counts[0] is 0), looked up in a zero-padded binomial table
+    rows[a][b] = C(a, b) of integers or floats."""
     counts = [0] * (s + 1)
-    for zh in _delta0_tail_support(n, s, m, r):
+    for zh in _delta0_tail_support(s, m, r):
         counts[2 * zh - r + s - m] = rows[m][zh] * rows[n - m][r - zh]
     return counts
 
@@ -146,20 +164,16 @@ def delta0_pmf(params: ProgressParams, mode: str = EXACT) -> Pmf:
 
 def delta0_point_prob(n: int, s: int, m: int, r: int, z: int) -> Fraction:
     """Exact P(Delta_0 = z) for z >= 1 via the unique matching Z value."""
-    if z < 1:
-        raise ValueError("point form only valid for z >= 1; use delta0_pmf for z = 0")
-    zh = _delta0_index(s, m, r, z)
+    zh = _delta0_index(n, s, m, r, z)
     return Fraction(0) if zh is None else hypergeom_pmf(n, m, r, zh)
 
 
 def delta0_point_log_prob(n: int, s: int, m: int, r: int, z: int) -> float:
-    if z < 1:
-        raise ValueError("point form only valid for z >= 1")
-    zh = _delta0_index(s, m, r, z)
+    zh = _delta0_index(n, s, m, r, z)
     return -inf if zh is None else hypergeom_log_pmf(n, m, r, zh)
 
 
 def delta0_tail_prob(n: int, s: int, m: int, r: int) -> Fraction:
     """Exact P(Delta_0 > 0) = P(Z > (r + m - s) / 2)."""
-    num = sum(comb(m, zh) * comb(n - m, r - zh) for zh in _delta0_tail_support(n, s, m, r))
+    num = sum(comb(m, zh) * comb(n - m, r - zh) for zh in _delta0_tail_support(s, m, r))
     return Fraction(num, comb(n, r))

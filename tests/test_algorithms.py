@@ -167,6 +167,15 @@ def test_adaptive_rate_follows_parent_zero_count(monkeypatch):
     assert rates == [adaptive_rate(10, n, lam)] * lam
 
 
+@pytest.mark.parametrize("name, n", [("leadingzeros", 10), ("two-cliques-mincut", 10),
+                                     ("knapsack-hard", 11), ("partition", 10)])
+def test_adaptive_variant_refuses_target_without_all_ones(name, n):
+    obj = make_objective(name, n)
+    cfg = AlgoConfig("one-plus-lambda-adaptive", n=n, lam=4, budget=100, seed=0)
+    with pytest.raises(ValueError, match=repr(name)):
+        run_one_plus_lambda(cfg, obj)
+
+
 def test_adaptive_variant_runs_and_hits():
     obj = onemax_objective(100)
     cfg = AlgoConfig("one-plus-lambda-adaptive", n=100, lam=16, budget=10**7, seed=4)
@@ -288,6 +297,60 @@ def test_generic_parallel_policy_sees_only_past_rounds():
     cfg = AlgoConfig("generic-parallel", n=20, lam=lam, budget=20 * lam, seed=3)
     run_generic_parallel(policy, cfg, obj)
     assert sizes == [lam * (t + 1) for t in range(len(sizes))]
+
+
+def test_generic_parallel_kept_view_answers_for_its_round():
+    obj = onemax_objective(20)
+    lam = 3
+    kept = []
+    seen = []
+
+    def policy(view, rng):
+        if not kept:
+            kept.append((view, [view.point(i) for i in range(len(view))],
+                         [view.fitness(i) for i in range(len(view))], view.best_index()))
+        first, points, fits, best = kept[0]
+        seen.append(len(view))
+        assert len(first) == lam and first.rounds == 1
+        assert [first.point(i) for i in range(lam)] == points
+        assert [first.fitness(i) for i in range(lam)] == fits
+        assert first.best_index() == best == fits.index(max(fits))
+        with pytest.raises(ContractViolationError):
+            first.point(lam)
+        if len(view) > lam:
+            with pytest.raises(ContractViolationError):
+                first.fitness(len(view) - 1)
+        return [(view.best_index(), standard_mutation(0.05))] * lam
+
+    cfg = AlgoConfig("generic-parallel", n=20, lam=lam, budget=10 * lam, seed=3)
+    run_generic_parallel(policy, cfg, obj)
+    assert len(seen) >= 3 and seen[-1] > lam
+
+
+def test_generic_best_so_far_follows_min_direction(monkeypatch):
+    obj = make_objective("two-cliques-mincut", 16)
+    lam = 2
+    inner = make_best_so_far_policy(lam, standard_mutation(1 / 16))
+    parents, expected = [], []
+    real_apply = algorithms.apply
+
+    def recording_apply(op, x, rng):
+        parents.append(x)
+        return real_apply(op, x, rng)
+
+    def policy(view, rng):
+        fits = [view.fitness(i) for i in range(len(view))]
+        best = fits.index(min(fits))
+        assert view.best_index() == best
+        choices = inner(view, rng)
+        assert [i for i, _ in choices] == [best] * lam
+        expected.extend([view.point(best)] * lam)
+        return choices
+
+    monkeypatch.setattr(algorithms, "apply", recording_apply)
+    cfg = AlgoConfig("generic-parallel", n=16, lam=lam, budget=200, seed=5)
+    run_generic_parallel(policy, cfg, obj)
+    assert parents == expected and len(parents) >= lam
 
 
 def test_generic_parallel_contract_violation():

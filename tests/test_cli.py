@@ -130,6 +130,14 @@ def test_run_with_unknown_objective_param_exits_2(capsys):
     assert "'k'" in err and "Traceback" not in err
 
 
+def test_run_adaptive_without_all_ones_target_exits_2(capsys):
+    assert main(["run", "--objective", "leadingzeros", "--n", "10",
+                 "--algo", "one-plus-lambda-adaptive"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'leadingzeros'" in err and "Traceback" not in err
+
+
 def test_run_missing_args_exits_2(capsys):
     assert main(["run"]) == 2
     assert main(["sweep", "--objective", "onemax", "--n", "10"]) == 2

@@ -16,6 +16,7 @@ from parallel_ea.theory.pmf import (
     hypergeom_pmf,
     hypergeom_support,
 )
+from parallel_ea.theory.pmf import _delta0_tail_counts
 
 
 def test_hypergeom_examples():
@@ -121,6 +122,28 @@ def test_delta0_tail_matches_pmf():
     pmf = delta0_pmf(params)
     tail = sum(v for k, v in pmf.entries.items() if k > 0)
     assert delta0_tail_prob(24, 4, 8, 6) == tail
+
+
+@pytest.mark.parametrize("form", [delta0_point_prob, delta0_point_log_prob])
+@pytest.mark.parametrize("m, r", [(5, 2), (-1, 2), (2, 5), (2, -1)])
+def test_delta0_point_forms_reject_invalid_cells_whatever_the_parity(form, m, r):
+    # n = 4: both drops, one of odd and one of even parity, are refused
+    for z in (1, 2):
+        with pytest.raises(ValueError):
+            form(4, 0, m, r, z)
+
+
+def test_delta0_tail_counts_match_tail_prob():
+    n = 12
+    rows = [[comb(a, b) for b in range(n + 1)] for a in range(n + 1)]
+    for m in range(n + 1):
+        for r in range(n + 1):
+            tails = _delta0_tail_counts(rows, n, m, r)
+            assert len(tails) == m + 1
+            for s in range(min(m, n - m) + 1):
+                pmf = delta0_pmf(ProgressParams(n, s, m, r))
+                tail = sum((v for k, v in pmf.entries.items() if k > 0), Fraction(0))
+                assert Fraction(tails[s], comb(n, r)) == tail == delta0_tail_prob(n, s, m, r)
 
 
 def test_log_mode_agrees_with_exact():
