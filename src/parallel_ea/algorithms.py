@@ -48,8 +48,12 @@ class AlgoConfig:
             raise ValueError("n must be >= 1")
         if self.lam < 1:
             raise ValueError("lambda must be >= 1")
+        if self.algorithm == RLS and self.lam != 1:
+            raise ValueError("rls is sequential; use lambda = 1")
         if self.budget < self.lam:
             raise ValueError("budget must cover at least one batch of lambda evaluations")
+        if self.p is not None and self.algorithm != ONE_PLUS_LAMBDA_FIXED:
+            raise ValueError(f"p applies to {ONE_PLUS_LAMBDA_FIXED} only, not to {self.algorithm}")
         if self.algorithm == ONE_PLUS_LAMBDA_FIXED:
             p = self.p if self.p is not None else 1.0 / self.n
             if not 0.0 < p < 1.0:
@@ -148,6 +152,25 @@ def _operator_schedule(cfg: AlgoConfig) -> Callable[[BitString], UnaryOperator]:
     return lambda x: op
 
 
+def _check_dimension(cfg: AlgoConfig, obj: Objective) -> None:
+    if obj.n != cfg.n:
+        raise ValueError("objective dimension does not match config")
+
+
+def check_elitist_run(cfg: AlgoConfig, obj: Objective) -> None:
+    """Refuse a config that `run_one_plus_lambda` cannot run on obj.
+
+    These are the rules that need the objective; those that need only the
+    config live in `AlgoConfig.__post_init__`.
+    """
+    if cfg.algorithm not in ELITIST:
+        raise ValueError(f"{cfg.algorithm} is not one of the elitist algorithms {', '.join(ELITIST)}")
+    _check_dimension(cfg, obj)
+    if cfg.algorithm == ONE_PLUS_LAMBDA_ADAPTIVE and not obj.target.contains(BitString.ones(cfg.n)):
+        raise ValueError(f"{cfg.algorithm} reads the zero count as the potential, but the target "
+                         f"of objective {obj.name!r} does not contain the all-ones point")
+
+
 def run_one_plus_lambda(
     cfg: AlgoConfig,
     obj: Objective,
@@ -164,13 +187,7 @@ def run_one_plus_lambda(
     batch of lambda points, counted against the budget; `initial` forces a
     single-point start (1 evaluation) for tests.
     """
-    if cfg.algorithm not in ELITIST:
-        raise ValueError(f"config is for {cfg.algorithm}, not an elitist (1+lambda) algorithm")
-    if obj.n != cfg.n:
-        raise ValueError("objective dimension does not match config")
-    if cfg.algorithm == ONE_PLUS_LAMBDA_ADAPTIVE and not obj.target.contains(BitString.ones(cfg.n)):
-        raise ValueError(f"{cfg.algorithm} reads the zero count as the potential, but the target "
-                         f"of objective {obj.name!r} does not contain the all-ones point")
+    check_elitist_run(cfg, obj)
     rng = rng if rng is not None else derive_rng(cfg.seed)
     n, lam = cfg.n, cfg.lam
     evaluate, contains, better = obj.evaluate, obj.target.contains, obj.better
@@ -292,8 +309,7 @@ def run_generic_parallel(
     complement for free (tracked and usable as a parent, not counted as an
     evaluation).
     """
-    if obj.n != cfg.n:
-        raise ValueError("objective dimension does not match config")
+    _check_dimension(cfg, obj)
     rng = rng if rng is not None else derive_rng(cfg.seed)
     n, lam = cfg.n, cfg.lam
     evaluate, contains, better = obj.evaluate, obj.target.contains, obj.better

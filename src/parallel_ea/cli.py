@@ -38,19 +38,19 @@ def _build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--lambda", "--lam", dest="lam", type=int, nargs="*", default=None)
     verify_p.add_argument("--trials", type=int, default=10_000)
     verify_p.add_argument("--seed", type=int, default=0)
-    verify_p.add_argument("--delta", type=float, default=0.5)
+    verify_p.add_argument("--delta", type=float, default=bounds_mod.DEFAULT_DELTA)
 
     bounds_p = sub.add_parser("bounds", help="evaluate a bound curve")
     bounds_p.add_argument("--id", required=True)
     bounds_p.add_argument("--n", type=float, required=True)
     bounds_p.add_argument("--lambda", "--lam", dest="lam", type=float, default=1.0)
-    bounds_p.add_argument("--delta", type=float, default=0.5)
+    bounds_p.add_argument("--delta", type=float, default=bounds_mod.DEFAULT_DELTA)
 
     check_p = sub.add_parser("check", help="check CSV runs against a lower bound")
     check_p.add_argument("--csv", required=True)
     check_p.add_argument("--bound", required=True)
     check_p.add_argument("--safety", type=float, default=1.0)
-    check_p.add_argument("--delta", type=float, default=0.5)
+    check_p.add_argument("--delta", type=float, default=bounds_mod.DEFAULT_DELTA)
 
     return parser
 

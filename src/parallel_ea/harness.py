@@ -13,31 +13,45 @@ import json
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from math import log
 from numbers import Integral
 from typing import Optional, Sequence
 
-from .algorithms import ELITIST, RLS, AlgoConfig, run_one_plus_lambda
+from .algorithms import AlgoConfig, check_elitist_run, run_one_plus_lambda
+from .objectives.base import Objective
 from .objectives.registry import make_objective
 from .rng import derive_rng, derive_run_seed
-from .theory.bounds import BoundSpec, get_bound, ln_plus
+from .theory.bounds import DEFAULT_DELTA, BoundSpec, get_bound, ln_plus
 from .variation import resolve_p
 
-CSV_COLUMNS = [
-    "run_id",
-    "problem",
-    "n",
-    "lambda",
-    "algo",
-    "p_mode",
-    "seed",
-    "evaluations",
-    "generations",
-    "hit_target",
-    "first_hit_evaluation",
-    "best_fitness",
-]
+
+def _parse_number(text: str) -> int | float:
+    """Inverse of _format_row on numbers: "20" is the int 20, "20.0" a float."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+# The CSV schema: column order, and the parser read_runs applies to each column.
+_CSV_SCHEMA = {
+    "run_id": str,
+    "problem": str,
+    "n": int,
+    "lambda": int,
+    "algo": str,
+    "p_mode": str,
+    "seed": int,
+    "evaluations": int,
+    "generations": int,
+    "hit_target": lambda text: text == "true",
+    "first_hit_evaluation": lambda text: None if text == "" else int(text),
+    "best_fitness": _parse_number,
+}
+CSV_COLUMNS = list(_CSV_SCHEMA)
+
+_ALGORITHM_KEYS = ("algorithm", "p", "budget")
 
 WORKERS_ENV = "PARALLEL_EA_WORKERS"
 
@@ -55,7 +69,7 @@ class ExperimentSpec:
     """One experiment: an objective, an algorithm, repetitions per lambda."""
 
     objective: dict  # {"name", "n", optional params, optional "seed"}
-    algorithm: dict  # {"algorithm", optional "p", "budget"}
+    algorithm: dict  # {"algorithm", optional "p" (fixed-rate EA only), optional integer "budget"}
     repetitions: int
     lambdas: list[int]
     target: str = "global"
@@ -70,6 +84,10 @@ class ExperimentSpec:
             ("repetitions", _is_int(self.repetitions), "an integer"),
             ("lambdas", isinstance(self.lambdas, (list, tuple)) and all(map(_is_int, self.lambdas)),
              "a list of integers"),
+            ("target", isinstance(self.target, str), "a string"),
+            ("bounds", isinstance(self.bounds, (list, tuple))
+             and all(isinstance(b, str) for b in self.bounds), "a list of bound ids"),
+            ("output", self.output is None or isinstance(self.output, str), "a path string"),
             ("master_seed", _is_int(self.master_seed), "an integer"),
         ):
             if not ok:
@@ -82,8 +100,6 @@ class ExperimentSpec:
             raise ConfigError("objective spec needs 'name' and 'n'")
         if not _is_int(self.objective["n"]):
             raise ConfigError(f"objective n must be an integer, got {self.objective['n']!r}")
-        if "algorithm" not in self.algorithm:
-            raise ConfigError("algorithm spec needs 'algorithm'")
         for bound_id in self.bounds:
             get_bound(bound_id)  # raises on unknown ids
 
@@ -178,38 +194,47 @@ def _build_objective(objective_spec: dict, target: str):
     return _OBJECTIVE_CACHE[key]
 
 
-def _execute_run(task: dict) -> dict:
-    """Worker entry point: rebuilds everything from plain data, runs once."""
-    obj = _build_objective(task["objective"], task["target"])
-    algo = task["algorithm"]
-    name = algo["algorithm"]
-    lam = task["lam"]
-    n = obj.n
-    p = algo.get("p")
-    if p is not None:
-        p = resolve_p(p, n)
-    budget = int(algo.get("budget", 10**9))
-    seed = task["seed"]
-    cfg = AlgoConfig(algorithm=name, n=n, lam=lam, p=p, budget=budget, seed=seed)
-    if name == RLS and lam != 1:
-        raise ConfigError("rls is sequential; use lambda = 1")
-    if name not in ELITIST:
-        raise ConfigError(f"harness cannot run algorithm {name!r}")
-    record = run_one_plus_lambda(cfg, obj, derive_rng(seed))
-    return {
-        "run_id": task["run_id"],
-        "problem": obj.name,
-        "n": n,
-        "lambda": lam,
-        "algo": name,
-        "p_mode": cfg.p_mode,
-        "seed": seed,
-        "evaluations": record.evaluations_used,
-        "generations": record.generations_used,
-        "hit_target": record.hit_target,
-        "first_hit_evaluation": record.first_hit_evaluation,
-        "best_fitness": record.best_fitness,
-    }
+def _plan(spec: ExperimentSpec) -> tuple[Objective, list[AlgoConfig]]:
+    """Build the objective and one checked AlgoConfig per lambda entry.
+
+    This is the only reader of spec.algorithm.  It runs in the calling
+    process, so every refusal is a ConfigError before any task or worker
+    exists; the harness runs only what `check_elitist_run` accepts.
+    """
+    algo = spec.algorithm
+    faults = [f"unknown key {k!r}" for k in algo if k not in _ALGORITHM_KEYS]
+    if "algorithm" not in algo:
+        faults.append("missing key 'algorithm'")
+    if faults:
+        raise ConfigError(f"bad algorithm spec ({', '.join(faults)}); allowed keys: "
+                          f"{', '.join(_ALGORITHM_KEYS)}; required: algorithm")
+    budget = algo.get("budget", AlgoConfig.budget)
+    if not _is_int(budget):
+        raise ConfigError(f"algorithm budget must be an integer, got {budget!r}")
+    try:
+        obj = _build_objective(spec.objective, spec.target)
+        p = algo.get("p")
+        if p is not None:
+            p = resolve_p(p, obj.n)
+        cfgs = [AlgoConfig(algo["algorithm"], n=obj.n, lam=lam, p=p, budget=budget)
+                for lam in spec.lambdas]
+        for cfg in cfgs:
+            check_elitist_run(cfg, obj)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return obj, cfgs
+
+
+def _execute_run(task: tuple) -> dict:
+    """Worker entry point: one run of a checked config on the cached objective."""
+    objective, target, cfg, run_id = task
+    obj = _build_objective(objective, target)
+    record = run_one_plus_lambda(cfg, obj, derive_rng(cfg.seed))
+    return dict(zip(CSV_COLUMNS, (
+        run_id, obj.name, cfg.n, cfg.lam, cfg.algorithm, cfg.p_mode, cfg.seed,
+        record.evaluations_used, record.generations_used, record.hit_target,
+        record.first_hit_evaluation, record.best_fitness,
+    )))
 
 
 def _format_row(row: dict) -> list[str]:
@@ -235,37 +260,10 @@ def append_rows(path: str, rows: Sequence[dict]) -> None:
             writer.writerow(_format_row(row))
 
 
-def _parse_number(text: str) -> int | float:
-    """Inverse of _format_row on numbers: "20" is the int 20, "20.0" a float."""
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
-
 def read_runs(path: str) -> list[dict]:
-    rows = []
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(
-                {
-                    "run_id": rec["run_id"],
-                    "problem": rec["problem"],
-                    "n": int(rec["n"]),
-                    "lambda": int(rec["lambda"]),
-                    "algo": rec["algo"],
-                    "p_mode": rec["p_mode"],
-                    "seed": int(rec["seed"]),
-                    "evaluations": int(rec["evaluations"]),
-                    "generations": int(rec["generations"]),
-                    "hit_target": rec["hit_target"] == "true",
-                    "first_hit_evaluation": (
-                        None if rec["first_hit_evaluation"] == "" else int(rec["first_hit_evaluation"])
-                    ),
-                    "best_fitness": _parse_number(rec["best_fitness"]),
-                }
-            )
-    return rows
+        return [{col: parse(rec[col]) for col, parse in _CSV_SCHEMA.items()}
+                for rec in csv.DictReader(fh)]
 
 
 def _worker_count() -> int:
@@ -279,20 +277,14 @@ def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> Sweep
     order and all values are independent of the worker count.
     """
     workers = workers if workers is not None else _worker_count()
-    _build_objective(spec.objective, spec.target)  # bad parameters fail here, before any run
-    tasks = []
-    for li, lam in enumerate(spec.lambdas):
-        for ri in range(spec.repetitions):
-            tasks.append(
-                {
-                    "objective": spec.objective,
-                    "algorithm": spec.algorithm,
-                    "target": spec.target,
-                    "lam": lam,
-                    "seed": derive_run_seed(spec.master_seed, li, ri),
-                    "run_id": f"{spec.master_seed}-{li}-{ri}",
-                }
-            )
+    obj, cfgs = _plan(spec)
+    reps = spec.repetitions
+    tasks = [
+        (spec.objective, spec.target, replace(cfg, seed=derive_run_seed(spec.master_seed, li, ri)),
+         f"{spec.master_seed}-{li}-{ri}")
+        for li, cfg in enumerate(cfgs)
+        for ri in range(reps)
+    ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_execute_run, tasks, chunksize=8))
@@ -303,8 +295,8 @@ def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> Sweep
         append_rows(spec.output, rows)
 
     per_lambda = []
-    for lam in spec.lambdas:
-        group = [r for r in rows if r["lambda"] == lam]
+    for li, lam in enumerate(spec.lambdas):
+        group = rows[li * reps:(li + 1) * reps]  # rows come back in task order
         evals = [r["evaluations"] for r in group]
         gens = [r["generations"] for r in group]
         stats = LambdaStats(
@@ -320,19 +312,16 @@ def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> Sweep
             min_generations=min(gens),
             max_generations=max(gens),
         )
-        n = int(spec.objective["n"])
         for bound_id in spec.bounds:
-            bound = get_bound(bound_id)
-            kwargs = {"n": n, "lam": lam, "delta": 0.5}
-            value = bound(**kwargs)
+            value = get_bound(bound_id)(n=obj.n, lam=lam, delta=DEFAULT_DELTA)
             stats.bound_values[bound_id] = value
             stats.bound_ratios[bound_id] = stats.mean_evaluations / value if value else None
         per_lambda.append(stats)
 
     return SweepSummary(
         spec_problem=spec.objective["name"],
-        n=int(spec.objective["n"]),
-        algo=spec.algorithm["algorithm"],
+        n=obj.n,
+        algo=cfgs[0].algorithm,
         master_seed=spec.master_seed,
         per_lambda=per_lambda,
     )
@@ -342,7 +331,7 @@ def check_lower_bound(
     rows: Sequence[dict] | str,
     bound: BoundSpec | str,
     safety: float = 1.0,
-    delta: float = 0.5,
+    delta: float = DEFAULT_DELTA,
 ) -> dict:
     """Count runs that hit the target strictly before safety * bound value.
 

@@ -7,7 +7,6 @@ takes an explicit 64-bit seed and is deterministic given it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence
@@ -475,10 +474,6 @@ def peaks_to_json(peaks: Sequence[PeakSpec]) -> dict:
     return {"type": "peaks", "peaks": [p.to_json() for p in peaks]}
 
 
-def peaks_from_json(d: dict) -> tuple[PeakSpec, ...]:
-    return tuple(PeakSpec.from_json(p) for p in d["peaks"])
-
-
 def peaks_objective(peaks: Sequence[PeakSpec], weighted: bool = False) -> Objective:
     n = peaks[0].centre.n
     if any(p.centre.n != n for p in peaks):
@@ -567,20 +562,10 @@ _INSTANCE_TYPES = {
 
 def instance_from_json(d: dict):
     if d.get("type") == "peaks":
-        return peaks_from_json(d)
+        return tuple(PeakSpec.from_json(p) for p in d["peaks"])
     try:
         cls = _INSTANCE_TYPES[d["type"]]
     except KeyError:
         raise ValueError(f"unknown instance type {d.get('type')!r}") from None
     return cls.from_json(d)
 
-
-def load_instance(path: str):
-    with open(path) as fh:
-        return instance_from_json(json.load(fh))
-
-
-def save_instance(inst, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(inst.to_json(), fh, indent=2)
-        fh.write("\n")

@@ -13,6 +13,11 @@ from math import e, exp, log
 from typing import Callable, NamedTuple, Sequence, Union
 
 
+DEFAULT_DELTA = 0.5  # delta of the bound overlays and checks unless one is given
+
+LB_PARALLEL_DIVISOR = 60.0  # lb-unique's parallel term is lam n / (60 ln+ lam)
+
+
 def ln_plus(x: float) -> float:
     """max(1, ln x) for x > 0."""
     if x <= 0:
@@ -51,7 +56,7 @@ def lb_parallel_term(n: float, lam: float) -> float:
     _check_n(n)
     if lam < 1:
         raise ValueError("lambda must be >= 1")
-    return lam * n / (60.0 * ln_plus(lam))
+    return lam * n / (LB_PARALLEL_DIVISOR * ln_plus(lam))
 
 
 def lb_nlogn_term(n: float, delta: float) -> float:
@@ -118,7 +123,7 @@ BOUNDS: dict[str, BoundSpec] = {
             asymptotic_only=False,
             description="max{lam n/(60 ln+ lam), (1-delta) n ln n} evaluations "
             "before any small fixed target set is hit, with overwhelming probability",
-            constants={"c": 1.0 / 60.0},
+            constants={"c": 1.0 / LB_PARALLEL_DIVISOR},
             params=("n", "lam", "delta"),
         ),
         BoundSpec(
@@ -126,7 +131,7 @@ BOUNDS: dict[str, BoundSpec] = {
             evaluate=lb_parallel_term,
             asymptotic_only=False,
             description="lam n/(60 ln+ lam): the parallelism term of lb-unique alone",
-            constants={"c": 1.0 / 60.0},
+            constants={"c": 1.0 / LB_PARALLEL_DIVISOR},
         ),
         BoundSpec(
             id="lb-nlogn-term",

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..rng import derive_rng
+from .bounds import DEFAULT_DELTA, coupon_bound
 from .pmf import (
     EXACT,
     ProgressParams,
@@ -32,7 +33,6 @@ ETA_FREE_RIDERS = log(1.5)  # geometric free-rider chain
 D_FREE_RIDERS = 2.0
 ETA_DROP_CHAIN = log(4.0 / 3.0)  # expected-max chain for the potential drop
 D_DROP_CHAIN = 9.0 + 6.0 * sqrt(2.0)
-TAIL_CONSTANT = 1.0 / 60.0
 
 MAX_VIOLATIONS_KEPT = 25
 
@@ -401,11 +401,9 @@ def verify_max_geometric(
     return report
 
 
-def verify_coupon(delta: float = 0.5, ns: Sequence[int] = (10, 100, 1000)) -> LemmaReport:
+def verify_coupon(delta: float = DEFAULT_DELTA, ns: Sequence[int] = (10, 100, 1000)) -> LemmaReport:
     """Single-bit survival inequality behind the coupon-collector tail:
     (1 - 1/n)^((1-delta)(n-1) ln n) >= n^-(1-delta)."""
-    from .bounds import coupon_bound  # local import to avoid a cycle
-
     report = LemmaReport(
         lemma="coupon",
         grid=f"delta={delta}, n in {tuple(ns)}",

@@ -62,6 +62,11 @@ def test_config_validation():
         AlgoConfig("one-plus-lambda-fixed", n=10, lam=1, p=1.5)
     with pytest.raises(ValueError):
         AlgoConfig("simulated-annealing", n=10)
+    with pytest.raises(ValueError, match="rls is sequential"):
+        AlgoConfig("rls", n=10, lam=2)
+    for algorithm in ("rls", "one-plus-lambda-adaptive", "generic-parallel"):
+        with pytest.raises(ValueError, match="p applies to"):
+            AlgoConfig(algorithm, n=10, p=0.1)
 
 
 # ---------------------------------------------------------- (1+lambda) EA

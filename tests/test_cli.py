@@ -109,9 +109,11 @@ def test_run_with_bad_spec_file_exits_2(tmp_path, capsys, bad):
 
 @pytest.mark.parametrize("key, value", [("repetitions", "3"), ("lambdas", "4"), ("lambdas", [2.5]),
                                         ("master_seed", "7"), ("objective", "onemax"),
-                                        ("algorithm", "rls"), ("objective", {"name": "onemax", "n": [1]})],
+                                        ("algorithm", "rls"), ("objective", {"name": "onemax", "n": [1]}),
+                                        ("output", True), ("bounds", "lb-unique"), ("target", 1)],
                          ids=["repetitions-str", "lambdas-str", "lambdas-float", "master_seed-str",
-                              "objective-str", "algorithm-str", "objective-n-list"])
+                              "objective-str", "algorithm-str", "objective-n-list", "output-bool",
+                              "bounds-str", "target-int"])
 def test_run_with_wrong_typed_spec_value_exits_2(tmp_path, capsys, key, value):
     spec = {"objective": {"name": "onemax", "n": 10}, "algorithm": {"algorithm": "rls"},
             "repetitions": 1, "lambdas": [1], key: value}

@@ -55,6 +55,53 @@ def test_bad_objective_param_fails_before_fan_out(tmp_path, monkeypatch):
     assert not (tmp_path / "bad.csv").exists()
 
 
+FIXED, ADAPTIVE = "one-plus-lambda-fixed", "one-plus-lambda-adaptive"
+BAD_PLANS = {
+    "rls-lambda-2": ({"algorithm": "rls"}, [2], "onemax"),
+    "generic-parallel": ({"algorithm": "generic-parallel"}, [2], "onemax"),
+    "adaptive-leadingzeros": ({"algorithm": ADAPTIVE}, [2], "leadingzeros"),
+    "unknown-key": ({"algorithm": FIXED, "budjet": 100}, [2], "onemax"),
+    "p-with-rls": ({"algorithm": "rls", "p": 0.1}, [1], "onemax"),
+    "p-with-adaptive": ({"algorithm": ADAPTIVE, "p": "1/n"}, [2], "onemax"),
+    "p-not-a-rate": ({"algorithm": FIXED, "p": "abc"}, [2], "onemax"),
+    "p-one": ({"algorithm": FIXED, "p": 1.0}, [2], "onemax"),
+    "budget-float": ({"algorithm": FIXED, "budget": 3.7}, [1], "onemax"),
+    "budget-bool": ({"algorithm": FIXED, "budget": True}, [1], "onemax"),
+    "budget-str": ({"algorithm": FIXED, "budget": "1e3"}, [1], "onemax"),
+    "budget-below-lambda": ({"algorithm": FIXED, "budget": 1}, [2], "onemax"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_PLANS)
+def test_bad_algorithm_fails_before_fan_out(tmp_path, monkeypatch, case):
+    from parallel_ea import harness
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the worker pool was started")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    algorithm, lambdas, name = BAD_PLANS[case]
+    spec = onemax_spec(tmp_path, "bad.csv", objective={"name": name, "n": 30},
+                       algorithm=algorithm, lambdas=lambdas)
+    with pytest.raises(ConfigError):
+        run_experiment(spec, workers=2)
+    assert not (tmp_path / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("case", BAD_PLANS)
+def test_run_with_bad_algorithm_exits_2(tmp_path, capsys, case):
+    from parallel_ea.cli import main
+
+    algorithm, lambdas, name = BAD_PLANS[case]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"objective": {"name": name, "n": 30}, "algorithm": algorithm,
+                                "repetitions": 2, "lambdas": lambdas}))
+    assert main(["run", "--spec", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_spec_json_round_trip():
     spec = ExperimentSpec(
         objective={"name": "jump", "n": 12, "k": 2},
@@ -139,6 +186,18 @@ def test_summary_stats_and_bounds(tmp_path):
         assert stats.bound_ratios["lb-unique"] > 0
     parsed = json.loads(summary.to_json())
     assert parsed["problem"] == "onemax"
+
+
+def test_repeated_lambda_entries_are_summarised_apart(tmp_path):
+    spec = onemax_spec(tmp_path, "twice.csv", lambdas=[1, 1], repetitions=3)
+    summary = run_experiment(spec)
+    rows = read_runs(spec.output)
+    for li, stats in enumerate(summary.per_lambda):
+        own = rows[3 * li:3 * li + 3]
+        assert {r["run_id"].rsplit("-", 1)[0] for r in own} == {f"77-{li}"}
+        assert stats.runs == 3
+        assert stats.mean_evaluations == sum(r["evaluations"] for r in own) / 3
+        assert stats.max_generations == max(r["generations"] for r in own)
 
 
 def test_sweep_generations_decrease_with_lambda(tmp_path):
