@@ -47,8 +47,6 @@ from .variation import (
     exact_distribution,
     flip_exact,
     mirrored,
-    op_from_json,
-    op_to_json,
     radius_pmf,
     resolve_p,
     sample_distinct_positions,

@@ -54,10 +54,13 @@ class AlgoConfig:
             raise ValueError("budget must cover at least one batch of lambda evaluations")
         if self.p is not None and self.algorithm != ONE_PLUS_LAMBDA_FIXED:
             raise ValueError(f"p applies to {ONE_PLUS_LAMBDA_FIXED} only, not to {self.algorithm}")
-        if self.algorithm == ONE_PLUS_LAMBDA_FIXED:
-            p = self.p if self.p is not None else 1.0 / self.n
-            if not 0.0 < p < 1.0:
-                raise ValueError(f"fixed mutation rate must lie in (0, 1), got {p}")
+        if self.algorithm == ONE_PLUS_LAMBDA_FIXED and not 0.0 < self.rate < 1.0:
+            raise ValueError(f"fixed mutation rate must lie in (0, 1), got {self.rate}")
+
+    @property
+    def rate(self) -> float:
+        """The fixed-rate EA's mutation probability: p, or 1/n by default."""
+        return self.p if self.p is not None else 1.0 / self.n
 
     @property
     def p_mode(self) -> str:
@@ -66,8 +69,7 @@ class AlgoConfig:
         if self.algorithm == RLS:
             return "single-bit"
         if self.algorithm == ONE_PLUS_LAMBDA_FIXED:
-            p = self.p if self.p is not None else 1.0 / self.n
-            return f"fixed:{p:.6g}"
+            return f"fixed:{self.rate:.6g}"
         return "policy"
 
 
@@ -93,6 +95,7 @@ class RunRecord:
 class PotentialTracker:
     """Running minimum of min(#zeros, #ones) over everything queried.
 
+    Pass it as `on_generation` to either runner to record s per generation.
     With mirrored batches the zero- and one-sided minima coincide.
     """
 
@@ -114,6 +117,15 @@ class PotentialTracker:
             self.s1 = ones if self.s1 is None else min(self.s1, ones)
         self.trajectory.append(self.s)
         return self
+
+    def __call__(self, gens: int, queried: list[BitString], x: BitString, fx: float) -> None:
+        """The `on_generation` hook form: one trajectory entry per generation."""
+        self.update(queried)
+
+
+# on_generation(gens, queried, x, fx): called at initialisation (gens = 0) and
+# after every generation, with the points queried in it and the current best.
+GenerationHook = Callable[[int, list[BitString], BitString, float], None]
 
 
 def adaptive_rate(i: int, n: int, lam: int) -> float:
@@ -145,7 +157,7 @@ def _operator_schedule(cfg: AlgoConfig) -> Callable[[BitString], UnaryOperator]:
     if cfg.algorithm == RLS:
         op = single_bit()
     elif cfg.algorithm == ONE_PLUS_LAMBDA_FIXED:
-        op = standard_mutation(cfg.p if cfg.p is not None else 1.0 / cfg.n)
+        op = standard_mutation(cfg.rate)
     else:
         n, lam = cfg.n, cfg.lam
         return lambda x: standard_mutation(adaptive_rate(max(1, x.count_zeros()), n, lam))
@@ -176,7 +188,7 @@ def run_one_plus_lambda(
     obj: Objective,
     rng: Optional[np.random.Generator] = None,
     initial: Optional[BitString] = None,
-    on_generation: Optional[Callable[[int, BitString, float], None]] = None,
+    on_generation: Optional[GenerationHook] = None,
 ) -> RunRecord:
     """Elitist (1+lambda) search: RLS, or the EA with a fixed or adaptive rate.
 
@@ -185,7 +197,9 @@ def run_one_plus_lambda(
     parent when its fitness is at least as good, and ties among best
     offspring break uniformly at random.  Initialisation is one uniform
     batch of lambda points, counted against the budget; `initial` forces a
-    single-point start (1 evaluation) for tests.
+    single-point start (1 evaluation) for tests.  `on_generation` sees the
+    initial batch, then each generation's lambda offspring, with the parent
+    that follows them.
     """
     check_elitist_run(cfg, obj)
     rng = rng if rng is not None else derive_rng(cfg.seed)
@@ -208,16 +222,20 @@ def run_one_plus_lambda(
     x, fx = batch[best_idx], fits[best_idx]
     gens = 0
     if on_generation is not None:
-        on_generation(0, x, fx)
+        on_generation(0, batch, x, fx)
 
     while first_hit is None and evals + lam <= cfg.budget:
         op = operator_for(x)
         # One pass evaluates, checks the target and selects, so that lambda = 1
-        # pays for no batch lists; ties are listed only when they occur, and
-        # their one draw follows the lambda apply calls, as in _argbest_uniform.
+        # pays for no batch lists unless a hook observes the offspring; ties are
+        # listed only when they occur, and their one draw follows the lambda
+        # apply calls, as in _argbest_uniform.
         z = ties = None
+        queried = [] if on_generation is not None else None
         for k in range(lam):
             y = apply(op, x, rng)
+            if queried is not None:
+                queried.append(y)
             fy = evaluate(y)
             if first_hit is None and contains(y):
                 first_hit = evals + k + 1
@@ -234,7 +252,7 @@ def run_one_plus_lambda(
         if not better(fx, fz):
             x, fx = z, fz
         if on_generation is not None:
-            on_generation(gens, x, fx)
+            on_generation(gens, queried, x, fx)
 
     return RunRecord(
         evaluations_used=evals,
@@ -299,15 +317,16 @@ def run_generic_parallel(
     obj: Objective,
     rng: Optional[np.random.Generator] = None,
     mirror: bool = False,
-    tracker: Optional[PotentialTracker] = None,
+    on_generation: Optional[GenerationHook] = None,
 ) -> RunRecord:
     """Generic lambda-parallel unary unbiased runner.
 
     Each round the policy maps the history of previous rounds to lambda
     (parent index, operator) pairs; the offspring are then generated and
     evaluated as one batch.  With mirror=True every query also reveals its
-    complement for free (tracked and usable as a parent, not counted as an
-    evaluation).
+    complement for free (archived and usable as a parent, not counted as an
+    evaluation).  `on_generation` sees each round's queries (any free
+    complements after the paid batch) and the archive's best point.
     """
     _check_dimension(cfg, obj)
     rng = rng if rng is not None else derive_rng(cfg.seed)
@@ -321,7 +340,8 @@ def run_generic_parallel(
 
     def ingest(batch: list[BitString], free: list[BitString]) -> None:
         nonlocal evals, first_hit, best
-        for k, y in enumerate(batch + free):
+        queried = batch + free
+        for k, y in enumerate(queried):
             # free complements hit at the cost already paid for the batch
             if first_hit is None and contains(y):
                 first_hit = evals + min(k + 1, len(batch))
@@ -331,8 +351,8 @@ def run_generic_parallel(
             points.append(y)
             fits.append(fy)
         evals += len(batch)
-        if tracker is not None:
-            tracker.update(batch + free)
+        if on_generation is not None:
+            on_generation(gens, queried, points[best], fits[best])
 
     batch = [random_bitstring(n, rng) for _ in range(lam)]
     ingest(batch, [y.complement() for y in batch] if mirror else [])

@@ -94,8 +94,8 @@ class ExperimentSpec:
                 raise ConfigError(f"{key} must be {kind}, got {getattr(self, key)!r}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
-        if not self.lambdas or any(l < 1 for l in self.lambdas):
-            raise ConfigError("every lambda must be >= 1")
+        if not self.lambdas:
+            raise ConfigError("lambdas must list at least one lambda")
         if "name" not in self.objective or "n" not in self.objective:
             raise ConfigError("objective spec needs 'name' and 'n'")
         if not _is_int(self.objective["n"]):
@@ -340,6 +340,8 @@ def check_lower_bound(
     """
     if isinstance(rows, str):
         rows = read_runs(rows)
+    if not rows:
+        raise ConfigError("no runs to check: a bound check over zero rows would pass vacuously")
     if isinstance(bound, str):
         bound = get_bound(bound)
     if bound.asymptotic_only:

@@ -38,13 +38,6 @@ class GraphInstance:
                 raise ValueError(f"duplicate edge {key}")
             seen.add(key)
 
-    def to_json(self) -> dict:
-        return {"type": "graph", "n": self.n, "edges": [list(e) for e in self.edges]}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "GraphInstance":
-        return cls(n=int(d["n"]), edges=tuple((int(u), int(v)) for u, v in d["edges"]))
-
 
 def bichromatic_edges(g: GraphInstance, x: BitString) -> int:
     """Edges whose endpoints get different colours under the 2-colouring x."""
@@ -128,13 +121,6 @@ class PartitionInstance:
     def n(self) -> int:
         return len(self.sizes)
 
-    def to_json(self) -> dict:
-        return {"type": "partition", "sizes": list(self.sizes)}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "PartitionInstance":
-        return cls(sizes=tuple(float(s) for s in d["sizes"]))
-
 
 def partition_makespan(inst: PartitionInstance, x: BitString) -> float:
     """Load of the fuller machine; bit i assigns job i to machine 1.
@@ -210,22 +196,6 @@ class KnapsackInstance:
     def n(self) -> int:
         return len(self.weights)
 
-    def to_json(self) -> dict:
-        return {
-            "type": "knapsack",
-            "weights": list(self.weights),
-            "values": list(self.values),
-            "capacity": self.capacity,
-        }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "KnapsackInstance":
-        return cls(
-            weights=tuple(int(w) for w in d["weights"]),
-            values=tuple(int(v) for v in d["values"]),
-            capacity=int(d["capacity"]),
-        )
-
 
 def knapsack_fitness(inst: KnapsackInstance, x: BitString) -> int:
     """Total value if feasible, else capacity - weight (negative, monotone in excess)."""
@@ -256,7 +226,6 @@ def knapsack_hard(n: int) -> Objective:
         n=n,
         evaluate=lambda x, _i=inst: knapsack_fitness(_i, x),
         target=TargetSet.from_points([optimum], GLOBAL_OPTIMA, "all small objects"),
-        metadata={"instance": inst.to_json()},
     )
 
 
@@ -340,21 +309,6 @@ class SatInstance:
     @property
     def m(self) -> int:
         return len(self.clauses)
-
-    def to_json(self) -> dict:
-        d: dict = {"type": "sat", "n": self.n, "clauses": [list(c) for c in self.clauses]}
-        if self.planted is not None:
-            d["planted"] = str(self.planted)
-        return d
-
-    @classmethod
-    def from_json(cls, d: dict) -> "SatInstance":
-        planted = BitString.from_str(d["planted"]) if "planted" in d else None
-        return cls(
-            n=int(d["n"]),
-            clauses=tuple(tuple(int(l) for l in c) for c in d["clauses"]),
-            planted=planted,
-        )
 
 
 def clause_satisfied(clause: Sequence[int], x: BitString) -> bool:
@@ -440,13 +394,6 @@ class PeakSpec:
         if self.height <= 0 or self.slope <= 0:
             raise ValueError("peak height and slope must be positive")
 
-    def to_json(self) -> dict:
-        return {"centre": str(self.centre), "height": self.height, "slope": self.slope}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "PeakSpec":
-        return cls(BitString.from_str(d["centre"]), float(d["height"]), float(d["slope"]))
-
 
 def nearest_peak(peaks: Sequence[PeakSpec], x: BitString) -> float:
     """Fitness from the closest peak; ties prefer the greater height, then
@@ -468,10 +415,6 @@ def weighted_nearest_peak(peaks: Sequence[PeakSpec], x: BitString) -> float:
     if not peaks:
         raise ValueError("need at least one peak")
     return max(p.height - p.slope * hamming_distance(x, p.centre) for p in peaks)
-
-
-def peaks_to_json(peaks: Sequence[PeakSpec]) -> dict:
-    return {"type": "peaks", "peaks": [p.to_json() for p in peaks]}
 
 
 def peaks_objective(peaks: Sequence[PeakSpec], weighted: bool = False) -> Objective:
@@ -506,16 +449,6 @@ class MonotonePolynomial:
             if not vs:
                 raise ValueError("monomials must be non-empty variable sets")
 
-    def to_json(self) -> dict:
-        return {
-            "type": "monotone-poly",
-            "monomials": [[w, sorted(vs)] for w, vs in self.monomials],
-        }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "MonotonePolynomial":
-        return cls(tuple((float(w), frozenset(int(v) for v in vs)) for w, vs in d["monomials"]))
-
 
 def monotone_poly(poly: MonotonePolynomial, x: BitString) -> float:
     total = 0.0
@@ -547,25 +480,4 @@ def monotone_poly_objective(poly: MonotonePolynomial, n: int) -> Objective:
         evaluate=lambda x, _p=poly: monotone_poly(_p, x),
         target=target,
     )
-
-
-# ------------------------------------------------------------ serialisation
-
-_INSTANCE_TYPES = {
-    "graph": GraphInstance,
-    "partition": PartitionInstance,
-    "knapsack": KnapsackInstance,
-    "sat": SatInstance,
-    "monotone-poly": MonotonePolynomial,
-}
-
-
-def instance_from_json(d: dict):
-    if d.get("type") == "peaks":
-        return tuple(PeakSpec.from_json(p) for p in d["peaks"])
-    try:
-        cls = _INSTANCE_TYPES[d["type"]]
-    except KeyError:
-        raise ValueError(f"unknown instance type {d.get('type')!r}") from None
-    return cls.from_json(d)
 

@@ -88,11 +88,18 @@ def _floats(rows: list[list[int]]) -> list[list[float]]:
     return [[float(c) for c in row] for row in rows]
 
 
+def _check_grid(lemma: str, n: int, lo: int, hi: Optional[int] = None) -> None:
+    """Refuse an n outside [lo, hi]; below lo the grid has no points, and a
+    report over no points would pass without checking anything."""
+    if n < lo or (hi is not None and n > hi):
+        span = f"{lo} <= n <= {hi}" if hi is not None else f"n >= {lo}"
+        raise ValueError(f"the {lemma} grid needs {span}, got n={n}")
+
+
 def verify_hypergeom_tail(n: int) -> LemmaReport:
     """P(Z=z) <= C(r,z) (m/n)^z for all z, and C(r,z) <= 4^z for z >= r/2,
     over the full (m, r, z) grid.  Exact integer comparisons."""
-    if not 1 <= n <= 512:
-        raise ValueError("full-grid check supported for 1 <= n <= 512")
+    _check_grid("hypergeom-tail", n, 1, 512)
     report = LemmaReport(
         lemma="hypergeom-tail",
         grid=f"n={n}, all 0<=m,r<=n, z in support",
@@ -127,6 +134,7 @@ def verify_hypergeom_tail(n: int) -> LemmaReport:
 def verify_improve_prob(n: int) -> LemmaReport:
     """P(Delta_0(s,m,r) = z) <= (1/2)^(z/2) for s <= m <= n/8, r in [1,n],
     z >= 1.  Exact: num^2 * 2^z <= den^2 by cross-multiplication."""
+    _check_grid("improve-prob", n, 8)
     report = LemmaReport(
         lemma="improve-prob",
         grid=f"n={n}, s<=m<={n // 8}, r in [1,{n}], z>=1",
@@ -154,6 +162,7 @@ def verify_improve_prob(n: int) -> LemmaReport:
 def verify_chvatal(n: int) -> LemmaReport:
     """Exact P(Delta_0 > 0) <= exp(-(m-s)^2 / (2r)) for s <= m <= n/2,
     r in [1, n].  Compared in log space to dodge underflow."""
+    _check_grid("chvatal", n, 1)
     report = LemmaReport(
         lemma="chvatal",
         grid=f"n={n}, s<=m<={n // 2}, r in [1,{n}]",
@@ -194,7 +203,10 @@ def verify_mgf_bound(n: int, lam: int | Sequence[int] = (1, 64, 4096)) -> LemmaR
     on the full grid s <= n/8, s <= m <= n/2, r in [0,n] (exact integers),
     then the geometric series sum_z lam 2^(1-z/2) e^(gamma z) = 8 lam.
     """
+    _check_grid("mgf", n, 8)
     lambdas = [lam] if isinstance(lam, (int, float)) else list(lam)
+    if not lambdas or min(lambdas) < 1:
+        raise ValueError(f"the mgf series needs at least one lambda, each >= 1, got {lambdas}")
     report = LemmaReport(
         lemma="mgf",
         grid=f"n={n}, s<={n // 8}, s<=m<={n // 2}, r in [0,{n}], z in [1,s]",
@@ -261,7 +273,7 @@ def verify_multibit_progress(
     sample a geometric grid plus the near-|m| band where the progress
     law actually has support.
     """
-    nstar = multibit_nstar(n)
+    nstar = multibit_nstar(n) if n > 1 else 0.0  # n* is undefined for n <= 1
     if nstar < 2:
         raise ValueError(
             f"n={n} gives n* = n/(2^13 ln n) = {nstar:.3f} < 2; the sampled-grid "
@@ -319,6 +331,7 @@ def verify_multibit_progress(
 
 def verify_delta_symmetry(n: int) -> LemmaReport:
     """Exact pmf identity Delta_0(s,m,r) ~ Delta_0(s,n-m,n-r), all (s,m,r)."""
+    _check_grid("delta-symmetry", n, 0)
     report = LemmaReport(
         lemma="delta-symmetry",
         grid=f"n={n}, 0<=s<=n/2, s<=m<=n-s, 0<=r<=n",
@@ -369,6 +382,9 @@ def mc_check_max_geometric(
 ) -> dict:
     """Monte-Carlo check: the sample mean of max of lam iid Geometric(1/2)
     variables (support 0, 1, ...) stays below the mgf-based formula value."""
+    if lam < 1 or trials < 1:
+        raise ValueError(f"the mgf-max check needs lambda >= 1 and trials >= 1, "
+                         f"got lambda={lam}, trials={trials}")
     rng = rng if rng is not None else derive_rng(0)
     samples = rng.geometric(0.5, size=(trials, lam)) - 1
     sample_mean = float(samples.max(axis=1).mean())

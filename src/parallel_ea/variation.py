@@ -177,24 +177,3 @@ def resolve_p(spec, n: int) -> float:
             pass
     raise ValueError(f"cannot resolve mutation probability {spec!r}")
 
-
-def op_to_json(op: UnaryOperator) -> dict:
-    d: dict = {"kind": op.kind}
-    if op.kind == FLIP_EXACT:
-        d["r"] = op.r
-    elif op.kind == STANDARD_MUTATION:
-        d["p"] = op.p
-    return d
-
-
-def op_from_json(d: dict, n: int) -> UnaryOperator:
-    kind = d["kind"]
-    if kind == FLIP_EXACT:
-        return flip_exact(int(d["r"]))
-    if kind == STANDARD_MUTATION:
-        return standard_mutation(resolve_p(d["p"], n))
-    if kind == SINGLE_BIT:
-        return single_bit()
-    if kind == COMPLEMENT:
-        return complement_op()
-    raise ValueError(f"unknown operator kind {kind!r}")

@@ -104,7 +104,7 @@ def test_selection_invariant_best_fitness_monotone():
     traj = []
     obj = onemax_objective(50)
     run_one_plus_lambda(fixed_cfg(50, 4, seed=2), obj,
-                        on_generation=lambda g, x, f: traj.append(f))
+                        on_generation=lambda g, q, x, f: traj.append(f))
     assert traj
     assert all(a <= b for a, b in zip(traj, traj[1:]))
 
@@ -113,8 +113,27 @@ def test_selection_invariant_minimise():
     traj = []
     obj = make_objective("two-cliques-mincut", 12)
     run_one_plus_lambda(fixed_cfg(12, 4, seed=5, budget=4000), obj,
-                        on_generation=lambda g, x, f: traj.append(f))
+                        on_generation=lambda g, q, x, f: traj.append(f))
     assert all(a >= b for a, b in zip(traj, traj[1:]))
+
+
+@pytest.mark.parametrize("cfg", [fixed_cfg(40, 3, seed=4), fixed_cfg(40, 1, seed=4),
+                                 AlgoConfig("rls", n=40, budget=10**6, seed=4),
+                                 AlgoConfig("one-plus-lambda-adaptive", n=40, lam=16, seed=4)],
+                         ids=["fixed-3", "fixed-1", "rls", "adaptive-16"])
+def test_elitist_hook_sees_offspring_and_parent(cfg):
+    obj = onemax_objective(40)
+    calls = []
+    rec = run_one_plus_lambda(cfg, obj, derive_rng(4),
+                              on_generation=lambda g, q, x, f: calls.append((g, list(q), x, f)))
+    assert [g for g, *_ in calls] == list(range(rec.generations_used + 1))
+    prev = None
+    for g, queried, x, fx in calls:
+        assert len(queried) == cfg.lam
+        assert x in queried or x == prev
+        assert fx == obj.evaluate(x)
+        prev = x
+    assert calls[-1][3] == rec.best_fitness
 
 
 def test_one_plus_one_matches_reference_implementation():
@@ -201,7 +220,7 @@ def test_rls_steps_change_fitness_by_one():
     obj = onemax_objective(100)
     fits = []
     cfg = AlgoConfig("rls", n=100, lam=1, budget=10**7, seed=9)
-    run_rls(cfg, obj, on_generation=lambda g, x, f: fits.append(f))
+    run_rls(cfg, obj, on_generation=lambda g, q, x, f: fits.append(f))
     diffs = {b - a for a, b in zip(fits, fits[1:])}
     assert diffs <= {0, 1}
 
@@ -280,6 +299,38 @@ def test_tracker_mirrored_equality():
 
 
 # --------------------------------------------------------- generic parallel
+
+@pytest.mark.parametrize("name", ["onemax", "partition"])
+@pytest.mark.parametrize("mirror", [False, True])
+def test_generic_hook_sees_every_round(name, mirror):
+    obj = make_objective(name, 12, **({"seed": 3} if name == "partition" else {}))
+    lam = 3
+    calls = []
+    cfg = AlgoConfig("generic-parallel", n=12, lam=lam, budget=150, seed=7)
+    policy = make_best_so_far_policy(lam, standard_mutation(1 / 12))
+    rec = run_generic_parallel(policy, cfg, obj, mirror=mirror,
+                               on_generation=lambda g, q, x, f: calls.append((g, list(q), x, f)))
+    assert [g for g, *_ in calls] == list(range(rec.generations_used + 1))
+    for g, queried, x, fx in calls:
+        assert len(queried) == (2 * lam if mirror else lam)
+        if mirror:
+            assert queried[lam:] == [y.complement() for y in queried[:lam]]
+        assert fx == obj.evaluate(x)
+    fits = [f for *_, f in calls]
+    assert all(not obj.better(a, b) for a, b in zip(fits, fits[1:]))
+    assert fits[-1] == rec.best_fitness
+
+
+def test_tracker_as_hook_on_adaptive_ea():
+    obj = onemax_objective(60)
+    cfg = AlgoConfig("one-plus-lambda-adaptive", n=60, lam=8, seed=9)
+    tracker = PotentialTracker()
+    rec = run_one_plus_lambda(cfg, obj, derive_rng(9), on_generation=tracker)
+    assert rec.hit_target
+    assert len(tracker.trajectory) == rec.generations_used + 1
+    assert all(a >= b for a, b in zip(tracker.trajectory, tracker.trajectory[1:]))
+    assert tracker.trajectory[-1] == 0
+
 
 def test_generic_parallel_lambda1_sequential():
     obj = onemax_objective(30)
@@ -387,7 +438,7 @@ def test_generic_parallel_mirrored_potentials_coincide():
     tracker = CheckedTracker()
     cfg = AlgoConfig("generic-parallel", n=40, lam=4, budget=400, seed=21)
     policy = make_best_so_far_policy(4, standard_mutation(1 / 40))
-    run_generic_parallel(policy, cfg, obj, mirror=True, tracker=tracker)
+    run_generic_parallel(policy, cfg, obj, mirror=True, on_generation=tracker)
     assert tracker.s is not None
     assert tracker.s <= 20
 

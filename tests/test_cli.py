@@ -53,6 +53,27 @@ def test_verify_multibit_domain_error(capsys):
     assert code == 2
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["verify", "--lemma", "chvatal", "--n", "-3"],
+    ["verify", "--lemma", "improve-prob", "--n", "0"],
+    ["verify", "--lemma", "mgf", "--n", "0"],
+    ["verify", "--lemma", "mgf", "--lambda", "0"],
+    ["verify", "--lemma", "mgf-max", "--trials", "0"],
+    ["verify", "--lemma", "multibit", "--n", "1"],
+    ["check", "--csv", "EMPTY", "--bound", "lb-unique"],
+], ids=["chvatal-n-negative", "improve-prob-n-0", "mgf-n-0", "mgf-lambda-0", "mgf-max-trials-0",
+        "multibit-n-1", "check-no-rows"])
+def test_check_over_nothing_exits_2(tmp_path, capsys, argv):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert main([str(empty) if a == "EMPTY" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -33,7 +33,7 @@ def test_spec_validation():
                        repetitions=0, lambdas=[1])
     with pytest.raises(ConfigError):
         ExperimentSpec(objective={"name": "onemax", "n": 5}, algorithm={"algorithm": "rls"},
-                       repetitions=1, lambdas=[0])
+                       repetitions=1, lambdas=[])
     with pytest.raises(ConfigError):
         ExperimentSpec(objective={"n": 5}, algorithm={"algorithm": "rls"},
                        repetitions=1, lambdas=[1])
@@ -69,6 +69,7 @@ BAD_PLANS = {
     "budget-bool": ({"algorithm": FIXED, "budget": True}, [1], "onemax"),
     "budget-str": ({"algorithm": FIXED, "budget": "1e3"}, [1], "onemax"),
     "budget-below-lambda": ({"algorithm": FIXED, "budget": 1}, [2], "onemax"),
+    "lambda-zero": ({"algorithm": "rls"}, [0], "onemax"),
 }
 
 

@@ -14,7 +14,6 @@ from parallel_ea.objectives import (
     gen_planted_3sat,
     gen_two_cliques,
     hiff,
-    instance_from_json,
     jump_k,
     knapsack_hard,
     leadingones,
@@ -436,21 +435,3 @@ def test_objective_registry_and_errors():
         make_objective("nope", 8)
     with pytest.raises(ValueError):
         make_objective("onemax", 8, target="weird")
-
-
-def test_instance_json_round_trip():
-    instances = [
-        gen_two_cliques(6),
-        gen_partition_random(5, "exponential", seed=1),
-        gen_planted_3sat(9, 12, seed=2),
-        MonotonePolynomial(((1.5, frozenset({0, 2})),)),
-    ]
-    for inst in instances:
-        assert instance_from_json(inst.to_json()) == inst
-
-
-def test_peaks_json_round_trip():
-    from parallel_ea.objectives import peaks_to_json
-
-    peaks = (PeakSpec(bs("0101"), 3.0, 0.5), PeakSpec(bs("1111"), 7.0, 2.0))
-    assert instance_from_json(peaks_to_json(peaks)) == peaks

@@ -11,8 +11,6 @@ from parallel_ea.variation import (
     exact_distribution,
     flip_exact,
     mirrored,
-    op_from_json,
-    op_to_json,
     radius_pmf,
     resolve_p,
     sample_distinct_positions,
@@ -154,12 +152,6 @@ def test_resolve_p():
     assert resolve_p("0.125", 10) == 0.125
     with pytest.raises(ValueError):
         resolve_p("ln(n)/n", 10)
-
-
-def test_descriptor_round_trip():
-    for op in (flip_exact(4), standard_mutation(0.05), single_bit(), complement_op()):
-        assert op_from_json(op_to_json(op), n=20) == op
-    assert op_from_json({"kind": "standard-mutation", "p": "1/n"}, n=50).p == pytest.approx(0.02)
 
 
 def test_reproducible_streams():
