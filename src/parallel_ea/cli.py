@@ -15,7 +15,18 @@ from .harness import ConfigError, ExperimentSpec, check_lower_bound, run_experim
 from .theory import bounds as bounds_mod
 from .theory import lemmas
 
-LEMMA_IDS = ("hypergeom-tail", "improve-prob", "chvatal", "multibit", "mgf", "mgf-max", "coupon")
+# verify --lemma id -> its verifier on the parsed args.  Each entry reads the
+# verifier off the lemmas module when called, so a patched attribute is used.
+VERIFIERS = {
+    "hypergeom-tail": lambda args: lemmas.verify_hypergeom_tail(args.n),
+    "improve-prob": lambda args: lemmas.verify_improve_prob(args.n),
+    "chvatal": lambda args: lemmas.verify_chvatal(args.n),
+    "multibit": lambda args: lemmas.verify_multibit_progress(args.n),
+    "mgf": lambda args: lemmas.verify_mgf_bound(args.n, args.lam or (1, 64, 4096)),
+    "mgf-max": lambda args: lemmas.verify_max_geometric(
+        lam=args.lam[0] if args.lam else 100, trials=args.trials, seed=args.seed),
+    "coupon": lambda args: lemmas.verify_coupon(delta=args.delta),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -33,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_experiment_args(sweep_p, multi_lambda=True)
 
     verify_p = sub.add_parser("verify", help="verify a stated inequality on its grid")
-    verify_p.add_argument("--lemma", required=True, choices=LEMMA_IDS)
+    verify_p.add_argument("--lemma", required=True, choices=tuple(VERIFIERS))
     verify_p.add_argument("--n", type=int, default=128)
     verify_p.add_argument("--lambda", "--lam", dest="lam", type=int, nargs="*", default=None)
     verify_p.add_argument("--trials", type=int, default=10_000)
@@ -127,23 +138,7 @@ def _cmd_experiment(args: argparse.Namespace, multi_lambda: bool) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    lemma = args.lemma
-    if lemma == "hypergeom-tail":
-        report = lemmas.verify_hypergeom_tail(args.n)
-    elif lemma == "improve-prob":
-        report = lemmas.verify_improve_prob(args.n)
-    elif lemma == "chvatal":
-        report = lemmas.verify_chvatal(args.n)
-    elif lemma == "multibit":
-        report = lemmas.verify_multibit_progress(args.n)
-    elif lemma == "mgf":
-        lams = args.lam if args.lam else (1, 64, 4096)
-        report = lemmas.verify_mgf_bound(args.n, lams)
-    elif lemma == "mgf-max":
-        lam = args.lam[0] if args.lam else 100
-        report = lemmas.verify_max_geometric(lam=lam, trials=args.trials, seed=args.seed)
-    else:  # coupon
-        report = lemmas.verify_coupon(delta=args.delta)
+    report = VERIFIERS[args.lemma](args)
     print(report.to_json())
     return 0 if report.passed else 1
 
@@ -187,7 +182,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_bounds(args)
         if args.command == "check":
             return _cmd_check(args)
-    except (ConfigError, ValueError, FileNotFoundError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -262,8 +262,12 @@ def append_rows(path: str, rows: Sequence[dict]) -> None:
 
 def read_runs(path: str) -> list[dict]:
     with open(path, newline="") as fh:
-        return [{col: parse(rec[col]) for col, parse in _CSV_SCHEMA.items()}
-                for rec in csv.DictReader(fh)]
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is not None:  # None: an empty file, which has no rows
+            missing = [col for col in CSV_COLUMNS if col not in reader.fieldnames]
+            if missing:
+                raise ConfigError(f"{path}: the CSV header lacks the column(s) {', '.join(missing)}")
+        return [{col: parse(rec[col]) for col, parse in _CSV_SCHEMA.items()} for rec in reader]
 
 
 def _worker_count() -> int:
@@ -338,6 +342,9 @@ def check_lower_bound(
     For the explicit-constant bounds this count must be zero; asymptotic
     shapes are rejected because a constant-1 curve cannot gate pass/fail.
     """
+    if not safety >= 0:  # also refuses NaN
+        raise ConfigError(f"safety must be >= 0, got {safety}: a negative or NaN threshold "
+                          "cannot flag a run")
     if isinstance(rows, str):
         rows = read_runs(rows)
     if not rows:

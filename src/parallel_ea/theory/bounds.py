@@ -7,8 +7,10 @@ harness refuses to use those as thresholds.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import e, exp, log
 from typing import Callable, NamedTuple, Sequence, Union
 
@@ -34,7 +36,11 @@ class BoundSpec:
     asymptotic_only: bool
     description: str
     constants: dict = field(default_factory=dict)
-    params: tuple[str, ...] = ("n", "lam")
+
+    @cached_property
+    def params(self) -> tuple[str, ...]:
+        """The curve's parameters, in the order evaluate takes them."""
+        return tuple(inspect.signature(self.evaluate).parameters)
 
     def __call__(self, **kwargs) -> float:
         return self.evaluate(**{k: kwargs[k] for k in self.params})
@@ -124,7 +130,6 @@ BOUNDS: dict[str, BoundSpec] = {
             description="max{lam n/(60 ln+ lam), (1-delta) n ln n} evaluations "
             "before any small fixed target set is hit, with overwhelming probability",
             constants={"c": 1.0 / LB_PARALLEL_DIVISOR},
-            params=("n", "lam", "delta"),
         ),
         BoundSpec(
             id="lb-parallel-term",
@@ -138,7 +143,6 @@ BOUNDS: dict[str, BoundSpec] = {
             evaluate=lb_nlogn_term,
             asymptotic_only=False,
             description="(1-delta) n ln n: the sequential term of lb-unique alone",
-            params=("n", "delta"),
         ),
         BoundSpec(
             id="lb-leadingones",
@@ -170,21 +174,18 @@ BOUNDS: dict[str, BoundSpec] = {
             evaluate=cutoff_onemax,
             asymptotic_only=True,
             description="ln(n) lnln(n) cut-off shape for onemax (adaptive EA)",
-            params=("n",),
         ),
         BoundSpec(
             id="cutoff-leadingones",
             evaluate=cutoff_leadingones,
             asymptotic_only=True,
             description="cut-off parallelism n for leadingones",
-            params=("n",),
         ),
         BoundSpec(
             id="cutoff-fixed-ea",
             evaluate=cutoff_fixed_ea,
             asymptotic_only=True,
             description="ln(n) lnln(n)/lnlnln(n) cut-off shape for the fixed-rate EA",
-            params=("n",),
         ),
     )
 }
@@ -280,6 +281,12 @@ class CouponBound(NamedTuple):
     prob_bound: float
 
 
+def multibit_nstar(n: int) -> float:
+    """n* = n / (2^13 ln n), the slow-bit count of the multi-bit progress
+    argument and of the coupon-style bound."""
+    return n / (2**13 * log(n))
+
+
 def coupon_bound(n: int, delta: float) -> CouponBound:
     """Evaluation threshold (1-delta)(n-1) ln n and the explicit probability
     (1 - n^-(1-delta))^(n*/2) of fixing all n*/2 slow bits within it."""
@@ -288,6 +295,5 @@ def coupon_bound(n: int, delta: float) -> CouponBound:
     if n < 2:
         raise ValueError("n must be >= 2")
     threshold = (1.0 - delta) * (n - 1) * log(n)
-    nstar = n / (2**13 * log(n))
-    prob = (1.0 - n ** (-(1.0 - delta))) ** (nstar / 2.0)
+    prob = (1.0 - n ** (-(1.0 - delta))) ** (multibit_nstar(n) / 2.0)
     return CouponBound(threshold, prob)

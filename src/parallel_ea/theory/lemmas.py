@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..rng import derive_rng
-from .bounds import DEFAULT_DELTA, coupon_bound
+from .bounds import DEFAULT_DELTA, coupon_bound, multibit_nstar
 from .pmf import (
     EXACT,
     ProgressParams,
@@ -84,10 +84,6 @@ def _comb_table(n: int) -> list[list[int]]:
     return rows
 
 
-def _floats(rows: list[list[int]]) -> list[list[float]]:
-    return [[float(c) for c in row] for row in rows]
-
-
 def _check_grid(lemma: str, n: int, lo: int, hi: Optional[int] = None) -> None:
     """Refuse an n outside [lo, hi]; below lo the grid has no points, and a
     report over no points would pass without checking anything."""
@@ -105,11 +101,10 @@ def verify_hypergeom_tail(n: int) -> LemmaReport:
         grid=f"n={n}, all 0<=m,r<=n, z in support",
     )
     ci = _comb_table(n)
-    cf = _floats(ci)
     for m in range(n + 1):
         for r in range(n + 1):
             den = ci[n][r]
-            den_f = cf[n][r]
+            den_f = float(den)
             mz = 1  # m^z
             nz = 1  # n^z
             four_z = 1  # 4^z
@@ -124,8 +119,7 @@ def verify_hypergeom_tail(n: int) -> LemmaReport:
                 if num * nz > bound_int * den:
                     report.record({"m": m, "r": r, "z": z, "which": "binomial-bound"}, inf)
                 if num and bound_int:
-                    pmf_f = cf[m][z] * cf[n - m][r - z] / den_f
-                    report.observe(pmf_f / (cf[r][z] * (m / n) ** z))
+                    report.observe(num / den_f / (ci[r][z] * (m / n) ** z))
                 if 2 * z >= r and ci[r][z] > four_z:
                     report.record({"m": m, "r": r, "z": z, "which": "4^z-bound"}, inf)
     return report
@@ -140,22 +134,20 @@ def verify_improve_prob(n: int) -> LemmaReport:
         grid=f"n={n}, s<=m<={n // 8}, r in [1,{n}], z>=1",
     )
     ci = _comb_table(n)
-    cf = _floats(ci)
     m_cap = n // 8
     for m in range(m_cap + 1):
         for s in range(m + 1):
             for r in range(1, n + 1):
                 den = ci[n][r]
-                den_f = cf[n][r]
+                den_f = float(den)
                 counts = _delta0_counts(ci, n, s, m, r)
-                counts_f = _delta0_counts(cf, n, s, m, r)
                 report.points_checked += s
                 for z in range(1, s + 1):
                     num = counts[z]
                     if num * num << z > den * den:
                         report.record({"s": s, "m": m, "r": r, "z": z}, inf)
                     if num:
-                        report.observe(counts_f[z] / den_f / 0.5 ** (z / 2))
+                        report.observe(num / den_f / 0.5 ** (z / 2))
     return report
 
 
@@ -183,17 +175,22 @@ def verify_chvatal(n: int) -> LemmaReport:
     return report
 
 
+def _geometric_sum(first: float, ratio: float, rel_tol: float) -> float:
+    """first * sum_{k>=0} ratio^k for 0 <= ratio < 1, summed term by term
+    until a term falls to rel_tol of the total."""
+    total, term = 0.0, first
+    while term > rel_tol * max(total, 1.0):
+        total += term
+        term *= ratio
+    return total
+
+
 def mgf_series_value(lam: float, gamma: float = GAMMA_POTENTIAL, rel_tol: float = 1e-15) -> float:
     """sum_z lam * 2^(1 - z/2) * e^(gamma z); closes to 8*lam at the stated gamma."""
     ratio = exp(gamma) / sqrt(2.0)
     if ratio >= 1.0:
         raise ValueError("series diverges for exp(gamma) >= sqrt(2)")
-    total = 0.0
-    term = 2.0 * lam
-    while term > rel_tol * max(total, 1.0):
-        total += term
-        term *= ratio
-    return total
+    return _geometric_sum(2.0 * lam, ratio, rel_tol)
 
 
 def verify_mgf_bound(n: int, lam: int | Sequence[int] = (1, 64, 4096)) -> LemmaReport:
@@ -240,31 +237,21 @@ def verify_mgf_bound(n: int, lam: int | Sequence[int] = (1, 64, 4096)) -> LemmaR
     return report
 
 
-def _geometric_grid(lo: int, hi: int, count: int) -> list[int]:
-    if lo > hi:
-        return []
-    if lo < 1:
-        pts = {lo}
-        lo = 1
-    else:
-        pts = set()
-    if count < 2 or lo == hi:
-        pts.add(lo)
-        pts.add(hi)
-        return sorted(pts)
+# The sampled multibit grid: potentials s, and the point count of each
+# geometric grid over the middle parents and over the radii.
+MULTIBIT_S = (0, 1, 2)
+MULTIBIT_GRID_POINTS = 64
+
+
+def _geometric_grid(lo: int, hi: int) -> list[int]:
+    """Up to MULTIBIT_GRID_POINTS distinct integers spread geometrically over
+    [lo, hi], for 1 <= lo <= hi."""
     ratio = hi / lo
-    for i in range(count):
-        pts.add(min(hi, max(lo, round(lo * ratio ** (i / (count - 1))))))
-    return sorted(pts)
+    steps = MULTIBIT_GRID_POINTS - 1
+    return sorted({min(hi, max(lo, round(lo * ratio ** (i / steps)))) for i in range(steps + 1)})
 
 
-def multibit_nstar(n: int) -> float:
-    return n / (2**13 * log(n))
-
-
-def verify_multibit_progress(
-    n: int, s_values: Sequence[int] = (0, 1, 2), grid_points: int = 64, z_max: int = 200
-) -> LemmaReport:
+def verify_multibit_progress(n: int, z_max: int = 200) -> LemmaReport:
     """Sampled-grid check of the multi-bit progress bound at huge n.
 
     Low/high parent regimes m in [s, 2n*] u [n-2n*, n-s]:
@@ -282,8 +269,8 @@ def verify_multibit_progress(
     report = LemmaReport(
         lemma="multibit",
         grid=(
-            f"n={n}, s in {tuple(s_values)}, m in [s,2n*] u [n-2n*,n-s] plus "
-            f"{grid_points}-point geometric middle grid, r geometric + near-support, "
+            f"n={n}, s in {MULTIBIT_S}, m in [s,2n*] u [n-2n*,n-s] plus "
+            f"{MULTIBIT_GRID_POINTS}-point geometric middle grid, r geometric + near-support, "
             f"z in [1,{z_max}]"
         ),
         details={"n_star": nstar},
@@ -291,40 +278,29 @@ def verify_multibit_progress(
     log_low_bound = 2.0 * log(16.0 * nstar / n)
     log2 = log(2.0)
     two_nstar = int(2 * nstar)
+    radii = set(_geometric_grid(2, n - 2))
+    middle = _geometric_grid(two_nstar + 1, n - two_nstar - 1)
 
-    def radii_for(m: int) -> list[int]:
-        rs = set(_geometric_grid(2, n - 2, grid_points))
-        for centre in (m, n - m):
-            for d in range(-2, 3):
-                rs.add(centre + d)
-        return sorted(r for r in rs if 2 <= r <= n - 2)
-
-    for s in s_values:
-        if not 0 <= s <= nstar:
-            raise ValueError(f"sampled s={s} violates s <= n* = {nstar:.3f}")
+    for s in MULTIBIT_S:  # s <= 2 <= n*
         low = list(range(s, two_nstar + 1))
-        for m in low + [n - m for m in low]:
-            for r in radii_for(m):
+        for m in low + [n - m for m in low] + middle:
+            regime = "middle" if two_nstar < m < n - two_nstar else "low/high"
+            near = {c + d for c in (m, n - m) for d in range(-2, 3) if 2 <= c + d <= n - 2}
+            for r in sorted(radii | near):
+                # log bound at z is base - z * slope
+                if regime == "middle":
+                    m_sym, r_sym = (m, r) if m <= n / 2 else (n - m, n - r)
+                    base, slope = -((m_sym - s) ** 2) / (2 * r_sym), 0.0
+                else:
+                    base, slope = log_low_bound, log2
+                report.points_checked += z_max
                 for z in range(1, z_max + 1):
                     lp = delta0_point_log_prob(n, s, m, r, z)
-                    report.points_checked += 1
                     if lp == -inf:
                         continue
-                    log_bound = log_low_bound - z * log2
+                    log_bound = base - z * slope
                     report.observe(exp(lp - log_bound),
-                                   {"s": s, "m": m, "r": r, "z": z, "regime": "low/high"}
-                                   if lp > log_bound + 1e-12 else None)
-        for m in _geometric_grid(two_nstar + 1, n - two_nstar - 1, grid_points):
-            for r in radii_for(m):
-                m_sym, r_sym = (m, r) if m <= n / 2 else (n - m, n - r)
-                log_bound = -((m_sym - s) ** 2) / (2 * r_sym)
-                for z in range(1, z_max + 1):
-                    lp = delta0_point_log_prob(n, s, m, r, z)
-                    report.points_checked += 1
-                    if lp == -inf:
-                        continue
-                    report.observe(exp(lp - log_bound),
-                                   {"s": s, "m": m, "r": r, "z": z, "regime": "middle"}
+                                   {"s": s, "m": m, "r": r, "z": z, "regime": regime}
                                    if lp > log_bound + 1e-12 else None)
     return report
 
@@ -351,12 +327,7 @@ def verify_delta_symmetry(n: int) -> LemmaReport:
 def drop_chain_series(rel_tol: float = 1e-15) -> float:
     """sum_z 2^(-z/2) (4/3)^z, the mgf of the per-step drop chain at
     eta = ln(4/3); closes to 9 + 6 sqrt(2)."""
-    ratio = (4.0 / 3.0) / sqrt(2.0)
-    total, term = 0.0, 1.0
-    while term > rel_tol * max(total, 1.0):
-        total += term
-        term *= ratio
-    return total
+    return _geometric_sum(1.0, (4.0 / 3.0) / sqrt(2.0), rel_tol)
 
 
 def expected_max_drop(lam: int) -> float:

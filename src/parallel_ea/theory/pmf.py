@@ -134,7 +134,7 @@ def _delta0_tail_counts(rows: Sequence[Sequence], n: int, m: int, r: int) -> lis
 def _delta0_counts(rows: Sequence[Sequence], n: int, s: int, m: int, r: int) -> list:
     """counts[z] = C(m, Z) C(n-m, r-Z) = C(n, r) P(Delta_0 = z) for 1 <= z <= s
     (counts[0] is 0), looked up in a zero-padded binomial table
-    rows[a][b] = C(a, b) of integers or floats."""
+    rows[a][b] = C(a, b)."""
     counts = [0] * (s + 1)
     for zh in _delta0_tail_support(s, m, r):
         counts[2 * zh - r + s - m] = rows[m][zh] * rows[n - m][r - zh]

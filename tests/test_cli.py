@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from parallel_ea import cli
 from parallel_ea.cli import main
 
 
@@ -48,6 +49,33 @@ def test_verify_mgf_max_and_coupon(capsys):
     assert code == 0
 
 
+# each --lemma id with small inputs; written out here, not read from the CLI's table
+LEMMA_ARGS = {
+    "hypergeom-tail": ["--n", "16"],
+    "improve-prob": ["--n", "16"],
+    "chvatal": ["--n", "16"],
+    "mgf": ["--n", "16"],
+    "multibit": ["--n", str(2**18)],
+    "mgf-max": ["--trials", "200"],
+    "coupon": [],
+}
+
+
+@pytest.mark.parametrize("lemma", list(LEMMA_ARGS))
+def test_every_lemma_id_runs_its_verifier(capsys, lemma):
+    code, out = run_cli(capsys, "verify", "--lemma", lemma, *LEMMA_ARGS[lemma])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["lemma"] == lemma and payload["pass"] is True
+    assert payload["points_checked"] >= 1
+
+
+def test_lemma_choices_are_the_lemma_ids():
+    commands = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    lemma = next(a for a in commands.choices["verify"]._actions if a.dest == "lemma")
+    assert sorted(lemma.choices) == sorted(LEMMA_ARGS)
+
+
 def test_verify_multibit_domain_error(capsys):
     code = main(["verify", "--lemma", "multibit", "--n", "1024"])
     assert code == 2
@@ -72,6 +100,33 @@ def test_check_over_nothing_exits_2(tmp_path, capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--csv", "HEADER", "--bound", "lb-unique"],
+    ["check", "--csv", "DIR", "--bound", "lb-unique"],
+    ["run", "--spec", "DIR"],
+    ["run", "--objective", "onemax", "--n", "10", "--reps", "2", "--out", "DIR"],
+], ids=["check-csv-header-a-b", "check-csv-dir", "run-spec-dir", "run-out-dir"])
+def test_unreadable_input_exits_2(tmp_path, capsys, argv):
+    header = tmp_path / "header.csv"
+    header.write_text("a,b\n1,2\n")
+    paths = {"HEADER": str(header), "DIR": str(tmp_path)}
+    assert main([paths.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("safety", ["-1", "nan"])
+def test_check_refuses_safety_that_cannot_flag(tmp_path, capsys, safety):
+    runs = tmp_path / "runs.csv"
+    run_cli(capsys, "run", "--objective", "onemax", "--n", "20", "--reps", "3", "--out", str(runs))
+    assert main(["check", "--csv", str(runs), "--bound", "lb-unique", f"--safety={safety}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: safety ") and captured.err.count("\n") == 1
 
 
 def test_unknown_subcommand_exits_2():
