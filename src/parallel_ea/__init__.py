@@ -47,6 +47,7 @@ from .variation import (
     exact_distribution,
     flip_exact,
     mirrored,
+    ones_counts,
     radius_pmf,
     resolve_p,
     sample_distinct_positions,

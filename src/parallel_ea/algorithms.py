@@ -15,9 +15,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .bitstring import BitString, random_bitstring
-from .objectives.base import Objective
+from .objectives.base import ONES_COUNT_ONLY, Objective
 from .rng import derive_rng
-from .variation import UnaryOperator, apply, mirrored, single_bit, standard_mutation
+from .variation import UnaryOperator, apply, mirrored, ones_counts, single_bit, standard_mutation
 
 ONE_PLUS_LAMBDA_FIXED = "one-plus-lambda-fixed"
 ONE_PLUS_LAMBDA_ADAPTIVE = "one-plus-lambda-adaptive"
@@ -141,18 +141,12 @@ def adaptive_rate(i: int, n: int, lam: int) -> float:
     return max(math.log(lam) / (n * math.log(math.e * n / i)), 1.0 / n)
 
 
-def _argbest_uniform(fitnesses: Sequence[float], direction: str, rng: np.random.Generator) -> int:
-    best = max(fitnesses) if direction == "max" else min(fitnesses)
-    idx = [i for i, f in enumerate(fitnesses) if f == best]
-    return idx[int(rng.integers(len(idx)))] if len(idx) > 1 else idx[0]
-
-
-def _operator_schedule(cfg: AlgoConfig) -> Callable[[BitString], UnaryOperator]:
+def _operator_schedule(cfg: AlgoConfig, zeros: Callable) -> Callable:
     """Map the parent to the operator of its next generation, once per run.
 
     RLS reuses one single-bit operator and the fixed-rate EA one standard
-    mutation; the adaptive EA sets p from the parent's zero count, taken as
-    at least 1 so that the rate stays defined at the all-ones point.
+    mutation; the adaptive EA sets p from the parent's zero count zeros(x),
+    taken as at least 1 so that the rate stays defined at the all-ones point.
     """
     if cfg.algorithm == RLS:
         op = single_bit()
@@ -160,8 +154,20 @@ def _operator_schedule(cfg: AlgoConfig) -> Callable[[BitString], UnaryOperator]:
         op = standard_mutation(cfg.rate)
     else:
         n, lam = cfg.n, cfg.lam
-        return lambda x: standard_mutation(adaptive_rate(max(1, x.count_zeros()), n, lam))
+        return lambda x: standard_mutation(adaptive_rate(max(1, zeros(x)), n, lam))
     return lambda x: op
+
+
+class _LayerTable(dict):
+    """Ones count k -> f(1^k 0^(n-k)), computed on the first lookup of k."""
+
+    def __init__(self, f: Callable[[BitString], object], n: int):
+        super().__init__()
+        self._f, self._n = f, n
+
+    def __missing__(self, k: int):
+        value = self[k] = self._f(BitString(self._n, (1 << k) - 1))
+        return value
 
 
 def _check_dimension(cfg: AlgoConfig, obj: Objective) -> None:
@@ -200,45 +206,51 @@ def run_one_plus_lambda(
     single-point start (1 evaluation) for tests.  `on_generation` sees the
     initial batch, then each generation's lambda offspring, with the parent
     that follows them.
+
+    On an objective whose metadata declares ONES_COUNT_ONLY the run is the
+    exact chain of the parent's ones count k: offspring are ones counts
+    from `ones_counts`, no bit string is sampled, and `evaluate` and the
+    target run once per count, on its representative 1^k 0^(n-k).  The
+    hook sees those representatives.
     """
     check_elitist_run(cfg, obj)
     rng = rng if rng is not None else derive_rng(cfg.seed)
     n, lam = cfg.n, cfg.lam
-    evaluate, contains, better = obj.evaluate, obj.target.contains, obj.better
-    operator_for = _operator_schedule(cfg)
+    better = obj.better
 
-    if initial is not None:
-        batch = [initial]
+    if obj.metadata.get(ONES_COUNT_ONLY):
+        fitness = _LayerTable(obj.evaluate, n).__getitem__
+        hit = _LayerTable(obj.target.contains, n).__getitem__
+        point = _LayerTable(lambda rep: rep, n).__getitem__
+        operator_for = _operator_schedule(cfg, lambda k: n - k)
+        batch = [initial.count_ones()] if initial is not None else rng.binomial(n, 0.5, size=lam).tolist()
+
+        def offspring(k: int) -> list[int]:
+            return ones_counts(operator_for(k), n, k, lam, rng)
     else:
-        batch = [random_bitstring(n, rng) for _ in range(lam)]
-    fits = [evaluate(y) for y in batch]
-    evals = len(batch)
-    first_hit = None
-    for k, y in enumerate(batch):
-        if contains(y):
-            first_hit = k + 1
-            break
-    best_idx = _argbest_uniform(fits, obj.direction, rng)
-    x, fx = batch[best_idx], fits[best_idx]
-    gens = 0
-    if on_generation is not None:
-        on_generation(0, batch, x, fx)
+        fitness, hit, point = obj.evaluate, obj.target.contains, None
+        operator_for = _operator_schedule(cfg, BitString.count_zeros)
+        batch = [initial] if initial is not None else [random_bitstring(n, rng) for _ in range(lam)]
 
-    while first_hit is None and evals + lam <= cfg.budget:
-        op = operator_for(x)
-        # One pass evaluates, checks the target and selects, so that lambda = 1
-        # pays for no batch lists unless a hook observes the offspring; ties are
-        # listed only when they occur, and their one draw follows the lambda
-        # apply calls, as in _argbest_uniform.
+        def offspring(x: BitString) -> list[BitString]:
+            op = operator_for(x)
+            if lam == 1:  # the comprehension would double this call's cost
+                return [apply(op, x, rng)]
+            return [apply(op, x, rng) for _ in range(lam)]
+
+    # One loop selects from the initial batch (gens = 0, x not yet set) and
+    # from every generation's offspring.  Ties are listed only when they
+    # occur, and their one draw follows the batch's own draws.
+    x = fx = first_hit = None
+    evals = gens = 0
+    while True:
         z = ties = None
-        queried = [] if on_generation is not None else None
-        for k in range(lam):
-            y = apply(op, x, rng)
-            if queried is not None:
-                queried.append(y)
-            fy = evaluate(y)
-            if first_hit is None and contains(y):
-                first_hit = evals + k + 1
+        for y in batch:
+            fy = fitness(y)
+            if first_hit is None and hit(y):
+                # membership depends on the value alone, so no member equal
+                # to y comes before it: index finds y's own position
+                first_hit = evals + batch.index(y) + 1
             if z is None or better(fy, fz):
                 z, fz, ties = y, fy, None
             elif fy == fz:
@@ -247,12 +259,18 @@ def run_one_plus_lambda(
                 ties.append(y)
         if ties is not None:
             z = ties[int(rng.integers(len(ties)))]
-        evals += lam
-        gens += 1
-        if not better(fx, fz):
+        evals += len(batch)
+        if x is None or not better(fx, fz):
             x, fx = z, fz
         if on_generation is not None:
-            on_generation(gens, queried, x, fx)
+            if point is None:
+                on_generation(gens, batch, x, fx)
+            else:
+                on_generation(gens, [point(y) for y in batch], point(x), fx)
+        if first_hit is not None or evals + lam > cfg.budget:
+            break
+        batch = offspring(x)
+        gens += 1
 
     return RunRecord(
         evaluations_used=evals,

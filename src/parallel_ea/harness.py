@@ -195,7 +195,8 @@ def _build_objective(objective_spec: dict, target: str):
 
 
 def _plan(spec: ExperimentSpec) -> tuple[Objective, list[AlgoConfig]]:
-    """Build the objective and one checked AlgoConfig per lambda entry.
+    """Build the objective and one checked AlgoConfig per lambda entry, and
+    check that the output path, if any, opens for appending.
 
     This is the only reader of spec.algorithm.  It runs in the calling
     process, so every refusal is a ConfigError before any task or worker
@@ -222,6 +223,11 @@ def _plan(spec: ExperimentSpec) -> tuple[Objective, list[AlgoConfig]]:
             check_elitist_run(cfg, obj)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if spec.output:
+        try:
+            open(spec.output, "a").close()
+        except OSError as exc:
+            raise ConfigError(f"cannot append runs to {spec.output}: {exc.strerror}") from None
     return obj, cfgs
 
 
@@ -267,7 +273,13 @@ def read_runs(path: str) -> list[dict]:
             missing = [col for col in CSV_COLUMNS if col not in reader.fieldnames]
             if missing:
                 raise ConfigError(f"{path}: the CSV header lacks the column(s) {', '.join(missing)}")
-        return [{col: parse(rec[col]) for col, parse in _CSV_SCHEMA.items()} for rec in reader]
+        rows = []
+        for rec in reader:
+            if None in rec or None in rec.values():  # DictReader's marks of a long or short row
+                raise ConfigError(f"{path}, line {reader.line_num}: the row does not have the "
+                                  f"header's {len(reader.fieldnames)} fields")
+            rows.append({col: parse(rec[col]) for col, parse in _CSV_SCHEMA.items()})
+        return rows
 
 
 def _worker_count() -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -10,6 +11,11 @@ from ..bitstring import BitString, hamming_ball_size, hamming_distance
 GLOBAL_OPTIMA = "global-optima"
 LOCAL_OPTIMA = "local-optima"
 WITHIN_DISTANCE = "within-distance"
+
+# Objective.metadata key: true when evaluate and target.contains depend on x
+# only through its ones count |x|_1, so that the elitist runners may simulate
+# the ones count instead of bit strings.
+ONES_COUNT_ONLY = "ones-count-only"
 
 
 @dataclass(frozen=True)
@@ -84,16 +90,19 @@ class Objective:
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
 
-    def better(self, a: float, b: float) -> bool:
-        """True when fitness a strictly improves on b."""
-        return a > b if self.direction == "max" else a < b
+    @property
+    def better(self) -> Callable[[float, float], bool]:
+        """better(a, b) is true when fitness a strictly improves on b."""
+        return operator.gt if self.direction == "max" else operator.lt
 
     def with_target(self, target: TargetSet) -> "Objective":
+        """The same function with another target.  The ones-count declaration
+        is dropped, since the new target need not depend on |x|_1 alone."""
         return Objective(
             name=self.name,
             n=self.n,
             evaluate=self.evaluate,
             target=target,
             direction=self.direction,
-            metadata=self.metadata,
+            metadata={k: v for k, v in self.metadata.items() if k != ONES_COUNT_ONLY},
         )

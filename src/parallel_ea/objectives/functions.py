@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..bitstring import BitString
-from .base import GLOBAL_OPTIMA, Objective, TargetSet
+from .base import GLOBAL_OPTIMA, ONES_COUNT_ONLY, Objective, TargetSet
 
 
 def onemax(x: BitString) -> int:
@@ -82,6 +82,7 @@ def onemax_objective(n: int) -> Objective:
         n=n,
         evaluate=onemax,
         target=TargetSet.from_points([BitString.ones(n)], GLOBAL_OPTIMA, "1^n"),
+        metadata={ONES_COUNT_ONLY: True},
     )
 
 
@@ -111,6 +112,7 @@ def twomax_objective(n: int) -> Objective:
         target=TargetSet.from_points(
             [BitString.zeros(n), BitString.ones(n)], GLOBAL_OPTIMA, "0^n and 1^n"
         ),
+        metadata={ONES_COUNT_ONLY: True},
     )
 
 
@@ -120,6 +122,7 @@ def twomax_prime_objective(n: int) -> Objective:
         n=n,
         evaluate=twomax_prime,
         target=TargetSet.from_points([BitString.ones(n)], GLOBAL_OPTIMA, "1^n"),
+        metadata={ONES_COUNT_ONLY: True},
     )
 
 
@@ -140,7 +143,7 @@ def jump_objective(n: int, k: int) -> Objective:
         n=n,
         evaluate=lambda x, _k=k: jump_k(x, _k),
         target=TargetSet.from_points([BitString.ones(n)], GLOBAL_OPTIMA, "1^n"),
-        metadata={"k": k},
+        metadata={ONES_COUNT_ONLY: True, "k": k},
     )
 
 
@@ -150,5 +153,5 @@ def cliff_objective(n: int, d: int) -> Objective:
         n=n,
         evaluate=lambda x, _d=d: cliff_d(x, _d),
         target=TargetSet.from_points([BitString.ones(n)], GLOBAL_OPTIMA, "1^n"),
-        metadata={"d": d},
+        metadata={ONES_COUNT_ONLY: True, "d": d},
     )

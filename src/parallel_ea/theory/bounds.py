@@ -43,7 +43,14 @@ class BoundSpec:
         return tuple(inspect.signature(self.evaluate).parameters)
 
     def __call__(self, **kwargs) -> float:
-        return self.evaluate(**{k: kwargs[k] for k in self.params})
+        args = {k: kwargs[k] for k in self.params}
+        non_finite = [f"{k}={v}" for k, v in args.items() if not math.isfinite(v)]
+        if non_finite:
+            raise ValueError(f"bound {self.id!r} needs finite parameters, got {', '.join(non_finite)}")
+        value = self.evaluate(**args)
+        if not math.isfinite(value):
+            raise ValueError(f"bound {self.id!r} overflows at {args}")
+        return value
 
 
 def _check_n(n: float) -> None:

@@ -100,13 +100,13 @@ def apply(op: UnaryOperator, x: BitString, rng: np.random.Generator) -> BitStrin
     r-subset, which is exactly the iid per-bit flip distribution.
     """
     n = x.n
-    op.validate_for(n)
-    if op.kind == FLIP_EXACT:
-        r = op.r
-    elif op.kind == STANDARD_MUTATION:
+    if op.kind == STANDARD_MUTATION:
         r = sample_radius(op.p, n, rng)
     elif op.kind == SINGLE_BIT:
         r = 1
+    elif op.kind == FLIP_EXACT:
+        op.validate_for(n)
+        r = op.r
     else:  # complement
         return x.complement()
     if r == 0:
@@ -115,6 +115,26 @@ def apply(op: UnaryOperator, x: BitString, rng: np.random.Generator) -> BitStrin
     for pos in sample_distinct_positions(rng, n, r):
         mask |= 1 << pos
     return x.flip_mask(mask)
+
+
+def ones_counts(op: UnaryOperator, n: int, k: int, size: int, rng: np.random.Generator) -> list[int]:
+    """Ones counts of `size` independent offspring of a point with k ones.
+
+    The image of `apply` under x -> |x|_1, for the elitist runners'
+    operators.  Standard mutation flips each bit independently, so an
+    offspring gains Binomial(n - k, p) ones and loses Binomial(k, p);
+    single-bit gains a one exactly when its position is one of the n - k
+    zeros, with probability (n - k)/n, read off a uniform double (to within
+    2^-52; an integer draw costs several times more per call).  The counts
+    are Python ints.
+    """
+    if op.kind == STANDARD_MUTATION:
+        gain = rng.binomial(n - k, op.p, size=size)
+        loss = rng.binomial(k, op.p, size=size)
+        return (k + gain - loss).tolist()
+    if op.kind == SINGLE_BIT:
+        return [k + 1 if u * n < n - k else k - 1 for u in rng.random(size).tolist()]
+    raise ValueError(f"no ones-count sampler for {op.kind}")
 
 
 def mirrored(op: UnaryOperator, x: BitString, rng: np.random.Generator) -> tuple[BitString, BitString]:

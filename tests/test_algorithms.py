@@ -16,7 +16,7 @@ from parallel_ea.algorithms import (
     run_rls,
 )
 from parallel_ea.bitstring import BitString, random_bitstring
-from parallel_ea.objectives import make_objective, onemax_objective
+from parallel_ea.objectives import ONES_COUNT_ONLY, make_objective, onemax_objective
 from parallel_ea.rng import derive_rng, derive_run_seed
 from parallel_ea.variation import standard_mutation
 
@@ -172,23 +172,30 @@ def test_one_plus_one_matches_reference_implementation():
 
 def test_adaptive_rate_follows_parent_zero_count(monkeypatch):
     # jump-3 at n=100: a parent with 10 zeros has fitness 93, so a rate
-    # read off the fitness would be the one for 7 zeros
+    # read off the fitness would be the one for 7 zeros.  Jump runs the
+    # ones-count chain (one ones_counts call per generation); the same
+    # function without the declaration runs the bit path (lambda apply calls).
     n, lam = 100, 64
     assert adaptive_rate(10, n, lam) != adaptive_rate(7, n, lam)
-    obj = make_objective("jump", n, k=3)
+    chain = make_objective("jump", n, k=3)
+    bits = chain.with_target(chain.target)
+    assert chain.metadata[ONES_COUNT_ONLY] and ONES_COUNT_ONLY not in bits.metadata
     parent = BitString(n, ((1 << n) - 1) ^ ((1 << 10) - 1))
     rates = []
-    real_apply = algorithms.apply
+    for name in ("ones_counts", "apply"):
+        real = getattr(algorithms, name)
 
-    def recording_apply(op, x, rng):
-        rates.append(op.p)
-        return real_apply(op, x, rng)
+        def recording(op, *args, _real=real):
+            rates.append(op.p)
+            return _real(op, *args)
 
-    monkeypatch.setattr(algorithms, "apply", recording_apply)
+        monkeypatch.setattr(algorithms, name, recording)
     cfg = AlgoConfig("one-plus-lambda-adaptive", n=n, lam=lam, budget=1 + lam, seed=0)
-    rec = run_one_plus_lambda(cfg, obj, derive_rng(0), initial=parent)
-    assert rec.generations_used == 1
-    assert rates == [adaptive_rate(10, n, lam)] * lam
+    for obj, calls in ((chain, 1), (bits, lam)):
+        rates.clear()
+        rec = run_one_plus_lambda(cfg, obj, derive_rng(0), initial=parent)
+        assert rec.generations_used == 1
+        assert rates == [adaptive_rate(10, n, lam)] * calls
 
 
 @pytest.mark.parametrize("name, n", [("leadingzeros", 10), ("two-cliques-mincut", 10),

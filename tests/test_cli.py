@@ -5,6 +5,7 @@ import pytest
 
 from parallel_ea import cli
 from parallel_ea.cli import main
+from parallel_ea.harness import CSV_COLUMNS
 
 
 def run_cli(capsys, *argv):
@@ -20,6 +21,20 @@ def test_bounds_command(capsys):
     payload = json.loads(out)
     assert payload["value"] == pytest.approx(0.9 * 1000 * math.log(1000))
     assert payload["asymptotic_only"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "1000", "--lambda", "nan"],
+    ["--n", "inf"],
+    ["--n", "1000", "--lambda=-inf"],
+    ["--n", "1000", "--delta", "nan"],
+    ["--n", "1e300", "--lambda", "1e300"],
+], ids=["lambda-nan", "n-inf", "lambda-minus-inf", "delta-nan", "value-overflows"])
+def test_bounds_refuses_non_finite_numbers(capsys, argv):
+    assert main(["bounds", "--id", "lb-unique", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bound 'lb-unique' ") and captured.err.count("\n") == 1
 
 
 def test_bounds_unknown_id(capsys):
@@ -107,11 +122,15 @@ def test_check_over_nothing_exits_2(tmp_path, capsys, argv):
     ["check", "--csv", "DIR", "--bound", "lb-unique"],
     ["run", "--spec", "DIR"],
     ["run", "--objective", "onemax", "--n", "10", "--reps", "2", "--out", "DIR"],
-], ids=["check-csv-header-a-b", "check-csv-dir", "run-spec-dir", "run-out-dir"])
+    ["check", "--csv", "SHORT", "--bound", "lb-unique"],
+], ids=["check-csv-header-a-b", "check-csv-dir", "run-spec-dir", "run-out-dir",
+        "check-csv-short-row"])
 def test_unreadable_input_exits_2(tmp_path, capsys, argv):
     header = tmp_path / "header.csv"
     header.write_text("a,b\n1,2\n")
-    paths = {"HEADER": str(header), "DIR": str(tmp_path)}
+    short = tmp_path / "short.csv"
+    short.write_text(",".join(CSV_COLUMNS) + "\n1-0-0,onemax,20\n")
+    paths = {"HEADER": str(header), "DIR": str(tmp_path), "SHORT": str(short)}
     assert main([paths.get(a, a) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -89,6 +89,22 @@ def test_bad_algorithm_fails_before_fan_out(tmp_path, monkeypatch, case):
     assert not (tmp_path / "bad.csv").exists()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_unwritable_output_fails_before_any_run(tmp_path, monkeypatch, workers):
+    from parallel_ea import harness
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the worker pool was started")
+
+    ran = []
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(harness, "run_one_plus_lambda", lambda *args, **kwargs: ran.append(args))
+    spec = onemax_spec(tmp_path, "unused.csv", output=str(tmp_path))  # a directory
+    with pytest.raises(ConfigError, match="cannot append runs to"):
+        run_experiment(spec, workers=workers)
+    assert ran == []
+
+
 @pytest.mark.parametrize("case", BAD_PLANS)
 def test_run_with_bad_algorithm_exits_2(tmp_path, capsys, case):
     from parallel_ea.cli import main
