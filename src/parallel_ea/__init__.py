@@ -51,7 +51,6 @@ from .variation import (
     radius_pmf,
     resolve_p,
     sample_distinct_positions,
-    sample_radius,
     single_bit,
     standard_mutation,
     transition_prob,

@@ -141,33 +141,31 @@ def adaptive_rate(i: int, n: int, lam: int) -> float:
     return max(math.log(lam) / (n * math.log(math.e * n / i)), 1.0 / n)
 
 
+class _Memo(dict):
+    """Int key -> f(key), computed on the first lookup of the key."""
+
+    def __init__(self, f: Callable[[int], object]):
+        super().__init__()
+        self._f = f
+
+    def __missing__(self, key: int):
+        value = self[key] = self._f(key)
+        return value
+
+
 def _operator_schedule(cfg: AlgoConfig, zeros: Callable) -> Callable:
-    """Map the parent to the operator of its next generation, once per run.
+    """Map the parent to the operator of its next generation.
 
     RLS reuses one single-bit operator and the fixed-rate EA one standard
     mutation; the adaptive EA sets p from the parent's zero count zeros(x),
-    taken as at least 1 so that the rate stays defined at the all-ones point.
+    taken as at least 1 so that the rate stays defined at the all-ones point,
+    and builds each zero count's operator once per run, on first use.
     """
-    if cfg.algorithm == RLS:
-        op = single_bit()
-    elif cfg.algorithm == ONE_PLUS_LAMBDA_FIXED:
-        op = standard_mutation(cfg.rate)
-    else:
-        n, lam = cfg.n, cfg.lam
-        return lambda x: standard_mutation(adaptive_rate(max(1, zeros(x)), n, lam))
+    if cfg.algorithm == ONE_PLUS_LAMBDA_ADAPTIVE:
+        ops = _Memo(lambda i: standard_mutation(adaptive_rate(i, cfg.n, cfg.lam)))
+        return lambda x: ops[max(1, zeros(x))]
+    op = single_bit() if cfg.algorithm == RLS else standard_mutation(cfg.rate)
     return lambda x: op
-
-
-class _LayerTable(dict):
-    """Ones count k -> f(1^k 0^(n-k)), computed on the first lookup of k."""
-
-    def __init__(self, f: Callable[[BitString], object], n: int):
-        super().__init__()
-        self._f, self._n = f, n
-
-    def __missing__(self, k: int):
-        value = self[k] = self._f(BitString(self._n, (1 << k) - 1))
-        return value
 
 
 def _check_dimension(cfg: AlgoConfig, obj: Objective) -> None:
@@ -219,16 +217,16 @@ def run_one_plus_lambda(
     better = obj.better
 
     if obj.metadata.get(ONES_COUNT_ONLY):
-        fitness = _LayerTable(obj.evaluate, n).__getitem__
-        hit = _LayerTable(obj.target.contains, n).__getitem__
-        point = _LayerTable(lambda rep: rep, n).__getitem__
+        point = _Memo(lambda k: BitString(n, (1 << k) - 1)).__getitem__
+        fitness = _Memo(lambda k: obj.evaluate(point(k))).__getitem__
+        hit = _Memo(lambda k: obj.target.contains(point(k))).__getitem__
         operator_for = _operator_schedule(cfg, lambda k: n - k)
         batch = [initial.count_ones()] if initial is not None else rng.binomial(n, 0.5, size=lam).tolist()
 
         def offspring(k: int) -> list[int]:
             return ones_counts(operator_for(k), n, k, lam, rng)
     else:
-        fitness, hit, point = obj.evaluate, obj.target.contains, None
+        fitness, hit, point = obj.evaluate, obj.target.contains, lambda y: y
         operator_for = _operator_schedule(cfg, BitString.count_zeros)
         batch = [initial] if initial is not None else [random_bitstring(n, rng) for _ in range(lam)]
 
@@ -263,10 +261,7 @@ def run_one_plus_lambda(
         if x is None or not better(fx, fz):
             x, fx = z, fz
         if on_generation is not None:
-            if point is None:
-                on_generation(gens, batch, x, fx)
-            else:
-                on_generation(gens, [point(y) for y in batch], point(x), fx)
+            on_generation(gens, [point(y) for y in batch], point(x), fx)
         if first_hit is not None or evals + lam > cfg.budget:
             break
         batch = offspring(x)

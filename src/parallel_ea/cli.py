@@ -15,6 +15,12 @@ from .harness import ConfigError, ExperimentSpec, check_lower_bound, run_experim
 from .theory import bounds as bounds_mod
 from .theory import lemmas
 
+
+def _given(**kwargs) -> dict:
+    """The options the user gave; the verifier's own defaults fill the rest."""
+    return {k: v for k, v in kwargs.items() if v is not None}
+
+
 # verify --lemma id -> its verifier on the parsed args.  Each entry reads the
 # verifier off the lemmas module when called, so a patched attribute is used.
 VERIFIERS = {
@@ -22,10 +28,10 @@ VERIFIERS = {
     "improve-prob": lambda args: lemmas.verify_improve_prob(args.n),
     "chvatal": lambda args: lemmas.verify_chvatal(args.n),
     "multibit": lambda args: lemmas.verify_multibit_progress(args.n),
-    "mgf": lambda args: lemmas.verify_mgf_bound(args.n, args.lam or (1, 64, 4096)),
-    "mgf-max": lambda args: lemmas.verify_max_geometric(
-        lam=args.lam[0] if args.lam else 100, trials=args.trials, seed=args.seed),
-    "coupon": lambda args: lemmas.verify_coupon(delta=args.delta),
+    "mgf": lambda args: lemmas.verify_mgf_bound(args.n, **_given(lam=args.lam or None)),
+    "mgf-max": lambda args: lemmas.verify_max_geometric(**_given(
+        lam=args.lam[0] if args.lam else None, trials=args.trials, seed=args.seed)),
+    "coupon": lambda args: lemmas.verify_coupon(**_given(delta=args.delta)),
 }
 
 
@@ -47,9 +53,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--lemma", required=True, choices=tuple(VERIFIERS))
     verify_p.add_argument("--n", type=int, default=128)
     verify_p.add_argument("--lambda", "--lam", dest="lam", type=int, nargs="*", default=None)
-    verify_p.add_argument("--trials", type=int, default=10_000)
-    verify_p.add_argument("--seed", type=int, default=0)
-    verify_p.add_argument("--delta", type=float, default=bounds_mod.DEFAULT_DELTA)
+    verify_p.add_argument("--trials", type=int)
+    verify_p.add_argument("--seed", type=int)
+    verify_p.add_argument("--delta", type=float)
 
     bounds_p = sub.add_parser("bounds", help="evaluate a bound curve")
     bounds_p.add_argument("--id", required=True)

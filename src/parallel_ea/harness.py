@@ -15,11 +15,10 @@ import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from math import log
-from numbers import Integral
 from typing import Optional, Sequence
 
 from .algorithms import AlgoConfig, check_elitist_run, run_one_plus_lambda
-from .objectives.base import Objective
+from .objectives.base import Objective, check_int, is_int
 from .objectives.registry import make_objective
 from .rng import derive_rng, derive_run_seed
 from .theory.bounds import DEFAULT_DELTA, BoundSpec, get_bound, ln_plus
@@ -60,10 +59,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, Integral) and not isinstance(value, bool)
-
-
 @dataclass
 class ExperimentSpec:
     """One experiment: an objective, an algorithm, repetitions per lambda."""
@@ -81,14 +76,14 @@ class ExperimentSpec:
         for key, ok, kind in (
             ("objective", isinstance(self.objective, dict), "an object"),
             ("algorithm", isinstance(self.algorithm, dict), "an object"),
-            ("repetitions", _is_int(self.repetitions), "an integer"),
-            ("lambdas", isinstance(self.lambdas, (list, tuple)) and all(map(_is_int, self.lambdas)),
+            ("repetitions", is_int(self.repetitions), "an integer"),
+            ("lambdas", isinstance(self.lambdas, (list, tuple)) and all(map(is_int, self.lambdas)),
              "a list of integers"),
             ("target", isinstance(self.target, str), "a string"),
             ("bounds", isinstance(self.bounds, (list, tuple))
              and all(isinstance(b, str) for b in self.bounds), "a list of bound ids"),
             ("output", self.output is None or isinstance(self.output, str), "a path string"),
-            ("master_seed", _is_int(self.master_seed), "an integer"),
+            ("master_seed", is_int(self.master_seed), "an integer"),
         ):
             if not ok:
                 raise ConfigError(f"{key} must be {kind}, got {getattr(self, key)!r}")
@@ -98,7 +93,7 @@ class ExperimentSpec:
             raise ConfigError("lambdas must list at least one lambda")
         if "name" not in self.objective or "n" not in self.objective:
             raise ConfigError("objective spec needs 'name' and 'n'")
-        if not _is_int(self.objective["n"]):
+        if not is_int(self.objective["n"]):
             raise ConfigError(f"objective n must be an integer, got {self.objective['n']!r}")
         for bound_id in self.bounds:
             get_bound(bound_id)  # raises on unknown ids
@@ -210,9 +205,8 @@ def _plan(spec: ExperimentSpec) -> tuple[Objective, list[AlgoConfig]]:
         raise ConfigError(f"bad algorithm spec ({', '.join(faults)}); allowed keys: "
                           f"{', '.join(_ALGORITHM_KEYS)}; required: algorithm")
     budget = algo.get("budget", AlgoConfig.budget)
-    if not _is_int(budget):
-        raise ConfigError(f"algorithm budget must be an integer, got {budget!r}")
     try:
+        check_int("algorithm budget", budget, 1)
         obj = _build_objective(spec.objective, spec.target)
         p = algo.get("p")
         if p is not None:

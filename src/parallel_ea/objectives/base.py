@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from numbers import Integral
+from typing import Callable, Iterable, Optional
 
 from ..bitstring import BitString, hamming_ball_size, hamming_distance
 
@@ -16,6 +17,18 @@ WITHIN_DISTANCE = "within-distance"
 # only through its ones count |x|_1, so that the elitist runners may simulate
 # the ones count instead of bit strings.
 ONES_COUNT_ONLY = "ones-count-only"
+
+
+def is_int(value) -> bool:
+    """An integer of any width; a bool is not one."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def check_int(name: str, value, lo: int, hi: Optional[int] = None) -> None:
+    """Refuse a value that is not an integer in [lo, hi] (or >= lo when hi is None)."""
+    if not is_int(value) or value < lo or (hi is not None and value > hi):
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..bitstring import BitString
-from .base import GLOBAL_OPTIMA, ONES_COUNT_ONLY, Objective, TargetSet
+from .base import GLOBAL_OPTIMA, ONES_COUNT_ONLY, Objective, TargetSet, check_int
 
 
 def onemax(x: BitString) -> int:
@@ -127,6 +127,8 @@ def twomax_prime_objective(n: int) -> Objective:
 
 
 def hiff_objective(n: int) -> Objective:
+    if n & (n - 1):
+        raise ValueError(f"hiff needs n to be a power of two, got {n}")
     return Objective(
         name="hiff",
         n=n,
@@ -138,6 +140,7 @@ def hiff_objective(n: int) -> Objective:
 
 
 def jump_objective(n: int, k: int) -> Objective:
+    check_int("jump gap k", k, 1, n)
     return Objective(
         name=f"jump-{k}",
         n=n,
@@ -148,6 +151,7 @@ def jump_objective(n: int, k: int) -> Objective:
 
 
 def cliff_objective(n: int, d: int) -> Objective:
+    check_int("cliff depth d", d, 1, n)
     return Objective(
         name=f"cliff-{d}",
         n=n,

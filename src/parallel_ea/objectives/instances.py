@@ -16,7 +16,7 @@ import numpy as np
 from ..bitstring import BitString, hamming_distance
 from ..rng import derive_rng
 from ..variation import sample_distinct_positions
-from .base import GLOBAL_OPTIMA, Objective, TargetSet
+from .base import GLOBAL_OPTIMA, Objective, TargetSet, check_int
 
 
 # ---------------------------------------------------------------- graphs
@@ -142,8 +142,8 @@ def partition_makespan(inst: PartitionInstance, x: BitString) -> float:
 
 def gen_partition_random(n: int, distribution: str, seed: int) -> PartitionInstance:
     """n iid job sizes, uniform on (0,1] or exponential(1)."""
-    if n < 1:
-        raise ValueError("need n >= 1 jobs")
+    check_int("job count n", n, 1)
+    check_int("seed", seed, 0)
     rng = derive_rng(seed)
     if distribution == "uniform":
         sizes = 1.0 - rng.random(n)  # (0, 1]
@@ -264,8 +264,7 @@ def maxsat_hard_enum_count(x: BitString) -> int:
 
 
 def _maxsat_objective(n: int, evaluate, name: str) -> Objective:
-    if n < 3:
-        raise ValueError(f"hard MaxSat instance needs n >= 3, got {n}")
+    check_int("hard MaxSat instance n", n, 3)
     return Objective(
         name=name,
         n=n,
@@ -339,10 +338,9 @@ def gen_planted_3sat(
     """Random planted Max-3-Sat: each clause matches the planted optimum in
     exactly one literal with probability c1, in all three with probability c3,
     and in exactly two otherwise.  Variables are drawn without replacement."""
-    if n < 3:
-        raise ValueError("need n >= 3 variables")
-    if m < 1:
-        raise ValueError("need m >= 1 clauses")
+    check_int("variable count n", n, 3)
+    check_int("clause count m", m, 1)
+    check_int("seed", seed, 0)
     if c1 < 0 or c3 < 0 or c1 + c3 > 1:
         raise ValueError(f"need c1, c3 >= 0 with c1 + c3 <= 1, got c1={c1}, c3={c3}")
     rng = derive_rng(seed)

@@ -19,10 +19,9 @@ from .bitstring import BitString, hamming_distance
 
 FLIP_EXACT = "flip-exact-r"
 STANDARD_MUTATION = "standard-mutation"
-SINGLE_BIT = "single-bit"
 COMPLEMENT = "complement"
 
-_KINDS = (FLIP_EXACT, STANDARD_MUTATION, SINGLE_BIT, COMPLEMENT)
+_KINDS = (FLIP_EXACT, STANDARD_MUTATION, COMPLEMENT)
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,7 +29,7 @@ class UnaryOperator:
     """Descriptor of a unary unbiased variation kernel.
 
     kind: one of flip-exact-r (radius r), standard-mutation (per-bit
-    probability p), single-bit, complement.
+    probability p, radius Binomial(n, p)), complement (radius n).
     """
 
     kind: str
@@ -61,7 +60,8 @@ def standard_mutation(p: float) -> UnaryOperator:
 
 
 def single_bit() -> UnaryOperator:
-    return UnaryOperator(SINGLE_BIT)
+    """RLS's operator, one uniform bit flip: flip-exact at radius 1."""
+    return flip_exact(1)
 
 
 def complement_op() -> UnaryOperator:
@@ -85,25 +85,17 @@ def sample_distinct_positions(rng: np.random.Generator, n: int, r: int) -> list[
     return out
 
 
-def sample_radius(p: float, n: int, rng: np.random.Generator) -> int:
-    """Radius law of standard mutation: Binomial(n, p)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    return int(rng.binomial(n, p))
-
-
 def apply(op: UnaryOperator, x: BitString, rng: np.random.Generator) -> BitString:
     """Draw one offspring of x under op.
 
-    flip-exact-r is uniform on the radius-r sphere around x.
-    standard-mutation samples r ~ Binomial(n, p) and then flips a uniform
-    r-subset, which is exactly the iid per-bit flip distribution.
+    flip-exact-r is uniform on the radius-r sphere around x; r is checked
+    against n here.  standard-mutation samples r ~ Binomial(n, p), p being
+    checked when op was built, and then flips a uniform r-subset, which is
+    exactly the iid per-bit flip distribution.
     """
     n = x.n
     if op.kind == STANDARD_MUTATION:
-        r = sample_radius(op.p, n, rng)
-    elif op.kind == SINGLE_BIT:
-        r = 1
+        r = int(rng.binomial(n, op.p))
     elif op.kind == FLIP_EXACT:
         op.validate_for(n)
         r = op.r
@@ -123,18 +115,18 @@ def ones_counts(op: UnaryOperator, n: int, k: int, size: int, rng: np.random.Gen
     The image of `apply` under x -> |x|_1, for the elitist runners'
     operators.  Standard mutation flips each bit independently, so an
     offspring gains Binomial(n - k, p) ones and loses Binomial(k, p);
-    single-bit gains a one exactly when its position is one of the n - k
-    zeros, with probability (n - k)/n, read off a uniform double (to within
-    2^-52; an integer draw costs several times more per call).  The counts
-    are Python ints.
+    flip-exact at radius 1 (RLS) gains a one exactly when its position is
+    one of the n - k zeros, with probability (n - k)/n, read off a uniform
+    double (to within 2^-52; an integer draw costs several times more per
+    call).  The counts are Python ints.
     """
     if op.kind == STANDARD_MUTATION:
         gain = rng.binomial(n - k, op.p, size=size)
         loss = rng.binomial(k, op.p, size=size)
         return (k + gain - loss).tolist()
-    if op.kind == SINGLE_BIT:
+    if op.kind == FLIP_EXACT and op.r == 1:
         return [k + 1 if u * n < n - k else k - 1 for u in rng.random(size).tolist()]
-    raise ValueError(f"no ones-count sampler for {op.kind}")
+    raise ValueError(f"no ones-count sampler for {op}")
 
 
 def mirrored(op: UnaryOperator, x: BitString, rng: np.random.Generator) -> tuple[BitString, BitString]:
@@ -148,8 +140,6 @@ def radius_pmf(op: UnaryOperator, n: int) -> dict[int, Fraction]:
     op.validate_for(n)
     if op.kind == FLIP_EXACT:
         return {op.r: Fraction(1)}
-    if op.kind == SINGLE_BIT:
-        return {1: Fraction(1)}
     if op.kind == COMPLEMENT:
         return {n: Fraction(1)}
     p = Fraction(op.p)

@@ -198,6 +198,25 @@ def test_adaptive_rate_follows_parent_zero_count(monkeypatch):
         assert rates == [adaptive_rate(10, n, lam)] * calls
 
 
+@pytest.mark.parametrize("name", ["onemax", "leadingones"])  # the ones-count chain, the bit path
+def test_adaptive_ea_builds_one_operator_per_zero_count(monkeypatch, name):
+    n, lam = 40, 2
+    built = []
+
+    def spy(p):
+        built.append(p)
+        return standard_mutation(p)
+
+    monkeypatch.setattr(algorithms, "standard_mutation", spy)
+    parents = []
+    cfg = AlgoConfig("one-plus-lambda-adaptive", n=n, lam=lam, seed=3)
+    rec = run_one_plus_lambda(cfg, make_objective(name, n), derive_rng(3),
+                              on_generation=lambda gens, queried, x, fx: parents.append(x))
+    zero_counts = {max(1, x.count_zeros()) for x in parents[:-1]}  # the last parent has no offspring
+    assert rec.hit_target and rec.generations_used > 4 * len(zero_counts)
+    assert len(built) <= len(zero_counts)
+
+
 @pytest.mark.parametrize("name, n", [("leadingzeros", 10), ("two-cliques-mincut", 10),
                                      ("knapsack-hard", 11), ("partition", 10)])
 def test_adaptive_variant_refuses_target_without_all_ones(name, n):

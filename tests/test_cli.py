@@ -227,6 +227,17 @@ def test_run_with_unknown_objective_param_exits_2(capsys):
     assert "'k'" in err and "Traceback" not in err
 
 
+def test_run_with_wrong_typed_objective_param_exits_2(tmp_path, capsys):
+    spec = {"objective": {"name": "jump", "n": 10, "k": "2"}, "algorithm": {"algorithm": "rls"},
+            "repetitions": 1, "lambdas": [1]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["run", "--spec", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: jump gap k must be an integer in [1, 10], got '2'\n"
+
+
 def test_run_adaptive_without_all_ones_target_exits_2(capsys):
     assert main(["run", "--objective", "leadingzeros", "--n", "10",
                  "--algo", "one-plus-lambda-adaptive"]) == 2

@@ -42,15 +42,30 @@ def test_spec_validation():
                        repetitions=1, lambdas=[1], bounds=["no-such-bound"])
 
 
-def test_bad_objective_param_fails_before_fan_out(tmp_path, monkeypatch):
+BAD_OBJECTIVES = {
+    "onemax-k": ({"name": "onemax", "n": 30, "k": 2}, "'onemax'.*'k'"),
+    "jump-k-0": ({"name": "jump", "n": 30, "k": 0}, "jump gap k .* got 0"),
+    "jump-k-str": ({"name": "jump", "n": 30, "k": "2"}, "jump gap k .* got '2'"),
+    "jump-k-float": ({"name": "jump", "n": 30, "k": 2.5}, "jump gap k .* got 2.5"),
+    "jump-k-bool": ({"name": "jump", "n": 30, "k": True}, "jump gap k .* got True"),
+    "cliff-d-above-n": ({"name": "cliff", "n": 10, "d": 11}, "cliff depth d .* got 11"),
+    "hiff-n-10": ({"name": "hiff", "n": 10}, "power of two, got 10"),
+    "planted-3sat-seed-float": ({"name": "planted-3sat", "n": 20, "m": 40, "seed": 1.5},
+                                "seed .* got 1.5"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_OBJECTIVES)
+def test_bad_objective_param_fails_before_fan_out(tmp_path, monkeypatch, case):
     from parallel_ea import harness
 
     def no_pool(*args, **kwargs):
         raise AssertionError("the worker pool was started")
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
-    spec = onemax_spec(tmp_path, "bad.csv", objective={"name": "onemax", "n": 30, "k": 2})
-    with pytest.raises(ConfigError, match="'onemax'.*'k'"):
+    objective, message = BAD_OBJECTIVES[case]
+    spec = onemax_spec(tmp_path, "bad.csv", objective=objective)
+    with pytest.raises(ConfigError, match=message):
         run_experiment(spec, workers=2)
     assert not (tmp_path / "bad.csv").exists()
 
@@ -165,10 +180,15 @@ def test_csv_round_trip(tmp_path):
 @pytest.mark.parametrize("objective", [{"name": "onemax", "n": 30},
                                        {"name": "partition", "n": 12, "seed": 3}])
 def test_csv_rows_round_trip_bytes(tmp_path, objective):
-    # onemax writes integer fitness values, partition floats
-    spec = onemax_spec(tmp_path, "a.csv", objective=objective)
+    # onemax writes integer fitness values, partition floats; the small
+    # budget leaves partition runs that end without a hit
+    spec = onemax_spec(tmp_path, "a.csv", objective=objective,
+                       algorithm={"algorithm": "one-plus-lambda-fixed", "budget": 2_000})
     run_experiment(spec)
     rows = read_runs(spec.output)
+    if objective["name"] == "partition":
+        assert all(isinstance(row["best_fitness"], float) for row in rows)
+        assert any(row["first_hit_evaluation"] is None for row in rows)
     append_rows(str(tmp_path / "b.csv"), rows)
     assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
 

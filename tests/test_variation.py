@@ -6,6 +6,7 @@ import pytest
 from parallel_ea.bitstring import BitString, hamming_distance, random_bitstring
 from parallel_ea.rng import derive_rng
 from parallel_ea.variation import (
+    UnaryOperator,
     apply,
     complement_op,
     exact_distribution,
@@ -14,7 +15,6 @@ from parallel_ea.variation import (
     radius_pmf,
     resolve_p,
     sample_distinct_positions,
-    sample_radius,
     single_bit,
     standard_mutation,
     transition_prob,
@@ -49,16 +49,25 @@ def test_operator_validation():
         apply(flip_exact(11), BitString.zeros(10), derive_rng(0))
 
 
-def test_sample_radius_degenerate():
+def test_single_bit_is_flip_exact_radius_one():
+    assert single_bit() == flip_exact(1)
+    with pytest.raises(ValueError, match="unknown operator kind"):
+        UnaryOperator("single-bit")
+
+
+def test_apply_degenerate_rates():
     rng = derive_rng(4)
-    assert all(sample_radius(0.0, 50, rng) == 0 for _ in range(20))
-    assert all(sample_radius(1.0, 50, rng) == 50 for _ in range(20))
+    x = random_bitstring(50, rng)
+    assert all(apply(standard_mutation(0.0), x, rng) == x for _ in range(20))
+    assert all(apply(standard_mutation(1.0), x, rng) == x.complement() for _ in range(20))
 
 
-def test_sample_radius_binomial_mean():
+def test_apply_radius_binomial_mean():
     rng = derive_rng(5)
     n, p, reps = 100, 0.01, 100_000
-    mean = sum(sample_radius(p, n, rng) for _ in range(reps)) / reps
+    x = random_bitstring(n, rng)
+    op = standard_mutation(p)
+    mean = sum(hamming_distance(x, apply(op, x, rng)) for _ in range(reps)) / reps
     assert 0.97 <= mean <= 1.03
 
 
