@@ -39,7 +39,7 @@ from .harness import (
     read_runs,
     run_experiment,
 )
-from .rng import derive_rng, derive_run_seed
+from .rng import UniformStream, as_stream, derive_rng, derive_run_seed
 from .variation import (
     UnaryOperator,
     apply,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bitstring import BitString, random_bitstring
 from .objectives.base import ONES_COUNT_ONLY, Objective
-from .rng import derive_rng
+from .rng import as_stream, derive_rng
 from .variation import UnaryOperator, apply, mirrored, ones_counts, single_bit, standard_mutation
 
 ONE_PLUS_LAMBDA_FIXED = "one-plus-lambda-fixed"
@@ -210,9 +210,14 @@ def run_one_plus_lambda(
     from `ones_counts`, no bit string is sampled, and `evaluate` and the
     target run once per count, on its representative 1^k 0^(n-k).  The
     hook sees those representatives.
+
+    rng may be any Generator: the run wraps it once, with `as_stream`, in a
+    UniformStream on the same bit generator, whose buffered doubles feed
+    `apply` and RLS's ones counts.  The chain's binomial draws, the initial
+    batch and the tie breaks read the bit generator directly.
     """
     check_elitist_run(cfg, obj)
-    rng = rng if rng is not None else derive_rng(cfg.seed)
+    rng = as_stream(rng) if rng is not None else derive_rng(cfg.seed)
     n, lam = cfg.n, cfg.lam
     better = obj.better
 
@@ -339,10 +344,12 @@ def run_generic_parallel(
     evaluated as one batch.  With mirror=True every query also reveals its
     complement for free (archived and usable as a parent, not counted as an
     evaluation).  `on_generation` sees each round's queries (any free
-    complements after the paid batch) and the archive's best point.
+    complements after the paid batch) and the archive's best point.  As in
+    `run_one_plus_lambda`, rng is wrapped once with `as_stream`, and the
+    policy receives the wrapped stream.
     """
     _check_dimension(cfg, obj)
-    rng = rng if rng is not None else derive_rng(cfg.seed)
+    rng = as_stream(rng) if rng is not None else derive_rng(cfg.seed)
     n, lam = cfg.n, cfg.lam
     evaluate, contains, better = obj.evaluate, obj.target.contains, obj.better
 

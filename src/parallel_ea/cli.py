@@ -16,23 +16,36 @@ from .theory import bounds as bounds_mod
 from .theory import lemmas
 
 
+def _one_lambda(args: argparse.Namespace) -> Optional[int]:
+    """The single --lambda value of a lemma that takes one, or None."""
+    if not args.lam:
+        return None
+    if len(args.lam) > 1:
+        raise ConfigError(f"verify --lemma {args.lemma} takes one --lambda value, got {len(args.lam)}")
+    return args.lam[0]
+
+
 def _given(**kwargs) -> dict:
     """The options the user gave; the verifier's own defaults fill the rest."""
     return {k: v for k, v in kwargs.items() if v is not None}
 
 
-# verify --lemma id -> its verifier on the parsed args.  Each entry reads the
-# verifier off the lemmas module when called, so a patched attribute is used.
+GRID_N = 128  # verify's --n when the option is not given
+
+# verify --lemma id -> (the options it reads, its verifier on the parsed
+# args); verify refuses every other option.  Each verifier reads its lemma
+# function off the lemmas module when called, so a patched attribute is used.
 VERIFIERS = {
-    "hypergeom-tail": lambda args: lemmas.verify_hypergeom_tail(args.n),
-    "improve-prob": lambda args: lemmas.verify_improve_prob(args.n),
-    "chvatal": lambda args: lemmas.verify_chvatal(args.n),
-    "multibit": lambda args: lemmas.verify_multibit_progress(args.n),
-    "mgf": lambda args: lemmas.verify_mgf_bound(args.n, **_given(lam=args.lam or None)),
-    "mgf-max": lambda args: lemmas.verify_max_geometric(**_given(
-        lam=args.lam[0] if args.lam else None, trials=args.trials, seed=args.seed)),
-    "coupon": lambda args: lemmas.verify_coupon(**_given(delta=args.delta)),
+    "hypergeom-tail": (("n",), lambda args: lemmas.verify_hypergeom_tail(args.n)),
+    "improve-prob": (("n",), lambda args: lemmas.verify_improve_prob(args.n)),
+    "chvatal": (("n",), lambda args: lemmas.verify_chvatal(args.n)),
+    "multibit": (("n",), lambda args: lemmas.verify_multibit_progress(args.n)),
+    "mgf": (("n", "lam"), lambda args: lemmas.verify_mgf_bound(args.n, **_given(lam=args.lam or None))),
+    "mgf-max": (("lam", "trials", "seed"), lambda args: lemmas.verify_max_geometric(**_given(
+        lam=_one_lambda(args), trials=args.trials, seed=args.seed))),
+    "coupon": (("delta",), lambda args: lemmas.verify_coupon(**_given(delta=args.delta))),
 }
+_VERIFY_FLAGS = {"n": "--n", "lam": "--lambda", "trials": "--trials", "seed": "--seed", "delta": "--delta"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify_p = sub.add_parser("verify", help="verify a stated inequality on its grid")
     verify_p.add_argument("--lemma", required=True, choices=tuple(VERIFIERS))
-    verify_p.add_argument("--n", type=int, default=128)
+    verify_p.add_argument("--n", type=int, help=f"grid dimension (default {GRID_N})")
     verify_p.add_argument("--lambda", "--lam", dest="lam", type=int, nargs="*", default=None)
     verify_p.add_argument("--trials", type=int)
     verify_p.add_argument("--seed", type=int)
@@ -144,7 +157,15 @@ def _cmd_experiment(args: argparse.Namespace, multi_lambda: bool) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = VERIFIERS[args.lemma](args)
+    reads, verifier = VERIFIERS[args.lemma]
+    unread = [flag for dest, flag in _VERIFY_FLAGS.items()
+              if dest not in reads and getattr(args, dest) is not None]
+    if unread:
+        raise ConfigError(f"verify --lemma {args.lemma} does not read {', '.join(unread)}; "
+                          f"it reads {', '.join(_VERIFY_FLAGS[dest] for dest in reads)}")
+    if args.n is None:
+        args.n = GRID_N
+    report = verifier(args)
     print(report.to_json())
     return 0 if report.passed else 1
 

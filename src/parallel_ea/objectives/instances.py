@@ -347,7 +347,7 @@ def gen_planted_3sat(
     planted = BitString(n, int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1))
     clauses = []
     for _ in range(m):
-        u = rng.random()
+        u = rng.next_double()
         k = 1 if u < c1 else (3 if u < c1 + c3 else 2)
         vars_ = sample_distinct_positions(rng, n, 3)
         match_slots = set(sample_distinct_positions(rng, 3, k))

@@ -7,13 +7,44 @@ across workers.
 
 from __future__ import annotations
 
+from typing import Callable, Iterator
+
 import numpy as np
 
+BLOCK = 256  # doubles drawn per refill of a UniformStream's buffer
 
-def derive_rng(master_seed: int, *stream: int) -> np.random.Generator:
+
+def _doubles(random: Callable[[int], np.ndarray]) -> Iterator[float]:
+    while True:
+        yield from random(BLOCK).tolist()
+
+
+class UniformStream(np.random.Generator):
+    """A Generator that also hands out uniform doubles in [0, 1) one at a
+    time, from a buffer refilled BLOCK at a time: `next_double()` costs a
+    fraction of a scalar numpy draw.
+
+    The buffer reads the stream's own bit generator, so its doubles come in
+    the order `random()` would give them.  The Generator methods read the
+    bit generator where the last refill left it and leave the buffer as it is.
+    """
+
+    def __init__(self, bit_generator: np.random.BitGenerator):
+        super().__init__(bit_generator)
+        # a plain Generator on the same bit generator fills the buffer, so
+        # the stream holds no reference cycle through itself
+        self.next_double: Callable[[], float] = _doubles(np.random.Generator(bit_generator).random).__next__
+
+
+def as_stream(rng: np.random.Generator) -> UniformStream:
+    """rng itself if it is a UniformStream, else one on rng's bit generator."""
+    return rng if isinstance(rng, UniformStream) else UniformStream(rng.bit_generator)
+
+
+def derive_rng(master_seed: int, *stream: int) -> UniformStream:
     """Independent PCG64 stream keyed by (master_seed, *stream)."""
     seq = np.random.SeedSequence([int(master_seed), *[int(s) for s in stream]])
-    return np.random.Generator(np.random.PCG64(seq))
+    return UniformStream(np.random.PCG64(seq))
 
 
 def derive_run_seed(master_seed: int, *stream: int) -> int:

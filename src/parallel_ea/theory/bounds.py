@@ -11,8 +11,8 @@ import inspect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import e, exp, log
-from typing import Callable, NamedTuple, Sequence, Union
+from math import e, log
+from typing import Callable, NamedTuple
 
 
 DEFAULT_DELTA = 0.5  # delta of the bound overlays and checks unless one is given
@@ -205,80 +205,6 @@ def get_bound(bound_id: str) -> BoundSpec:
         raise ValueError(
             f"unknown bound id {bound_id!r}; known: {', '.join(sorted(BOUNDS))}"
         ) from None
-
-
-# ------------------------------------------------------- drift calculators
-
-class DriftTail(NamedTuple):
-    value: float  # clamped to [0, 1]
-    raw: float
-    log_raw: float
-
-
-BetaLike = Union[float, Sequence[float]]
-
-
-def _log_beta_products(beta: BetaLike, t: float) -> list[float]:
-    """log prod_{r<s} beta(r) for s = 0..t (scalar beta allows real t)."""
-    if isinstance(beta, (int, float)):
-        if t != int(t) and t < 0:
-            raise ValueError("t must be non-negative")
-        steps = int(t)
-        logs = [s * log(beta) for s in range(steps + 1)]
-        if t != steps:  # fractional tail for real t with scalar beta
-            logs.append(t * log(beta))
-        return logs
-    seq = list(beta)
-    steps = int(t)
-    if steps > len(seq):
-        raise ValueError(f"beta sequence of length {len(seq)} too short for t={t}")
-    logs = [0.0]
-    for s in range(steps):
-        logs.append(logs[-1] + log(seq[s]))
-    return logs
-
-
-def additive_bounds(g0: float, alpha: float) -> float:
-    """Expected-hitting-time form g(X_0)/alpha (both drift directions)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    return g0 / alpha
-
-
-def tail_upper(beta: BetaLike, gamma: float, g0: float, ga: float, t: float) -> DriftTail:
-    """P(T_a > t) < (prod beta_u) e^{gamma (g0 - ga)}."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if t <= 0:
-        return DriftTail(0.0, 0.0, -math.inf)
-    logs = _log_beta_products(beta, t)
-    log_raw = logs[-1] + gamma * (g0 - ga)
-    raw = exp(log_raw) if log_raw < 700 else math.inf
-    return DriftTail(min(1.0, max(0.0, raw)), raw, log_raw)
-
-
-def tail_lower(
-    beta: BetaLike, gamma: float, g0: float, ga: float, t: float, absorbing: bool = False
-) -> DriftTail:
-    """P(T_a < t): sum-of-products form, or the product form when the
-    states at or below a are absorbing."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if t <= 0:
-        return DriftTail(0.0, 0.0, -math.inf)
-    logs = _log_beta_products(beta, t)
-    shift = -gamma * (g0 - ga)
-    if absorbing:
-        log_raw = logs[-1] + shift
-    else:
-        # log sum over s = 1..t-1 of prod_{r<s} beta
-        terms = logs[1:-1]
-        if not terms:
-            return DriftTail(0.0, 0.0, -math.inf)
-        peak = max(terms)
-        log_raw = peak + log(sum(exp(v - peak) for v in terms)) + shift
-    raw = exp(log_raw) if log_raw < 700 else math.inf
-    return DriftTail(min(1.0, max(0.0, raw)), raw, log_raw)
 
 
 # ------------------------------------------------------ coupon-style bound

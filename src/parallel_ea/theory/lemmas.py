@@ -24,7 +24,6 @@ from .pmf import (
     _delta0_tail_counts,
     delta0_pmf,
     delta0_point_log_prob,
-    delta0_tail_prob,
 )
 
 # Explicit constants carried by the bounds being verified.
@@ -409,28 +408,3 @@ def verify_coupon(delta: float = DEFAULT_DELTA, ns: Sequence[int] = (10, 100, 10
                        {"n": n, "survival": survival, "floor": floor_val}
                        if survival < floor_val else None)
     return report
-
-
-def exact_vs_log_max_error(n: int) -> float:
-    """Cross-validation of the two pmf backends: worst relative disagreement
-    over a spread of (s, m, r) cells at this n."""
-    worst = 0.0
-    for s in range(0, n // 2 + 1, max(1, n // 8)):
-        for m in range(s, n - s + 1, max(1, n // 8)):
-            for r in range(0, n + 1, max(1, n // 8)):
-                params = ProgressParams(n, s, m, r)
-                exact = delta0_pmf(params, EXACT)
-                for z in range(1, s + 1):
-                    p_exact = float(exact.prob(z))
-                    if p_exact == 0.0:
-                        continue
-                    p_log = exp(delta0_point_log_prob(n, s, m, r, z))
-                    worst = max(worst, abs(p_log - p_exact) / p_exact)
-    return worst
-
-
-def chvatal_point_check(n: int, s: int, m: int, r: int) -> dict:
-    """Exact tail value and bound at one cell, for spot checks."""
-    tail = delta0_tail_prob(n, s, m, r)
-    bound = exp(-((m - s) ** 2) / (2 * r))
-    return {"tail": tail, "bound": bound, "pass": float(tail) <= bound}

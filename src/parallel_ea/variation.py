@@ -8,14 +8,15 @@ over flip radii with uniform sampling on the radius-r sphere.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, exp, lgamma, log, log1p
 from typing import Optional
 
-import numpy as np
-
 from .bitstring import BitString, hamming_distance
+from .rng import UniformStream
 
 FLIP_EXACT = "flip-exact-r"
 STANDARD_MUTATION = "standard-mutation"
@@ -68,34 +69,67 @@ def complement_op() -> UnaryOperator:
     return UnaryOperator(COMPLEMENT)
 
 
-def sample_distinct_positions(rng: np.random.Generator, n: int, r: int) -> list[int]:
+def sample_distinct_positions(rng: UniformStream, n: int, r: int) -> list[int]:
     """r distinct positions from {0..n-1}, uniform over r-subsets.
 
     Partial Fisher-Yates on a sparse index map: O(r) expected time, so
-    small radii stay cheap at large n.
+    small radii stay cheap at large n.  Step i swaps in position
+    j = i + floor(u * (n - i)) for the stream's next double u, which is
+    uniform on {i..n-1} to within 2^-52.
     """
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
+    u = rng.next_double
     swapped: dict[int, int] = {}
     out = []
     for i in range(r):
-        j = int(rng.integers(i, n))
+        j = i + int(u() * (n - i))
         out.append(swapped.get(j, j))
         swapped[j] = swapped.get(i, i)
     return out
 
 
-def apply(op: UnaryOperator, x: BitString, rng: np.random.Generator) -> BitString:
-    """Draw one offspring of x under op.
+@lru_cache(maxsize=1024)
+def _binomial_cdf(n: int, p: float) -> tuple[float, ...]:
+    """Inverse-CDF table of Binomial(n, p): entry r is P(R <= r).
+
+    The terms are exponentiated from log space, so none underflows as a
+    whole-table recurrence from (1-p)^n would at large n.  The table ends
+    where the sum reaches 1.0 in floating point, and its last entry is set
+    to 1.0: a u past the sum takes the last radius, not n.
+    """
+    if p == 0.0:
+        return (1.0,)
+    if p == 1.0:
+        return (0.0,) * n + (1.0,)
+    log_p, log_q, head = log(p), log1p(-p), lgamma(n + 1)
+    mean = n * p
+    cdf: list[float] = []
+    total = 0.0
+    for r in range(n + 1):
+        term = exp(head - lgamma(r + 1) - lgamma(n - r + 1) + r * log_p + (n - r) * log_q)
+        if r > mean and total + term == total:  # the terms left cannot move the sum
+            break
+        total += term
+        cdf.append(total)
+        if total >= 1.0:
+            break
+    cdf[-1] = 1.0
+    return tuple(cdf)  # shared by every caller of the cache, so immutable
+
+
+def apply(op: UnaryOperator, x: BitString, rng: UniformStream) -> BitString:
+    """Draw one offspring of x under op, from the stream's uniform doubles.
 
     flip-exact-r is uniform on the radius-r sphere around x; r is checked
-    against n here.  standard-mutation samples r ~ Binomial(n, p), p being
-    checked when op was built, and then flips a uniform r-subset, which is
-    exactly the iid per-bit flip distribution.
+    against n here.  standard-mutation reads r ~ Binomial(n, p) off the
+    inverse-CDF table of (n, p), p being checked when op was built, and then
+    flips a uniform r-subset, which is exactly the iid per-bit flip
+    distribution.
     """
     n = x.n
     if op.kind == STANDARD_MUTATION:
-        r = int(rng.binomial(n, op.p))
+        r = bisect_right(_binomial_cdf(n, op.p), rng.next_double())
     elif op.kind == FLIP_EXACT:
         op.validate_for(n)
         r = op.r
@@ -109,27 +143,28 @@ def apply(op: UnaryOperator, x: BitString, rng: np.random.Generator) -> BitStrin
     return x.flip_mask(mask)
 
 
-def ones_counts(op: UnaryOperator, n: int, k: int, size: int, rng: np.random.Generator) -> list[int]:
+def ones_counts(op: UnaryOperator, n: int, k: int, size: int, rng: UniformStream) -> list[int]:
     """Ones counts of `size` independent offspring of a point with k ones.
 
     The image of `apply` under x -> |x|_1, for the elitist runners'
     operators.  Standard mutation flips each bit independently, so an
     offspring gains Binomial(n - k, p) ones and loses Binomial(k, p);
     flip-exact at radius 1 (RLS) gains a one exactly when its position is
-    one of the n - k zeros, with probability (n - k)/n, read off a uniform
-    double (to within 2^-52; an integer draw costs several times more per
-    call).  The counts are Python ints.
+    one of the n - k zeros, with probability (n - k)/n, read off the
+    stream's next double (to within 2^-52, as in `apply`).  The counts are
+    Python ints.
     """
     if op.kind == STANDARD_MUTATION:
         gain = rng.binomial(n - k, op.p, size=size)
         loss = rng.binomial(k, op.p, size=size)
         return (k + gain - loss).tolist()
     if op.kind == FLIP_EXACT and op.r == 1:
-        return [k + 1 if u * n < n - k else k - 1 for u in rng.random(size).tolist()]
+        u = rng.next_double
+        return [k + 1 if u() * n < n - k else k - 1 for _ in range(size)]
     raise ValueError(f"no ones-count sampler for {op}")
 
 
-def mirrored(op: UnaryOperator, x: BitString, rng: np.random.Generator) -> tuple[BitString, BitString]:
+def mirrored(op: UnaryOperator, x: BitString, rng: UniformStream) -> tuple[BitString, BitString]:
     """Offspring plus its complement (the complement query is 'free')."""
     y = apply(op, x, rng)
     return y, y.complement()
@@ -142,8 +177,18 @@ def radius_pmf(op: UnaryOperator, n: int) -> dict[int, Fraction]:
         return {op.r: Fraction(1)}
     if op.kind == COMPLEMENT:
         return {n: Fraction(1)}
+    # C(n, r) p^r q^(n-r) from the term before it: every product has one
+    # small factor, so no step reduces two big fractions against each other
     p = Fraction(op.p)
-    return {r: comb(n, r) * p**r * (1 - p) ** (n - r) for r in range(n + 1)}
+    q = 1 - p
+    if q == 0:
+        return {r: Fraction(int(r == n)) for r in range(n + 1)}
+    odds = p / q
+    pmf, term = {}, q**n
+    for r in range(n + 1):
+        pmf[r] = term
+        term = term * odds * Fraction(n - r, r + 1)
+    return pmf
 
 
 def transition_prob(op: UnaryOperator, x: BitString, y: BitString) -> Fraction:

@@ -91,6 +91,23 @@ def test_lemma_choices_are_the_lemma_ids():
     assert sorted(lemma.choices) == sorted(LEMMA_ARGS)
 
 
+@pytest.mark.parametrize("argv", [
+    ["coupon", "--lambda", "0", "--trials", "0"],
+    ["chvatal", "--n", "16", "--trials", "5", "--lambda", "3"],
+    ["mgf-max", "--n", "16"],
+    ["mgf", "--n", "16", "--seed", "1"],
+    ["multibit", "--delta", "0.5"],
+    ["mgf-max", "--lambda", "3", "4"],
+], ids=["coupon-lambda-trials", "chvatal-trials-lambda", "mgf-max-n", "mgf-seed", "multibit-delta",
+        "mgf-max-two-lambdas"])
+def test_verify_refuses_options_the_lemma_does_not_read(capsys, argv):
+    assert main(["verify", "--lemma", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: verify --lemma {argv[0]} ")
+
+
 def test_verify_multibit_domain_error(capsys):
     code = main(["verify", "--lemma", "multibit", "--n", "1024"])
     assert code == 2

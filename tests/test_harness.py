@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -157,6 +158,18 @@ def test_worker_pool_matches_serial(tmp_path):
     run_experiment(onemax_spec(tmp_path, "serial.csv"), workers=1)
     run_experiment(onemax_spec(tmp_path, "pool.csv"), workers=2)
     assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pool.csv").read_bytes()
+
+
+def test_worker_pool_matches_serial_on_bit_strings(tmp_path):
+    # onemax runs on the ones-count chain; leadingones samples bit strings
+    # from each run's buffered uniform stream
+    spec = functools.partial(onemax_spec, tmp_path, objective={"name": "leadingones", "n": 30},
+                             lambdas=[1, 3])
+    run_experiment(spec("serial.csv"), workers=1)
+    run_experiment(spec("pool.csv"), workers=2)
+    serial = (tmp_path / "serial.csv").read_bytes()
+    assert serial == (tmp_path / "pool.csv").read_bytes()
+    assert len(read_runs(str(tmp_path / "serial.csv"))) == 10
 
 
 def test_csv_round_trip(tmp_path):

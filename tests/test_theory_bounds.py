@@ -5,7 +5,6 @@ import pytest
 from parallel_ea.theory.bounds import (
     BOUNDS,
     adaptive_ub,
-    additive_bounds,
     coupon_bound,
     cutoff_fixed_ea,
     cutoff_leadingones,
@@ -17,11 +16,8 @@ from parallel_ea.theory.bounds import (
     lb_parallel_term,
     lb_unique,
     ln_plus,
-    tail_lower,
-    tail_upper,
     ub_leadingones,
 )
-from parallel_ea.theory.lemmas import GAMMA_POTENTIAL
 
 
 def test_ln_plus():
@@ -102,51 +98,6 @@ def test_shape_curves_total():
     assert cutoff_onemax(10**6) > 0
     assert cutoff_fixed_ea(4) > 0  # ln+ clamps keep small n total
     assert hcy_onemax(100, 2) > 0
-
-
-def test_additive_bounds():
-    assert additive_bounds(1000.0, 1.0) == 1000.0
-    assert additive_bounds(12.0, 3.0) == 4.0
-    with pytest.raises(ValueError):
-        additive_bounds(5.0, 0.0)
-
-
-def test_tail_lower_reproduces_potential_chain():
-    # absorbing form with beta = 8 lam, t = c n / ln+ lam, c = (3/10) gamma
-    n, lam = 500, 64
-    gamma = GAMMA_POTENTIAL
-    c = 0.3 * gamma
-    t = c * n / ln_plus(lam)
-    res = tail_lower(8.0 * lam, gamma, g0=n, ga=0, t=t, absorbing=True)
-    expected_log = t * log(8 * lam) - gamma * n
-    assert res.log_raw == pytest.approx(expected_log)
-    assert res.raw == pytest.approx(exp(expected_log))
-    # ln(8 lam) <= 3 ln+ lam makes the raw value at most e^{(3c-gamma) n},
-    # and the constants collapse: 3c - gamma = -gamma/10
-    assert res.log_raw <= (3 * c - gamma) * n + 1e-9
-    assert 3 * c - gamma == pytest.approx(-gamma / 10)
-    assert 0.0 <= res.value <= 1.0
-
-
-def test_tail_lower_t_zero_and_sequence_mode():
-    assert tail_lower(8.0, 0.1, 10, 0, 0).value == 0.0
-    seq = [2.0, 3.0, 4.0]
-    res = tail_lower(seq, 0.5, 4, 0, 3, absorbing=True)
-    assert res.raw == pytest.approx(2 * 3 * 4 * exp(-0.5 * 4))
-    res_sum = tail_lower(seq, 0.5, 4, 0, 3, absorbing=False)
-    # sum over s=1,2 of prod beta: 2 + 2*3
-    assert res_sum.raw == pytest.approx((2 + 6) * exp(-0.5 * 4))
-    with pytest.raises(ValueError):
-        tail_lower(seq, 0.5, 4, 0, 5)
-
-
-def test_tail_upper():
-    res = tail_upper(0.5, 1.0, 3, 0, 4)
-    assert res.raw == pytest.approx(0.5**4 * exp(3.0))
-    assert res.value <= 1.0
-    assert tail_upper(0.5, 1.0, 3, 0, 0).value == 0.0
-    with pytest.raises(ValueError):
-        tail_upper(0.5, -1.0, 3, 0, 4)
 
 
 def test_coupon_bound():

@@ -11,9 +11,7 @@ from parallel_ea.theory.lemmas import (
     ETA_DROP_CHAIN,
     ETA_FREE_RIDERS,
     GAMMA_POTENTIAL,
-    chvatal_point_check,
     drop_chain_series,
-    exact_vs_log_max_error,
     expected_max_bound,
     expected_max_drop,
     mc_check_max_geometric,
@@ -29,6 +27,9 @@ from parallel_ea.theory.lemmas import (
     verify_multibit_progress,
 )
 from parallel_ea.theory.pmf import (
+    EXACT,
+    ProgressParams,
+    delta0_pmf,
     delta0_point_log_prob,
     delta0_point_prob,
     delta0_tail_prob,
@@ -71,12 +72,10 @@ def test_chvatal_small_grid():
 
 
 def test_chvatal_spot_values():
-    # m = s: bound is exp(0) = 1
-    assert chvatal_point_check(32, 4, 4, 8)["bound"] == 1.0
+    # m = s: the bound exp(-(m-s)^2/(2r)) is 1, and the exact tail a probability
+    assert float(delta0_tail_prob(32, 4, 4, 8)) <= 1.0
     # n=64, m-s=16, r=8: exact tail under e^-16
-    res = chvatal_point_check(64, 4, 20, 8)
-    assert float(res["tail"]) <= exp(-16.0)
-    assert res["pass"]
+    assert float(delta0_tail_prob(64, 4, 20, 8)) <= exp(-16.0)
 
 
 def test_chvatal_exact_tail_is_fraction():
@@ -182,9 +181,19 @@ def test_drop_chain_constants():
 
 
 def test_backends_cross_validate():
-    # the exact big-rational and log-gamma backends agree pointwise
+    # the exact big-rational and log-gamma backends agree pointwise, over a
+    # spread of (s, m, r) cells at each n
     for n in (64, 128):
-        assert exact_vs_log_max_error(n) < 1e-10
+        step = n // 8
+        for s in range(0, n // 2 + 1, step):
+            for m in range(s, n - s + 1, step):
+                for r in range(0, n + 1, step):
+                    exact = delta0_pmf(ProgressParams(n, s, m, r), EXACT)
+                    for z in range(1, s + 1):
+                        p_exact = float(exact.prob(z))
+                        if p_exact:
+                            p_log = exp(delta0_point_log_prob(n, s, m, r, z))
+                            assert abs(p_log - p_exact) < 1e-10 * p_exact, (n, s, m, r, z)
 
 
 def test_report_violation_capture():

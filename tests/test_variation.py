@@ -1,8 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from parallel_ea.algorithms import adaptive_rate
 from parallel_ea.bitstring import BitString, hamming_distance, random_bitstring
 from parallel_ea.rng import derive_rng
 from parallel_ea.variation import (
@@ -69,6 +71,43 @@ def test_apply_radius_binomial_mean():
     op = standard_mutation(p)
     mean = sum(hamming_distance(x, apply(op, x, rng)) for _ in range(reps)) / reps
     assert 0.97 <= mean <= 1.03
+
+
+RADIUS_LAWS = [
+    # (seed, n, operator, samples)
+    (1, 150, standard_mutation(1 / 150), 20_000),
+    (2, 1000, standard_mutation(adaptive_rate(1, 1000, 512)), 20_000),
+    (3, 1000, standard_mutation(adaptive_rate(500, 1000, 512)), 20_000),
+    (4, 10**4, standard_mutation(0.5), 500),
+    (5, 150, flip_exact(1), 2_000),
+    (6, 150, flip_exact(3), 2_000),
+]
+
+
+@pytest.mark.parametrize("seed, n, op, samples", RADIUS_LAWS,
+                         ids=["p=1/150", "n=1000-i=1", "n=1000-i=500", "n=1e4-p=0.5", "flip-1", "flip-3"])
+def test_apply_radius_law_chi_square(seed, n, op, samples):
+    # apply's flip radius against radius_pmf, neighbouring radii pooled into
+    # bins of at least 5 expected draws
+    stats = pytest.importorskip("scipy.stats")
+    rng = derive_rng(seed)
+    x = random_bitstring(n, rng)
+    counts = Counter(hamming_distance(x, apply(op, x, rng)) for _ in range(samples))
+    observed, expected = [], []
+    o = e = 0.0
+    for r, p in radius_pmf(op, n).items():
+        o, e = o + counts.pop(r, 0), e + float(p) * samples
+        if e >= 5:
+            observed.append(o)
+            expected.append(e)
+            o = e = 0.0
+    observed[-1] += o
+    expected[-1] += e
+    assert not counts  # no draw outside the law's support
+    if len(observed) == 1:  # a point mass: every draw at that radius
+        assert observed == [samples]
+    else:
+        assert stats.chisquare(observed, expected).pvalue > 1e-3
 
 
 def test_sample_distinct_positions_uniform_over_pairs():
