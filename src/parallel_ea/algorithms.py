@@ -15,9 +15,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .bitstring import BitString, random_bitstring
-from .objectives.base import ONES_COUNT_ONLY, Objective
+from .objectives.base import CHAIN, Objective
 from .rng import as_stream, derive_rng
-from .variation import UnaryOperator, apply, mirrored, ones_counts, single_bit, standard_mutation
+from .variation import UnaryOperator, apply, mirrored, single_bit, standard_mutation
 
 ONE_PLUS_LAMBDA_FIXED = "one-plus-lambda-fixed"
 ONE_PLUS_LAMBDA_ADAPTIVE = "one-plus-lambda-adaptive"
@@ -205,31 +205,37 @@ def run_one_plus_lambda(
     initial batch, then each generation's lambda offspring, with the parent
     that follows them.
 
-    On an objective whose metadata declares ONES_COUNT_ONLY the run is the
-    exact chain of the parent's ones count k: offspring are ones counts
-    from `ones_counts`, no bit string is sampled, and `evaluate` and the
-    target run once per count, on its representative 1^k 0^(n-k).  The
-    hook sees those representatives.
+    On an objective whose metadata declares a `Chain` the run is the exact
+    chain of the parent's state s: offspring are states from the chain's
+    sampler, no bit string is sampled, and `evaluate` and the target run
+    once per state, on its representative.  The hook sees those
+    representatives.  A chain that needs a uniform start does not run from
+    `initial`, and one whose state does not hold the zero count does not
+    run the adaptive EA: those runs sample bit strings.
 
     rng may be any Generator: the run wraps it once, with `as_stream`, in a
     UniformStream on the same bit generator, whose buffered doubles feed
-    `apply` and RLS's ones counts.  The chain's binomial draws, the initial
-    batch and the tie breaks read the bit generator directly.
+    `apply` and the chains' samplers.  The ones-count chain's binomial
+    draws, the bit path's initial batch and the tie breaks read the bit
+    generator directly.
     """
     check_elitist_run(cfg, obj)
     rng = as_stream(rng) if rng is not None else derive_rng(cfg.seed)
     n, lam = cfg.n, cfg.lam
     better = obj.better
 
-    if obj.metadata.get(ONES_COUNT_ONLY):
-        point = _Memo(lambda k: BitString(n, (1 << k) - 1)).__getitem__
-        fitness = _Memo(lambda k: obj.evaluate(point(k))).__getitem__
-        hit = _Memo(lambda k: obj.target.contains(point(k))).__getitem__
-        operator_for = _operator_schedule(cfg, lambda k: n - k)
-        batch = [initial.count_ones()] if initial is not None else rng.binomial(n, 0.5, size=lam).tolist()
+    chain = obj.metadata.get(CHAIN)
+    if chain is not None and (initial is None or chain.any_start) \
+            and (chain.zeros is not None or cfg.algorithm != ONE_PLUS_LAMBDA_ADAPTIVE):
+        point = _Memo(lambda s: chain.point(n, s)).__getitem__
+        fitness = _Memo(lambda s: obj.evaluate(point(s))).__getitem__
+        hit = _Memo(lambda s: obj.target.contains(point(s))).__getitem__
+        operator_for = _operator_schedule(cfg, lambda s: chain.zeros(n, s))
+        batch = [chain.state(initial)] if initial is not None else chain.initial(n, lam, rng)
+        sample = chain.offspring
 
-        def offspring(k: int) -> list[int]:
-            return ones_counts(operator_for(k), n, k, lam, rng)
+        def offspring(s: int) -> list[int]:
+            return sample(operator_for(s), n, s, lam, rng)
     else:
         fitness, hit, point = obj.evaluate, obj.target.contains, lambda y: y
         operator_for = _operator_schedule(cfg, BitString.count_zeros)

@@ -8,15 +8,64 @@ from numbers import Integral
 from typing import Callable, Iterable, Optional
 
 from ..bitstring import BitString, hamming_ball_size, hamming_distance
+from ..variation import (
+    leading_ones_counts,
+    ones_counts,
+    uniform_leading_ones_counts,
+    uniform_ones_counts,
+)
 
 GLOBAL_OPTIMA = "global-optima"
 LOCAL_OPTIMA = "local-optima"
 WITHIN_DISTANCE = "within-distance"
 
-# Objective.metadata key: true when evaluate and target.contains depend on x
-# only through its ones count |x|_1, so that the elitist runners may simulate
-# the ones count instead of bit strings.
-ONES_COUNT_ONLY = "ones-count-only"
+# Objective.metadata key of a Chain: the elitist runners may simulate its
+# state instead of bit strings.
+CHAIN = "chain"
+
+
+@dataclass(frozen=True)
+class Chain:
+    """An exact Markov chain of the elitist runners' parent, on an integer state.
+
+    The declaring objective's evaluate and target.contains depend on x only
+    through state(x), and under RLS and standard mutation the parent's state
+    is a Markov chain whose steps the samplers draw:
+
+    - state(x): the state of a point;
+    - point(n, s): the representative point of state s, on which evaluate
+      and the target run once per state;
+    - initial(n, lam, rng): the states of lam uniform points;
+    - offspring(op, n, s, lam, rng): the states of lam independent
+      offspring of a parent in state s;
+    - zeros(n, s): the zero count of state s, or None when the state does
+      not hold it (the adaptive EA, which reads it, then samples bit strings);
+    - any_start: whether the chain is exact from any given point, or only
+      from a uniform start.
+    """
+
+    state: Callable[[BitString], int]
+    point: Callable[[int, int], BitString]
+    initial: Callable
+    offspring: Callable
+    zeros: Optional[Callable[[int, int], int]] = None
+    any_start: bool = False
+
+
+def _prefix_ones(n: int, s: int) -> BitString:
+    return BitString(n, (1 << s) - 1)
+
+
+# fitness and target depend on |x|_1 alone; the representative is 1^k 0^(n-k)
+ONES_COUNT = Chain(BitString.count_ones, _prefix_ones, uniform_ones_counts, ones_counts,
+                   zeros=lambda n, k: n - k, any_start=True)
+# the leading-ones count l: the bits after the first zero stay uniform, and
+# nothing reads them, so the chain needs a uniform start; 1^l 0^(n-l)
+LEADING_ONES = Chain(BitString.leading_ones, _prefix_ones, uniform_leading_ones_counts,
+                     leading_ones_counts)
+# its mirror image, the leading-zeros count, on 0^l 1^(n-l)
+LEADING_ZEROS = Chain(BitString.leading_zeros, lambda n, s: _prefix_ones(n, s).complement(),
+                      uniform_leading_ones_counts, leading_ones_counts)
 
 
 def is_int(value) -> bool:
@@ -109,13 +158,13 @@ class Objective:
         return operator.gt if self.direction == "max" else operator.lt
 
     def with_target(self, target: TargetSet) -> "Objective":
-        """The same function with another target.  The ones-count declaration
-        is dropped, since the new target need not depend on |x|_1 alone."""
+        """The same function with another target.  The chain declaration is
+        dropped, since the new target need not depend on the state alone."""
         return Objective(
             name=self.name,
             n=self.n,
             evaluate=self.evaluate,
             target=target,
             direction=self.direction,
-            metadata={k: v for k, v in self.metadata.items() if k != ONES_COUNT_ONLY},
+            metadata={k: v for k, v in self.metadata.items() if k != CHAIN},
         )

@@ -3,7 +3,16 @@
 from __future__ import annotations
 
 from ..bitstring import BitString
-from .base import GLOBAL_OPTIMA, ONES_COUNT_ONLY, Objective, TargetSet, check_int
+from .base import (
+    CHAIN,
+    GLOBAL_OPTIMA,
+    LEADING_ONES,
+    LEADING_ZEROS,
+    ONES_COUNT,
+    Objective,
+    TargetSet,
+    check_int,
+)
 
 
 def onemax(x: BitString) -> int:
@@ -82,7 +91,7 @@ def onemax_objective(n: int) -> Objective:
         n=n,
         evaluate=onemax,
         target=TargetSet.from_points([BitString.ones(n)], GLOBAL_OPTIMA, "1^n"),
-        metadata={ONES_COUNT_ONLY: True},
+        metadata={CHAIN: ONES_COUNT},
     )
 
 
@@ -92,6 +101,7 @@ def leadingones_objective(n: int) -> Objective:
         n=n,
         evaluate=leadingones,
         target=TargetSet.from_points([BitString.ones(n)], GLOBAL_OPTIMA, "1^n"),
+        metadata={CHAIN: LEADING_ONES},
     )
 
 
@@ -101,6 +111,7 @@ def leadingzeros_objective(n: int) -> Objective:
         n=n,
         evaluate=leadingzeros,
         target=TargetSet.from_points([BitString.zeros(n)], GLOBAL_OPTIMA, "0^n"),
+        metadata={CHAIN: LEADING_ZEROS},
     )
 
 
@@ -112,7 +123,7 @@ def twomax_objective(n: int) -> Objective:
         target=TargetSet.from_points(
             [BitString.zeros(n), BitString.ones(n)], GLOBAL_OPTIMA, "0^n and 1^n"
         ),
-        metadata={ONES_COUNT_ONLY: True},
+        metadata={CHAIN: ONES_COUNT},
     )
 
 
@@ -122,7 +133,7 @@ def twomax_prime_objective(n: int) -> Objective:
         n=n,
         evaluate=twomax_prime,
         target=TargetSet.from_points([BitString.ones(n)], GLOBAL_OPTIMA, "1^n"),
-        metadata={ONES_COUNT_ONLY: True},
+        metadata={CHAIN: ONES_COUNT},
     )
 
 
@@ -146,7 +157,7 @@ def jump_objective(n: int, k: int) -> Objective:
         n=n,
         evaluate=lambda x, _k=k: jump_k(x, _k),
         target=TargetSet.from_points([BitString.ones(n)], GLOBAL_OPTIMA, "1^n"),
-        metadata={ONES_COUNT_ONLY: True, "k": k},
+        metadata={CHAIN: ONES_COUNT, "k": k},
     )
 
 
@@ -157,5 +168,5 @@ def cliff_objective(n: int, d: int) -> Objective:
         n=n,
         evaluate=lambda x, _d=d: cliff_d(x, _d),
         target=TargetSet.from_points([BitString.ones(n)], GLOBAL_OPTIMA, "1^n"),
-        metadata={ONES_COUNT_ONLY: True, "d": d},
+        metadata={CHAIN: ONES_COUNT, "d": d},
     )

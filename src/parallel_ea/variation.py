@@ -164,6 +164,84 @@ def ones_counts(op: UnaryOperator, n: int, k: int, size: int, rng: UniformStream
     raise ValueError(f"no ones-count sampler for {op}")
 
 
+def uniform_ones_counts(n: int, size: int, rng: UniformStream) -> list[int]:
+    """Ones counts of `size` uniform points: Binomial(n, 1/2), drawn off the
+    bit generator in one vector call."""
+    return rng.binomial(n, 0.5, size=size).tolist()
+
+
+_LN_HALF = log(0.5)
+
+
+def _halving_run(u: float, cap: int) -> int:
+    """min(R, cap) for P(R >= k) = 2^-k, read off one uniform double u: the
+    length of a run of fair coin flips that come up one."""
+    return min(int(log1p(-u) / _LN_HALF), cap)
+
+
+def uniform_leading_ones_counts(n: int, size: int, rng: UniformStream) -> list[int]:
+    """Leading-ones counts of `size` uniform points: P(LO >= k) = 2^-k,
+    capped at n, one stream double each."""
+    u = rng.next_double
+    return [_halving_run(u(), n) for _ in range(size)]
+
+
+def leading_ones_counts(op: UnaryOperator, n: int, l: int, size: int,
+                        rng: UniformStream) -> list[int]:
+    """Leading-ones counts of `size` independent offspring of a point with
+    l leading ones whose bits after its first zero are uniform.
+
+    Each offspring reads its first flipped position f off one stream double
+    u: f = floor(ln(1-u) / ln(1-p)) under standard mutation, floor(u n)
+    under flip-exact radius 1 (RLS).  f < l cuts the prefix at f; f > l
+    (or no flip) leaves l; f = l makes an improver with l + 1 + R leading
+    ones, R the run of free riders after position l.  Those bits are the
+    parent's uniform suffix under an independent mask, so one improver's R
+    has P(R >= k) = 2^-k, capped at n - l - 1, from one more double.
+    Several improvers share the parent's suffix: the walk draws the
+    parent's bit once per position and each live improver's mask bit apart,
+    and an improver stops where the two are equal.  Under RLS the mask is
+    empty, so its improvers share one run.
+    """
+    u = rng.next_double
+    if op.kind == STANDARD_MUTATION:
+        if op.p == 0.0:
+            return [l] * size
+        lq = log1p(-op.p)
+        firsts = [log1p(-u()) / lq for _ in range(size)] if size > 1 else [log1p(-u()) / lq]
+    elif op.kind == FLIP_EXACT and op.r == 1:
+        firsts = [u() * n for _ in range(size)] if size > 1 else [u() * n]
+    else:
+        raise ValueError(f"no leading-ones sampler for {op}")
+    # floor(f) < l exactly when f < l, and f in [l, top) flips bit l first
+    top = l + 1 if l < n else l
+    if size == 1:  # the loop below would double this call's cost
+        f = firsts[0]
+        return [int(f) if f < l else l if f >= top else l + 1 + _halving_run(u(), n - l - 1)]
+    out, improvers = [], []
+    for i, f in enumerate(firsts):
+        if f < l:
+            out.append(int(f))
+        elif f < top:
+            improvers.append(i)
+            out.append(l + 1)
+        else:
+            out.append(l)
+    if len(improvers) == 1:
+        out[improvers[0]] += _halving_run(u(), n - l - 1)
+    elif improvers:
+        p = op.p if op.kind == STANDARD_MUTATION else 0.0  # RLS flips nothing else
+        live = improvers
+        for _ in range(n - l - 1):
+            one = u() < 0.5  # the parent's bit here; an offspring keeps a one
+            live = [i for i in live if (u() < p) != one]  # where its mask bit differs
+            if not live:
+                break
+            for i in live:
+                out[i] += 1
+    return out
+
+
 def mirrored(op: UnaryOperator, x: BitString, rng: UniformStream) -> tuple[BitString, BitString]:
     """Offspring plus its complement (the complement query is 'free')."""
     y = apply(op, x, rng)

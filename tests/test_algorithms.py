@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,9 +17,9 @@ from parallel_ea.algorithms import (
     run_rls,
 )
 from parallel_ea.bitstring import BitString, random_bitstring
-from parallel_ea.objectives import ONES_COUNT_ONLY, make_objective, onemax_objective
+from parallel_ea.objectives import CHAIN, ONES_COUNT, make_objective, onemax_objective
 from parallel_ea.rng import derive_rng, derive_run_seed
-from parallel_ea.variation import standard_mutation
+from parallel_ea.variation import ones_counts, standard_mutation
 
 
 def fixed_cfg(n, lam, budget=10**8, seed=0, p=None):
@@ -173,23 +174,25 @@ def test_one_plus_one_matches_reference_implementation():
 def test_adaptive_rate_follows_parent_zero_count(monkeypatch):
     # jump-3 at n=100: a parent with 10 zeros has fitness 93, so a rate
     # read off the fitness would be the one for 7 zeros.  Jump runs the
-    # ones-count chain (one ones_counts call per generation); the same
+    # ones-count chain (one call of its sampler per generation); the same
     # function without the declaration runs the bit path (lambda apply calls).
     n, lam = 100, 64
     assert adaptive_rate(10, n, lam) != adaptive_rate(7, n, lam)
-    chain = make_objective("jump", n, k=3)
-    bits = chain.with_target(chain.target)
-    assert chain.metadata[ONES_COUNT_ONLY] and ONES_COUNT_ONLY not in bits.metadata
+    jump = make_objective("jump", n, k=3)
+    bits = jump.with_target(jump.target)
+    assert jump.metadata[CHAIN] is ONES_COUNT and CHAIN not in bits.metadata
     parent = BitString(n, ((1 << n) - 1) ^ ((1 << 10) - 1))
     rates = []
-    for name in ("ones_counts", "apply"):
-        real = getattr(algorithms, name)
 
-        def recording(op, *args, _real=real):
+    def recording(real):
+        def sampler(op, *args):
             rates.append(op.p)
-            return _real(op, *args)
+            return real(op, *args)
+        return sampler
 
-        monkeypatch.setattr(algorithms, name, recording)
+    chain = dataclasses.replace(jump, metadata={
+        **jump.metadata, CHAIN: dataclasses.replace(ONES_COUNT, offspring=recording(ones_counts))})
+    monkeypatch.setattr(algorithms, "apply", recording(algorithms.apply))
     cfg = AlgoConfig("one-plus-lambda-adaptive", n=n, lam=lam, budget=1 + lam, seed=0)
     for obj, calls in ((chain, 1), (bits, lam)):
         rates.clear()

@@ -109,6 +109,19 @@ def test_flip():
         x.flip([4])
 
 
+@given(st.integers(1, 80), st.integers(0, 2**80 - 1), st.integers(0, 2**80 - 1))
+def test_unchecked_offspring_equal_checked_construction(n, raw, mask):
+    # flip_mask and complement skip the range check: their points must be
+    # indistinguishable from checked ones, and stay frozen
+    x = BitString(n, raw % (1 << n))
+    y = x.flip_mask(mask % (1 << n))
+    checked = BitString(n, x.value ^ (mask % (1 << n)))
+    assert y == checked and hash(y) == hash(checked) and repr(y) == repr(checked)
+    assert x.complement() == BitString(n, x.value ^ ((1 << n) - 1))
+    with pytest.raises(AttributeError):
+        y.value = 0
+
+
 def test_random_bitstring_uniform_bit_means():
     rng = derive_rng(42)
     n = 100

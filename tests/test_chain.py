@@ -1,10 +1,13 @@
-"""The ones-count chain of the elitist runners against exact laws.
+"""The chains of the elitist runners against exact laws.
 
-Objectives that declare ONES_COUNT_ONLY run as a Markov chain on the
-parent's ones count.  The oracles here build the offspring law from the
-radius law `radius_pmf` and the hypergeometric split of the radius over the
-parent's zeros and ones, not from the binomial gain/loss split the chain
-samples, so each checks the other.  Every seed is fixed in advance.
+Objectives that declare a `Chain` run as a Markov chain on the parent's
+state.  For the ones-count chain the oracles here build the offspring law
+from the radius law `radius_pmf` and the hypergeometric split of the radius
+over the parent's zeros and ones, not from the binomial gain/loss split the
+chain samples, so each checks the other.  For the leading-ones chain they
+build it from the first flipped position and the free-rider walk over live
+improvers, a recursion on the number of improvers that the sampler never
+forms.  Every seed is fixed in advance.
 """
 
 import dataclasses
@@ -15,16 +18,22 @@ import pytest
 
 from parallel_ea.algorithms import AlgoConfig, adaptive_rate, run_one_plus_lambda
 from parallel_ea.bitstring import BitString
-from parallel_ea.objectives import ONES_COUNT_ONLY, local_optima, make_objective, objective_names
+from parallel_ea.objectives import CHAIN, ONES_COUNT, local_optima, make_objective, objective_names
 from parallel_ea.rng import derive_rng, derive_run_seed
-from parallel_ea.variation import radius_pmf, single_bit, standard_mutation
+from parallel_ea.variation import (
+    leading_ones_counts,
+    radius_pmf,
+    single_bit,
+    standard_mutation,
+    uniform_leading_ones_counts,
+)
 
 stats = pytest.importorskip("scipy.stats")
 
 N = 100
 Z_LIMIT = 4.0  # two-sided normal tail 6.3e-5 per check
 ALPHA = 1e-4
-DECLARED = {"onemax", "twomax", "twomax-prime", "jump", "cliff"}
+DECLARED = {"onemax", "twomax", "twomax-prime", "jump", "cliff", "leadingones", "leadingzeros"}
 
 
 def operator(algorithm: str, n: int, lam: int, zeros: int):
@@ -96,7 +105,7 @@ def parent_with_zeros(n: int, i: int) -> BitString:
 def test_one_generation_law(algorithm, lam):
     i, calls = 20, 4000
     obj = make_objective("onemax", N)
-    assert obj.metadata[ONES_COUNT_ONLY]
+    assert obj.metadata[CHAIN] is ONES_COUNT
     rng = derive_rng(901, lam)
     counts = np.zeros(i + 1)
     for k in range(calls):
@@ -179,17 +188,204 @@ def test_chain_and_bit_path_agree(name, params, lam, ones, runs):
         assert stats.chi2_contingency(ends).pvalue > ALPHA
 
 
-def test_hook_does_not_select_the_path_or_the_stream():
-    # with and without an observer the chain draws the same stream
-    obj = make_objective("onemax", 200)
-    cfg = AlgoConfig("one-plus-lambda-adaptive", n=200, lam=16, seed=5)
+# ---------------------------------------------------- the leading-ones chain
+
+def first_flip_pmf(p, n: int) -> np.ndarray:
+    """P(f = j), j = 0..n-1, for the first flipped position f; p is None for
+    RLS, whose one flip is uniform."""
+    return np.full(n, 1.0 / n) if p is None else (1 - p) ** np.arange(n) * p
+
+
+def lo_offspring_pmf(p, n: int, l: int) -> np.ndarray:
+    """pmf over 0..n of one offspring's leading ones from a parent with l:
+    f < l gives f, f = l gives l + 1 + R with P(R >= k) = 2^-k capped at
+    n - l - 1, and everything else gives l."""
+    first = first_flip_pmf(p, n)
+    pmf = np.zeros(n + 1)
+    pmf[:l] = first[:l]
+    cap = n - l - 1
+    pmf[l + 1:n] = first[l] * 0.5 ** np.arange(1, cap + 1)
+    pmf[n] += first[l] * 0.5**cap
+    pmf[l] = 1.0 - pmf.sum()
+    return pmf
+
+
+def lo_step_joint(p, n: int, l: int, lam: int) -> np.ndarray:
+    """P(K = k, l' = j), k = 0..lam, j = 0..n: K offspring flip bit l first,
+    and l' is the parent's leading ones after one generation from l.
+
+    K ~ Binomial(lam, P(f = l)).  At each later position the parent's bit is
+    one with probability 1/2, and then each live improver stays live with
+    probability 1 - p; otherwise with probability p (0 under RLS, whose
+    improvers flip nothing else).  That is a Markov chain on the number of
+    live improvers, and the best improver gains one leading one per
+    position with an improver still live.
+    """
+    out = np.zeros((lam + 1, n + 1))
+    improver = first_flip_pmf(p, n)[l]
+    start = stats.binom.pmf(np.arange(lam + 1), lam, improver)
+    out[0, l] = start[0]
+    live = np.diag(start)  # row k: the live count of the runs that start with k
+    live[0, 0] = 0.0
+    a = np.arange(lam + 1)
+    mask = 0.0 if p is None else p
+    step = 0.5 * (stats.binom.pmf(a[None, :], a[:, None], 1 - mask)
+                  + stats.binom.pmf(a[None, :], a[:, None], mask))
+    for j in range(l + 1, n):  # mass still live before position j ends at j
+        before = live.sum(axis=1)
+        live = live @ step
+        live[:, 0] = 0.0
+        out[:, j] = before - live.sum(axis=1)
+    out[:, n] = live.sum(axis=1)
+    return out
+
+
+def lo_step_pmf(p, n: int, l: int, lam: int) -> np.ndarray:
+    """pmf over 0..n of the parent's leading ones after one generation from l."""
+    return lo_step_joint(p, n, l, lam).sum(axis=0)
+
+
+def lo_expected_generations(p, n: int, lam: int) -> float:
+    """Exact E[generations] to 1^n from the best of lam uniform points, by a
+    fitness-level DP over the parent's leading ones."""
+    gens = np.zeros(n + 1)
+    for l in range(n - 1, -1, -1):
+        law = lo_step_pmf(p, n, l, lam)
+        gens[l] = (1.0 + law[l + 1:] @ gens[l + 1:]) / (1.0 - law[l])
+    at_least = 1.0 - (1.0 - 0.5 ** np.arange(n + 1)) ** lam  # P(LO >= k) = 2^-k each
+    start = at_least - np.append(at_least[1:], 0.0)
+    return float(start @ gens)
+
+
+def lo_level_moments(p, n: int) -> tuple[float, float]:
+    """Mean and variance of the evaluations of RLS or the (1+1) EA: each level
+    l < n is visited with probability 1/2, independently, and left after a
+    Geometric(P(f = l)) wait; the + 1 is the initial evaluation."""
+    q = first_flip_pmf(p, n)
+    return 1.0 + float(np.sum(0.5 / q)), float(np.sum((3 - 2 * q) / (4 * q * q)))
+
+
+@pytest.mark.parametrize("p, lam, l", [(None, 1, 12), (None, 16, 2), (1 / 40, 1, 12),
+                                       (1 / 40, 2, 12), (1 / 40, 16, 12), (0.2, 16, 2)],
+                         ids=["rls", "rls-16", "ea-1", "ea-2", "ea-16", "ea-16-p0.2"])
+def test_leading_ones_one_generation_law(p, lam, l):
+    n, calls = 40, 200_000 // lam
+    op = single_bit() if p is None else standard_mutation(p)
+    rng = derive_rng(905, lam)
+    if lam == 1:  # every offspring against the closed form
+        counts = np.bincount([leading_ones_counts(op, n, l, 1, rng)[0] for _ in range(calls)],
+                             minlength=n + 1)
+        pmf = lo_offspring_pmf(p, n, l)
+    else:  # the number of improvers and the parent that follows, against the walk
+        counts = np.zeros((lam + 1, n + 1))
+        for _ in range(calls):
+            states = leading_ones_counts(op, n, l, lam, rng)
+            counts[sum(s > l for s in states), max(l, *states)] += 1
+        counts, pmf = counts.ravel(), lo_step_joint(p, n, l, lam).ravel()
+    assert chi_square_p(counts, pmf) > ALPHA
+
+
+def test_uniform_leading_ones_counts_law():
+    # P(LO = k) = 2^-(k+1) below n and 2^-n at n, n small enough to see the cap
+    n, calls = 6, 20_000
+    counts = np.bincount(uniform_leading_ones_counts(n, calls, derive_rng(911)), minlength=n + 1)
+    pmf = np.append(0.5 ** np.arange(1, n + 1), 0.5**n)
+    assert chi_square_p(counts, pmf) > ALPHA
+
+
+def test_leading_ones_dp_matches_closed_forms():
+    # the DP against the closed forms it must reproduce at lambda = 1, and
+    # against the values it was first computed to at n = 20
+    n = 150
+    assert lo_expected_generations(1 / n, n, 1) + 1 == pytest.approx(lo_level_moments(1 / n, n)[0])
+    assert round(lo_expected_generations(1 / n, n, 1)) == 19_304
+    assert lo_expected_generations(None, n, 1) == pytest.approx(n * n / 2)
+    assert lo_expected_generations(0.05, 20, 2) == pytest.approx(168.85, abs=0.005)
+    assert lo_expected_generations(0.05, 20, 8) == pytest.approx(42.97, abs=0.005)
+
+
+@pytest.mark.parametrize("lam", [2, 8])
+def test_leading_ones_mean_generations_match_exact_dp(lam):
+    n, runs = 20, 1200
+    obj = make_objective("leadingones", n)
+    gens = []
+    for rep in range(runs):
+        rec = run_one_plus_lambda(AlgoConfig("one-plus-lambda-fixed", n=n, lam=lam, seed=rep), obj,
+                                  derive_rng(906, lam, rep))
+        assert rec.hit_target and rec.evaluations_used == lam * (rec.generations_used + 1)
+        gens.append(rec.generations_used)
+    exact = lo_expected_generations(1 / n, n, lam)
+    z = (np.mean(gens) - exact) / (np.std(gens, ddof=1) / math.sqrt(runs))
+    assert abs(z) < Z_LIMIT, f"mean {np.mean(gens):.2f} vs exact {exact:.2f}: z = {z:+.2f}"
+
+
+@pytest.mark.parametrize("algorithm", ["one-plus-lambda-fixed", "rls"])
+def test_leading_ones_evaluations_match_closed_form(algorithm):
+    n, runs = 150, 60
+    obj = make_objective("leadingones", n)
+    evals = [run_one_plus_lambda(AlgoConfig(algorithm, n=n, seed=rep), obj,
+                                 derive_rng(907, rep)).evaluations_used for rep in range(runs)]
+    mean, var = lo_level_moments(None if algorithm == "rls" else 1 / n, n)
+    z = (np.mean(evals) - mean) / math.sqrt(var / runs)
+    assert abs(z) < Z_LIMIT, f"mean {np.mean(evals):.0f} vs exact {mean:.0f}: z = {z:+.2f}"
+
+
+@pytest.mark.parametrize("name, lam", [("leadingones", 2), ("leadingzeros", 16)])
+def test_leading_ones_chain_and_bit_path_agree(name, lam):
+    n, runs = 30, 200
+    obj = make_objective(name, n)
+    bits = obj.with_target(obj.target)
+    assert CHAIN in obj.metadata and CHAIN not in bits.metadata
+    cfg = AlgoConfig("one-plus-lambda-fixed", n=n, lam=lam)
+    chain = [run_one_plus_lambda(cfg, obj, derive_rng(908, rep)).evaluations_used
+             for rep in range(runs)]
+    bit = [run_one_plus_lambda(cfg, bits, derive_rng(909, rep)).evaluations_used
+           for rep in range(runs)]
+    assert stats.ks_2samp(chain, bit).pvalue > ALPHA
+
+
+@pytest.mark.parametrize("algorithm, start", [
+    ("one-plus-lambda-adaptive", None),
+    ("one-plus-lambda-fixed", BitString.from_str("110" + "01" * 10 + "1")),
+])
+def test_leading_ones_chain_leaves_the_other_runs_on_bit_strings(algorithm, start):
+    # the adaptive EA reads a zero count that the state does not hold, and a
+    # given start's suffix is not uniform: both runs are the bit path's own
+    n = 24
+    obj = make_objective("leadingones", n)
+    bits = obj.with_target(obj.target)
+    cfg = AlgoConfig(algorithm, n=n, lam=3, seed=1)
+    assert run_one_plus_lambda(cfg, obj, derive_rng(910), initial=start) \
+        == run_one_plus_lambda(cfg, bits, derive_rng(910), initial=start)
+
+
+def hook_keeps_the_stream(name, algorithm, lam):
+    # with and without an observer the chain draws the same stream, and the
+    # observer sees the chain's representatives
+    n = 200
+    obj = make_objective(name, n)
+    chain = obj.metadata[CHAIN]
+    cfg = AlgoConfig(algorithm, n=n, lam=lam, seed=5)
     seen = []
     plain = run_one_plus_lambda(cfg, obj, derive_rng(5))
     hooked = run_one_plus_lambda(cfg, obj, derive_rng(5),
-                                 on_generation=lambda g, q, x, f: seen.append((q, x)))
-    assert plain == hooked
-    for queried, x in seen:
-        assert all(y.value == (1 << y.count_ones()) - 1 for y in queried + [x])
+                                 on_generation=lambda g, q, x, f: seen.append((q, x, f)))
+    assert plain == hooked and plain.hit_target
+    for queried, x, fx in seen:
+        assert all(y == chain.point(n, chain.state(y)) for y in queried + [x])
+        assert fx == obj.evaluate(x)
+
+
+def test_hook_does_not_select_the_path_or_the_stream():
+    hook_keeps_the_stream("onemax", "one-plus-lambda-adaptive", 16)
+
+
+@pytest.mark.parametrize("name, algorithm, lam", [
+    ("leadingones", "one-plus-lambda-fixed", 16), ("leadingones", "rls", 1),
+    ("leadingzeros", "one-plus-lambda-fixed", 2),
+])
+def test_hook_does_not_select_the_leading_ones_path_or_the_stream(name, algorithm, lam):
+    hook_keeps_the_stream(name, algorithm, lam)
 
 
 # ------------------------------------------------------ the declaration
@@ -201,25 +397,28 @@ def build(name: str, n: int, target: str = "global"):
 
 
 def test_declared_objectives_are_constant_on_each_layer():
+    # every point of {0,1}^10, grouped by the declared chain's state
     n = 10
     declared = set()
     for name in objective_names():
         obj = build(name, n)
-        if not obj.metadata.get(ONES_COUNT_ONLY):
+        chain = obj.metadata.get(CHAIN)
+        if chain is None:
             continue
         declared.add(name)
         layers = {}
         for v in range(1 << n):
             x = BitString(n, v)
-            layers.setdefault(x.count_ones(), set()).add((obj.evaluate(x), obj.target.contains(x)))
+            layers.setdefault(chain.state(x), set()).add((obj.evaluate(x), obj.target.contains(x)))
         assert all(len(values) == 1 for values in layers.values()), name
+        assert all(chain.state(chain.point(n, s)) == s for s in layers), name
     assert declared == DECLARED
 
 
 @pytest.mark.parametrize("name", sorted(DECLARED))
 def test_new_target_drops_the_declaration(name):
     obj = build(name, 10)
-    assert ONES_COUNT_ONLY not in obj.with_target(local_optima(obj)).metadata
-    assert ONES_COUNT_ONLY not in build(name, 10, target="local").metadata
-    assert {k: v for k, v in obj.metadata.items() if k != ONES_COUNT_ONLY} \
+    assert CHAIN not in obj.with_target(local_optima(obj)).metadata
+    assert CHAIN not in build(name, 10, target="local").metadata
+    assert {k: v for k, v in obj.metadata.items() if k != CHAIN} \
         == obj.with_target(obj.target).metadata

@@ -161,9 +161,10 @@ def test_worker_pool_matches_serial(tmp_path):
 
 
 def test_worker_pool_matches_serial_on_bit_strings(tmp_path):
-    # onemax runs on the ones-count chain; leadingones samples bit strings
-    # from each run's buffered uniform stream
+    # onemax and the fixed-rate EA on leadingones run on chains; the adaptive
+    # EA on leadingones samples bit strings from each run's buffered stream
     spec = functools.partial(onemax_spec, tmp_path, objective={"name": "leadingones", "n": 30},
+                             algorithm={"algorithm": "one-plus-lambda-adaptive", "budget": 200_000},
                              lambdas=[1, 3])
     run_experiment(spec("serial.csv"), workers=1)
     run_experiment(spec("pool.csv"), workers=2)
