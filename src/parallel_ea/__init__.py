@@ -43,7 +43,6 @@ from .rng import UniformStream, as_stream, derive_rng, derive_run_seed
 from .variation import (
     UnaryOperator,
     apply,
-    complement_op,
     exact_distribution,
     flip_exact,
     mirrored,

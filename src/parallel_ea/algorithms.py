@@ -215,8 +215,8 @@ def run_one_plus_lambda(
 
     rng may be any Generator: the run wraps it once, with `as_stream`, in a
     UniformStream on the same bit generator, whose buffered doubles feed
-    `apply` and the chains' samplers.  The ones-count chain's binomial
-    draws, the bit path's initial batch and the tie breaks read the bit
+    `apply`, the chains' samplers and the tie breaks.  The ones-count
+    chain's binomial draws and the bit path's initial batch read the bit
     generator directly.
     """
     check_elitist_run(cfg, obj)
@@ -249,7 +249,8 @@ def run_one_plus_lambda(
 
     # One loop selects from the initial batch (gens = 0, x not yet set) and
     # from every generation's offspring.  Ties are listed only when they
-    # occur, and their one draw follows the batch's own draws.
+    # occur, and their one stream double (uniform over the ties to within
+    # 2^-52, as in `apply`) follows the batch's own draws.
     x = fx = first_hit = None
     evals = gens = 0
     while True:
@@ -267,7 +268,7 @@ def run_one_plus_lambda(
                     ties = [z]
                 ties.append(y)
         if ties is not None:
-            z = ties[int(rng.integers(len(ties)))]
+            z = ties[int(rng.next_double() * len(ties))]
         evals += len(batch)
         if x is None or not better(fx, fz):
             x, fx = z, fz

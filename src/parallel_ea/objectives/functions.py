@@ -157,7 +157,7 @@ def jump_objective(n: int, k: int) -> Objective:
         n=n,
         evaluate=lambda x, _k=k: jump_k(x, _k),
         target=TargetSet.from_points([BitString.ones(n)], GLOBAL_OPTIMA, "1^n"),
-        metadata={CHAIN: ONES_COUNT, "k": k},
+        metadata={CHAIN: ONES_COUNT},
     )
 
 
@@ -168,5 +168,5 @@ def cliff_objective(n: int, d: int) -> Objective:
         n=n,
         evaluate=lambda x, _d=d: cliff_d(x, _d),
         target=TargetSet.from_points([BitString.ones(n)], GLOBAL_OPTIMA, "1^n"),
-        metadata={CHAIN: ONES_COUNT, "d": d},
+        metadata={CHAIN: ONES_COUNT},
     )

@@ -1,4 +1,4 @@
-"""Combinatorial instance classes: graphs, partition, knapsack, SAT, peaks.
+"""Combinatorial instance classes: graphs, partition, knapsack, SAT.
 
 Instances are plain immutable data plus a fitness function; they exist as
 black-box landscapes only, so there are no solvers here.  Every generator
@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..bitstring import BitString, hamming_distance
+from ..bitstring import BitString
 from ..rng import derive_rng
 from ..variation import sample_distinct_positions
 from .base import GLOBAL_OPTIMA, Objective, TargetSet, check_int
@@ -79,31 +79,6 @@ def two_cliques_objective(n: int) -> Objective:
         target=TargetSet.from_points(
             [aligned, aligned.complement()], GLOBAL_OPTIMA, "the two clique-aligned bipartitions"
         ),
-        metadata={"edges": len(g.edges)},
-    )
-
-
-def colouring_objective(g: GraphInstance, name: str = "bichromatic") -> Objective:
-    """Maximise bichromatic edges; target = colourings attaining the known max.
-
-    Only feasible to construct for small n (exhaustive optimum scan).
-    """
-    if g.n > 20:
-        raise ValueError("exhaustive optimum scan capped at n <= 20")
-    best = -1
-    pts: list[BitString] = []
-    for v in range(1 << g.n):
-        x = BitString(g.n, v)
-        f = bichromatic_edges(g, x)
-        if f > best:
-            best, pts = f, [x]
-        elif f == best:
-            pts.append(x)
-    return Objective(
-        name=name,
-        n=g.n,
-        evaluate=lambda x, _g=g: bichromatic_edges(_g, x),
-        target=TargetSet.from_points(pts, GLOBAL_OPTIMA, f"max-cut value {best}"),
     )
 
 
@@ -378,104 +353,3 @@ def planted_3sat_objective(inst: SatInstance, name: str = "planted-3sat") -> Obj
         evaluate=lambda x, _i=inst: sat_count(_i, x),
         target=target,
     )
-
-
-# ----------------------------------------------------------------- peaks
-
-@dataclass(frozen=True)
-class PeakSpec:
-    centre: BitString
-    height: float
-    slope: float
-
-    def __post_init__(self) -> None:
-        if self.height <= 0 or self.slope <= 0:
-            raise ValueError("peak height and slope must be positive")
-
-
-def nearest_peak(peaks: Sequence[PeakSpec], x: BitString) -> float:
-    """Fitness from the closest peak; ties prefer the greater height, then
-    the lowest peak index, so evaluation stays deterministic."""
-    if not peaks:
-        raise ValueError("need at least one peak")
-    best = None
-    for idx, p in enumerate(peaks):
-        d = hamming_distance(x, p.centre)
-        key = (d, -p.height, idx)
-        if best is None or key < best[0]:
-            best = (key, p, d)
-    _, p, d = best
-    return p.height - p.slope * d
-
-
-def weighted_nearest_peak(peaks: Sequence[PeakSpec], x: BitString) -> float:
-    """All peaks considered: a tall far peak may dominate a shallow near one."""
-    if not peaks:
-        raise ValueError("need at least one peak")
-    return max(p.height - p.slope * hamming_distance(x, p.centre) for p in peaks)
-
-
-def peaks_objective(peaks: Sequence[PeakSpec], weighted: bool = False) -> Objective:
-    n = peaks[0].centre.n
-    if any(p.centre.n != n for p in peaks):
-        raise ValueError("all peak centres must share one dimension")
-    evaluate = weighted_nearest_peak if weighted else nearest_peak
-    # optima lie on peak centres: any other point loses slope * distance > 0
-    vals = [evaluate(peaks, p.centre) for p in peaks]
-    best = max(vals)
-    pts = [p.centre for p, v in zip(peaks, vals) if v == best]
-    return Objective(
-        name="weighted-nearest-peak" if weighted else "nearest-peak",
-        n=n,
-        evaluate=lambda x, _p=tuple(peaks): evaluate(_p, x),
-        target=TargetSet.from_points(pts, GLOBAL_OPTIMA, "highest-scoring peak centres"),
-    )
-
-
-# ------------------------------------------------------ monotone polynomials
-
-@dataclass(frozen=True)
-class MonotonePolynomial:
-    """Sum of positively weighted monomials, each a non-empty variable set."""
-
-    monomials: tuple[tuple[float, frozenset[int]], ...]
-
-    def __post_init__(self) -> None:
-        for w, vs in self.monomials:
-            if w <= 0:
-                raise ValueError("monomial weights must be strictly positive")
-            if not vs:
-                raise ValueError("monomials must be non-empty variable sets")
-
-
-def monotone_poly(poly: MonotonePolynomial, x: BitString) -> float:
-    total = 0.0
-    for w, vs in poly.monomials:
-        if any(v >= x.n for v in vs):
-            raise ValueError(f"monomial variable index out of range for n={x.n}")
-        if all(x[v] for v in vs):
-            total += w
-    return total
-
-
-def monotone_poly_objective(poly: MonotonePolynomial, n: int) -> Objective:
-    support = 0
-    for _, vs in poly.monomials:
-        for v in vs:
-            if v >= n:
-                raise ValueError("monomial variable index out of range")
-            support |= 1 << v
-    free = n - support.bit_count()
-    target = TargetSet(
-        kind=GLOBAL_OPTIMA,
-        contains=lambda x, _m=support: (x.value & _m) == _m,
-        size_bound=1 << free,
-        description="all monomial variables set; free variables arbitrary",
-    )
-    return Objective(
-        name="monotone-poly",
-        n=n,
-        evaluate=lambda x, _p=poly: monotone_poly(_p, x),
-        target=target,
-    )
-

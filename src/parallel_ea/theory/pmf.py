@@ -1,23 +1,18 @@
-"""Exact and log-space progress distributions.
+"""Exact progress laws and log-space point laws.
 
 The potential-drop law: varying a parent with m zeros at radius r turns
 Z ~ Hypergeometric(n, m, r) zero-positions into ones, so the drop of the
 zero-potential s is max{2Z - r + s - m, 0}.  The exact big-rational
-backend is authoritative for moderate n; the log-gamma backend covers n
-up to 2^20 for point queries.
+laws are authoritative for moderate n; the log-gamma point laws cover n
+up to 2^20.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, exp, inf, lgamma, log
-from typing import Mapping, Optional, Sequence, Union
-
-EXACT = "exact"
-LOG = "log"
-
-Prob = Union[Fraction, float]
+from math import comb, inf, lgamma
+from typing import Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -69,40 +64,6 @@ def hypergeom_log_pmf(n: int, m: int, r: int, z: int) -> float:
     return log_comb(m, z) + log_comb(n - m, r - z) - log_comb(n, r)
 
 
-@dataclass(frozen=True)
-class Pmf:
-    """Probability mass function on integers.
-
-    Exact mode stores big rationals summing to exactly 1; log mode stores
-    log-probabilities and normalises to 1e-12 relative.
-    """
-
-    entries: Mapping[int, Prob]
-    mode: str = EXACT
-
-    def prob(self, z: int) -> Prob:
-        if self.mode == EXACT:
-            return self.entries.get(z, Fraction(0))
-        lp = self.entries.get(z)
-        return 0.0 if lp is None else exp(lp)
-
-    def support(self) -> list[int]:
-        return sorted(self.entries)
-
-    def total(self) -> Prob:
-        if self.mode == EXACT:
-            return sum(self.entries.values(), Fraction(0))
-        return sum(exp(lp) for lp in self.entries.values())
-
-    def check_normalised(self, rel_tol: float = 1e-12) -> None:
-        total = self.total()
-        if self.mode == EXACT:
-            if total != 1:
-                raise AssertionError(f"exact pmf sums to {total}, not 1")
-        elif abs(float(total) - 1.0) > rel_tol:
-            raise AssertionError(f"log-space pmf sums to {total}, off by > {rel_tol}")
-
-
 def _delta0_index(n: int, s: int, m: int, r: int, z: int) -> Optional[int]:
     """The one hypergeometric count Z whose drop 2Z - r + s - m is z >= 1,
     or None when no integer Z has that drop.  An invalid (m, r) raises
@@ -141,25 +102,23 @@ def _delta0_counts(rows: Sequence[Sequence], n: int, s: int, m: int, r: int) -> 
     return counts
 
 
-def delta0_pmf(params: ProgressParams, mode: str = EXACT) -> Pmf:
-    """Distribution of the zero-potential drop max{2Z - r + s - m, 0}.
+def delta0_pmf(params: ProgressParams) -> dict[int, Fraction]:
+    """Exact distribution {z: P(Delta_0 = z)} of the zero-potential drop
+    max{2Z - r + s - m, 0}.
 
     The positive part has at most s values, read off the point forms; the
     mass at 0 is the complement.
     """
-    if mode not in (EXACT, LOG):
-        raise ValueError(f"unknown pmf mode {mode!r}")
     n, s, m, r = params.n, params.s, params.m, params.r
-    point, nothing = (delta0_point_prob, 0) if mode == EXACT else (delta0_point_log_prob, -inf)
-    entries: dict[int, Prob] = {}
+    pmf = {}
     for z in range(1, s + 1):
-        p = point(n, s, m, r, z)
-        if p != nothing:
-            entries[z] = p
-    tail = Pmf(entries, mode).total()
+        p = delta0_point_prob(n, s, m, r, z)
+        if p:
+            pmf[z] = p
+    tail = sum(pmf.values(), Fraction(0))
     if tail < 1:
-        entries[0] = 1 - tail if mode == EXACT else log(1.0 - tail)
-    return Pmf(entries, mode)
+        pmf[0] = 1 - tail
+    return pmf
 
 
 def delta0_point_prob(n: int, s: int, m: int, r: int, z: int) -> Fraction:

@@ -20,17 +20,14 @@ from .rng import UniformStream
 
 FLIP_EXACT = "flip-exact-r"
 STANDARD_MUTATION = "standard-mutation"
-COMPLEMENT = "complement"
-
-_KINDS = (FLIP_EXACT, STANDARD_MUTATION, COMPLEMENT)
 
 
 @dataclass(frozen=True, slots=True)
 class UnaryOperator:
     """Descriptor of a unary unbiased variation kernel.
 
-    kind: one of flip-exact-r (radius r), standard-mutation (per-bit
-    probability p, radius Binomial(n, p)), complement (radius n).
+    kind: one of flip-exact-r (radius r) and standard-mutation (per-bit
+    probability p, radius Binomial(n, p)).
     """
 
     kind: str
@@ -38,14 +35,14 @@ class UnaryOperator:
     p: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown operator kind {self.kind!r}")
         if self.kind == FLIP_EXACT:
             if self.r is None or self.r < 0:
                 raise ValueError("flip-exact-r needs a radius r >= 0")
         elif self.kind == STANDARD_MUTATION:
             if self.p is None or not 0.0 <= self.p <= 1.0:
                 raise ValueError("standard-mutation needs p in [0, 1]")
+        else:
+            raise ValueError(f"unknown operator kind {self.kind!r}")
 
     def validate_for(self, n: int) -> None:
         if self.kind == FLIP_EXACT and self.r > n:
@@ -63,10 +60,6 @@ def standard_mutation(p: float) -> UnaryOperator:
 def single_bit() -> UnaryOperator:
     """RLS's operator, one uniform bit flip: flip-exact at radius 1."""
     return flip_exact(1)
-
-
-def complement_op() -> UnaryOperator:
-    return UnaryOperator(COMPLEMENT)
 
 
 def sample_distinct_positions(rng: UniformStream, n: int, r: int) -> list[int]:
@@ -130,11 +123,9 @@ def apply(op: UnaryOperator, x: BitString, rng: UniformStream) -> BitString:
     n = x.n
     if op.kind == STANDARD_MUTATION:
         r = bisect_right(_binomial_cdf(n, op.p), rng.next_double())
-    elif op.kind == FLIP_EXACT:
+    else:
         op.validate_for(n)
         r = op.r
-    else:  # complement
-        return x.complement()
     if r == 0:
         return x
     mask = 0
@@ -253,8 +244,6 @@ def radius_pmf(op: UnaryOperator, n: int) -> dict[int, Fraction]:
     op.validate_for(n)
     if op.kind == FLIP_EXACT:
         return {op.r: Fraction(1)}
-    if op.kind == COMPLEMENT:
-        return {n: Fraction(1)}
     # C(n, r) p^r q^(n-r) from the term before it: every product has one
     # small factor, so no step reduces two big fractions against each other
     p = Fraction(op.p)

@@ -188,6 +188,29 @@ def test_chain_and_bit_path_agree(name, params, lam, ones, runs):
         assert stats.chi2_contingency(ends).pvalue > ALPHA
 
 
+def test_ties_break_uniformly_with_multiplicity():
+    # twomax at n=20 from 12 ones: the stub's offspring 15, 15 and 5 all
+    # score 15, so the one generation (budget 1 + lambda) ends on a tie.
+    # Each of the three offspring wins with probability 1/3, so the parent
+    # moves to 5 ones in a third of the runs; a pick among distinct states
+    # would give a half.
+    n, runs = 20, 1200
+    obj = make_objective("twomax", n)
+    stub = dataclasses.replace(ONES_COUNT, offspring=lambda op, n, s, lam, rng: [15, 15, 5])
+    obj = dataclasses.replace(obj, metadata={CHAIN: stub})
+    cfg = AlgoConfig("one-plus-lambda-fixed", n=n, lam=3, budget=4)
+    rng = derive_rng(911)
+    parents = []
+    for _ in range(runs):
+        rec = run_one_plus_lambda(cfg, obj, rng, initial=BitString(n, (1 << 12) - 1),
+                                  on_generation=lambda g, q, x, f: parents.append(x))
+        assert rec.generations_used == 1 and rec.best_fitness == 15
+    ends = [x.count_ones() for x in parents[1::2]]
+    assert set(ends) <= {5, 15}
+    to_five = ends.count(5)
+    assert stats.chisquare([to_five, runs - to_five], [runs / 3, 2 * runs / 3]).pvalue > ALPHA
+
+
 # ---------------------------------------------------- the leading-ones chain
 
 def first_flip_pmf(p, n: int) -> np.ndarray:

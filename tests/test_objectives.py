@@ -1,15 +1,12 @@
 import pytest
 
-from parallel_ea.bitstring import BitString, hamming_ball_size, hamming_distance
+from parallel_ea.bitstring import BitString, hamming_ball_size
 from parallel_ea.objectives import (
     GraphInstance,
-    MonotonePolynomial,
     PartitionInstance,
-    PeakSpec,
     TargetSet,
     bichromatic_edges,
     cliff_d,
-    colouring_objective,
     gen_partition_random,
     gen_planted_3sat,
     gen_two_cliques,
@@ -22,18 +19,13 @@ from parallel_ea.objectives import (
     matching_literals,
     maxsat_hard_count,
     maxsat_hard_enum_count,
-    monotone_poly,
-    monotone_poly_objective,
-    nearest_peak,
     onemax,
     partition_makespan,
-    peaks_objective,
     planted_3sat_objective,
     sat_count,
     twomax,
     twomax_prime,
     two_cliques_cut,
-    weighted_nearest_peak,
 )
 
 
@@ -272,51 +264,6 @@ def test_sat_count_against_bruteforce():
         assert sat_count(inst, x) == oracle(x)
 
 
-# ----------------------------------------------------------------- peaks
-
-def test_nearest_peak():
-    c = bs("000000")
-    peak = PeakSpec(c, height=10.0, slope=1.0)
-    assert nearest_peak([peak], c) == 10.0
-    assert nearest_peak([peak], bs("111000")) == 7.0
-    with pytest.raises(ValueError):
-        nearest_peak([], c)
-
-
-def test_weighted_nearest_peak_is_pointwise_max_bruteforce():
-    peaks = [
-        PeakSpec(bs("000000"), height=12.0, slope=1.0),
-        PeakSpec(bs("111111"), height=4.0, slope=2.0),
-    ]
-    for x in all_points(6):
-        expected = max(p.height - p.slope * hamming_distance(x, p.centre) for p in peaks)
-        assert weighted_nearest_peak(peaks, x) == expected
-    # tall peak dominates at the shallow peak's own centre
-    shallow_centre = peaks[1].centre
-    assert weighted_nearest_peak(peaks, shallow_centre) == 12.0 - 6.0
-
-
-def test_nearest_peak_tie_break():
-    a = PeakSpec(bs("0000"), height=5.0, slope=1.0)
-    b = PeakSpec(bs("1111"), height=9.0, slope=1.0)
-    mid = bs("1100")  # equidistant
-    assert nearest_peak([a, b], mid) == 9.0 - 2.0
-
-
-# ------------------------------------------------------ monotone polynomials
-
-def test_monotone_poly():
-    poly = MonotonePolynomial(((2.0, frozenset({0, 1})),))
-    assert monotone_poly(poly, bs("11")) == 2.0
-    poly2 = MonotonePolynomial(((1.0, frozenset({0})), (3.0, frozenset({1, 2}))))
-    assert monotone_poly(poly2, bs("101")) == 1.0
-    assert monotone_poly(poly2, bs("111")) == 4.0  # 1^n always optimal
-    with pytest.raises(ValueError):
-        monotone_poly(poly2, bs("11"))
-    with pytest.raises(ValueError):
-        MonotonePolynomial(((0.0, frozenset({0})),))
-
-
 # ------------------------------------------------------------- symmetry
 
 @pytest.mark.parametrize("n", [8, 10])
@@ -345,41 +292,6 @@ def assert_target_is_argmax(obj):
     best = max(values)
     argmax = [x.value for x, v in zip(points, values) if v == best]
     assert [x.value for x in points if obj.target.contains(x)] == argmax
-
-
-def test_colouring_target_is_exhaustive_argmax():
-    odd_cycle = GraphInstance(5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0)))
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    petersen = GraphInstance(10, tuple(outer + spokes + inner))
-    for g in (odd_cycle, petersen):
-        assert_target_is_argmax(colouring_objective(g))
-
-
-@pytest.mark.parametrize("weighted", [False, True], ids=["nearest", "weighted"])
-def test_peaks_target_is_exhaustive_argmax(weighted):
-    cases = [
-        [PeakSpec(bs("00000000"), 12.0, 1.0), PeakSpec(bs("11111111"), 4.0, 2.0)],
-        # equal heights: both centres are optima
-        [PeakSpec(bs("0000000000"), 5.0, 1.0), PeakSpec(bs("1111100000"), 5.0, 0.5)],
-        [PeakSpec(bs("10101010"), 3.0, 0.25), PeakSpec(bs("11110000"), 7.5, 3.0),
-         PeakSpec(bs("00001111"), 7.0, 0.1)],
-    ]
-    for peaks in cases:
-        assert_target_is_argmax(peaks_objective(peaks, weighted=weighted))
-
-
-def test_monotone_poly_target_is_exhaustive_argmax():
-    poly = MonotonePolynomial((
-        (2.0, frozenset({0, 1})),
-        (0.5, frozenset({2})),
-        (1.0, frozenset({3, 4, 5})),
-        (3.0, frozenset({1, 5})),
-    ))
-    obj = monotone_poly_objective(poly, 8)  # variables 6 and 7 are free
-    assert_target_is_argmax(obj)
-    assert _count_members(obj.target, 8) == obj.target.size_bound == 4
 
 
 def test_planted_sat_target_matches_sat_count():

@@ -4,7 +4,6 @@ from math import exp, log, sqrt
 
 import pytest
 
-from parallel_ea.rng import derive_rng
 from parallel_ea.theory.lemmas import (
     D_DROP_CHAIN,
     D_FREE_RIDERS,
@@ -14,7 +13,6 @@ from parallel_ea.theory.lemmas import (
     drop_chain_series,
     expected_max_bound,
     expected_max_drop,
-    mc_check_max_geometric,
     mgf_series_value,
     multibit_nstar,
     verify_chvatal,
@@ -27,7 +25,6 @@ from parallel_ea.theory.lemmas import (
     verify_multibit_progress,
 )
 from parallel_ea.theory.pmf import (
-    EXACT,
     ProgressParams,
     delta0_pmf,
     delta0_point_log_prob,
@@ -144,7 +141,7 @@ def test_expected_max_bound_examples():
 
 
 def test_mc_max_geometric():
-    result = mc_check_max_geometric(100, 4000, derive_rng(5))
+    result = verify_max_geometric(lam=100, trials=4000, seed=5).details
     assert result["pass"]
     assert 6.0 <= result["sample_mean"] <= 9.0
     assert result["bound"] == pytest.approx(
@@ -188,9 +185,9 @@ def test_backends_cross_validate():
         for s in range(0, n // 2 + 1, step):
             for m in range(s, n - s + 1, step):
                 for r in range(0, n + 1, step):
-                    exact = delta0_pmf(ProgressParams(n, s, m, r), EXACT)
+                    exact = delta0_pmf(ProgressParams(n, s, m, r))
                     for z in range(1, s + 1):
-                        p_exact = float(exact.prob(z))
+                        p_exact = float(exact.get(z, 0))
                         if p_exact:
                             p_log = exp(delta0_point_log_prob(n, s, m, r, z))
                             assert abs(p_log - p_exact) < 1e-10 * p_exact, (n, s, m, r, z)

@@ -10,7 +10,6 @@ from parallel_ea.rng import derive_rng
 from parallel_ea.variation import (
     UnaryOperator,
     apply,
-    complement_op,
     exact_distribution,
     flip_exact,
     mirrored,
@@ -38,8 +37,9 @@ def test_flip_exact_zero_is_identity():
 
 
 def test_complement_operator():
+    # the complement is the flip at radius n
     rng = derive_rng(3)
-    assert str(apply(complement_op(), BitString.from_str("101"), rng)) == "010"
+    assert str(apply(flip_exact(3), BitString.from_str("101"), rng)) == "010"
 
 
 def test_operator_validation():
@@ -142,7 +142,7 @@ def test_transition_prob_closed_forms():
     assert transition_prob(flip_exact(2), x, y) == Fraction(1, comb(6, 2))
     assert transition_prob(flip_exact(3), x, y) == 0
     assert transition_prob(single_bit(), x, BitString.from_str("010000")) == Fraction(1, 6)
-    assert transition_prob(complement_op(), x, BitString.ones(n)) == 1
+    assert transition_prob(flip_exact(n), x, BitString.ones(n)) == 1
     p = Fraction(0.25)
     assert transition_prob(standard_mutation(0.25), x, y) == p**2 * (1 - p) ** 4
 
@@ -160,7 +160,7 @@ def test_standard_mutation_equals_binomial_mixture_exact():
     assert sum(dist.values()) == 1
 
 
-@pytest.mark.parametrize("op", [flip_exact(2), standard_mutation(0.3), single_bit(), complement_op()])
+@pytest.mark.parametrize("op", [flip_exact(2), standard_mutation(0.3), single_bit(), flip_exact(5)])
 def test_conjugation_invariance_exact(op):
     # distribution commutes with any position permutation + global bit flip
     n = 5
@@ -189,7 +189,7 @@ def test_exact_distribution_uniform_on_sphere():
 
 
 def test_radius_pmf_sums_to_one():
-    for op in (flip_exact(3), standard_mutation(0.2), single_bit(), complement_op()):
+    for op in (flip_exact(3), standard_mutation(0.2), single_bit(), flip_exact(8)):
         assert sum(radius_pmf(op, 8).values()) == 1
 
 
