@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -141,16 +142,10 @@ def adaptive_rate(i: int, n: int, lam: int) -> float:
     return max(math.log(lam) / (n * math.log(math.e * n / i)), 1.0 / n)
 
 
-class _Memo(dict):
-    """Int key -> f(key), computed on the first lookup of the key."""
-
-    def __init__(self, f: Callable[[int], object]):
-        super().__init__()
-        self._f = f
-
-    def __missing__(self, key: int):
-        value = self[key] = self._f(key)
-        return value
+@lru_cache(maxsize=None)
+def _adaptive_operator(n: int, lam: int, zeros: int) -> UnaryOperator:
+    """The adaptive EA's operator at a zero count, built once per process."""
+    return standard_mutation(adaptive_rate(zeros, n, lam))
 
 
 def _operator_schedule(cfg: AlgoConfig, zeros: Callable) -> Callable:
@@ -159,11 +154,11 @@ def _operator_schedule(cfg: AlgoConfig, zeros: Callable) -> Callable:
     RLS reuses one single-bit operator and the fixed-rate EA one standard
     mutation; the adaptive EA sets p from the parent's zero count zeros(x),
     taken as at least 1 so that the rate stays defined at the all-ones point,
-    and builds each zero count's operator once per run, on first use.
+    and each (n, lambda, zero count) gets its operator once.
     """
     if cfg.algorithm == ONE_PLUS_LAMBDA_ADAPTIVE:
-        ops = _Memo(lambda i: standard_mutation(adaptive_rate(i, cfg.n, cfg.lam)))
-        return lambda x: ops[max(1, zeros(x))]
+        n, lam = cfg.n, cfg.lam
+        return lambda x: _adaptive_operator(n, lam, max(1, zeros(x)))
     op = single_bit() if cfg.algorithm == RLS else standard_mutation(cfg.rate)
     return lambda x: op
 
@@ -187,6 +182,16 @@ def check_elitist_run(cfg: AlgoConfig, obj: Objective) -> None:
                          f"of objective {obj.name!r} does not contain the all-ones point")
 
 
+# The offspring count from which a chain run selects each generation with
+# numpy over the offspring's state array; below it the per-offspring loop is
+# faster.  Timing both kernels (CHANGES.md) put the crossover between 16 and 32.
+ARRAY_SELECTION_LAMBDA = 32
+
+
+def _as_list(states) -> list:
+    return states if type(states) is list else states.tolist()
+
+
 def run_one_plus_lambda(
     cfg: AlgoConfig,
     obj: Objective,
@@ -207,9 +212,14 @@ def run_one_plus_lambda(
 
     On an objective whose metadata declares a `Chain` the run is the exact
     chain of the parent's state s: offspring are states from the chain's
-    sampler, no bit string is sampled, and `evaluate` and the target run
-    once per state, on its representative.  The hook sees those
-    representatives.  A chain that needs a uniform start does not run from
+    sampler, no bit string is sampled, and fitness and target membership
+    are read off the objective's `state_tables`, filled once per state and
+    shared by every run on it.  The hook sees the states' representatives,
+    built for it alone.  From lambda = ARRAY_SELECTION_LAMBDA on, a
+    generation's states are one int array, and numpy finds its best rank,
+    the ties and the first hit; the tie break reads the same double as the
+    per-offspring loop and picks the same offspring, so the two kernels give
+    the same run.  A chain that needs a uniform start does not run from
     `initial`, and one whose state does not hold the zero count does not
     run the adaptive EA: those runs sample bit strings.
 
@@ -225,17 +235,23 @@ def run_one_plus_lambda(
     better = obj.better
 
     chain = obj.metadata.get(CHAIN)
+    array = False
     if chain is not None and (initial is None or chain.any_start) \
             and (chain.zeros is not None or cfg.algorithm != ONE_PLUS_LAMBDA_ADAPTIVE):
-        point = _Memo(lambda s: chain.point(n, s)).__getitem__
-        fitness = _Memo(lambda s: obj.evaluate(point(s))).__getitem__
-        hit = _Memo(lambda s: obj.target.contains(point(s))).__getitem__
+        tables = obj.state_tables
+        fitness, hit = tables.fitness.__getitem__, tables.hit.__getitem__
+        rank, member = tables.rank, tables.member
+        array = lam >= ARRAY_SELECTION_LAMBDA
+        take = np.asarray if array else _as_list
         operator_for = _operator_schedule(cfg, lambda s: chain.zeros(n, s))
-        batch = [chain.state(initial)] if initial is not None else chain.initial(n, lam, rng)
+        batch = take([chain.state(initial)] if initial is not None else chain.initial(n, lam, rng))
         sample = chain.offspring
 
-        def offspring(s: int) -> list[int]:
-            return sample(operator_for(s), n, s, lam, rng)
+        def point(s: int) -> BitString:
+            return chain.point(n, s)
+
+        def offspring(s: int):
+            return take(sample(operator_for(s), n, s, lam, rng))
     else:
         fitness, hit, point = obj.evaluate, obj.target.contains, lambda y: y
         operator_for = _operator_schedule(cfg, BitString.count_zeros)
@@ -248,32 +264,43 @@ def run_one_plus_lambda(
             return [apply(op, x, rng) for _ in range(lam)]
 
     # One loop selects from the initial batch (gens = 0, x not yet set) and
-    # from every generation's offspring.  Ties are listed only when they
-    # occur, and their one stream double (uniform over the ties to within
-    # 2^-52, as in `apply`) follows the batch's own draws.
+    # from every generation's offspring, with either kernel.  Ties are
+    # listed only when they occur, and their one stream double (uniform over
+    # the ties to within 2^-52, as in `apply`) follows the batch's own draws.
     x = fx = first_hit = None
     evals = gens = 0
     while True:
-        z = ties = None
-        for y in batch:
-            fy = fitness(y)
-            if first_hit is None and hit(y):
-                # membership depends on the value alone, so no member equal
-                # to y comes before it: index finds y's own position
-                first_hit = evals + batch.index(y) + 1
-            if z is None or better(fy, fz):
-                z, fz, ties = y, fy, None
-            elif fy == fz:
-                if ties is None:
-                    ties = [z]
-                ties.append(y)
-        if ties is not None:
-            z = ties[int(rng.next_double() * len(ties))]
+        if array:  # batch is an int array of states
+            ranks = rank[batch]
+            ties = (ranks == ranks[ranks.argmax()]).nonzero()[0]  # argmax costs less than max
+            z = int(batch[ties[int(rng.next_double() * len(ties))] if len(ties) > 1 else ties[0]])
+            fz = fitness(z)
+            hits = member[batch]
+            first = int(hits.argmax())
+            if hits[first]:
+                first_hit = evals + first + 1
+        else:
+            z = ties = None
+            for y in batch:
+                fy = fitness(y)
+                if first_hit is None and hit(y):
+                    # membership depends on the value alone, so no member
+                    # equal to y comes before it: index finds y's position
+                    first_hit = evals + batch.index(y) + 1
+                if z is None or better(fy, fz):
+                    z, fz, ties = y, fy, None
+                elif fy == fz:
+                    if ties is None:
+                        ties = [z]
+                    ties.append(y)
+            if ties is not None:
+                z = ties[int(rng.next_double() * len(ties))]
         evals += len(batch)
         if x is None or not better(fx, fz):
             x, fx = z, fz
         if on_generation is not None:
-            on_generation(gens, [point(y) for y in batch], point(x), fx)
+            queried = batch.tolist() if array else batch
+            on_generation(gens, [point(y) for y in queried], point(x), fx)
         if first_hit is not None or evals + lam > cfg.budget:
             break
         batch = offspring(x)

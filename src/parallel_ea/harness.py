@@ -284,7 +284,8 @@ def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> Sweep
     """R independent runs per lambda; rows appended to spec.output if set.
 
     Seeds derive from (master, lambda index, repetition index); the row
-    order and all values are independent of the worker count.
+    order and all values are independent of the worker count.  The pool
+    holds at most one worker per run.
     """
     workers = workers if workers is not None else _worker_count()
     obj, cfgs = _plan(spec)
@@ -295,9 +296,13 @@ def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> Sweep
         for li, cfg in enumerate(cfgs)
         for ri in range(reps)
     ]
+    workers = min(workers, len(tasks))  # a fork pool starts every worker up front
     if workers > 1:
+        # about four chunks per worker: no worker idles while another holds
+        # the whole sweep, and few tasks go one by one
+        chunksize = max(1, len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_execute_run, tasks, chunksize=8))
+            rows = list(pool.map(_execute_run, tasks, chunksize=chunksize))
     else:
         rows = [_execute_run(t) for t in tasks]
 

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Integral
 from typing import Callable, Iterable, Optional
+
+import numpy as np
 
 from ..bitstring import BitString, hamming_ball_size, hamming_distance
 from ..variation import (
@@ -34,7 +37,7 @@ class Chain:
 
     - state(x): the state of a point;
     - point(n, s): the representative point of state s, on which evaluate
-      and the target run once per state;
+      and the target run once per state (`StateTables`);
     - initial(n, lam, rng): the states of lam uniform points;
     - offspring(op, n, s, lam, rng): the states of lam independent
       offspring of a parent in state s;
@@ -42,6 +45,9 @@ class Chain:
       not hold it (the adaptive EA, which reads it, then samples bit strings);
     - any_start: whether the chain is exact from any given point, or only
       from a uniform start.
+
+    States run from 0 to n, and the samplers return them as a list of ints
+    or as a 1-d integer ndarray.
     """
 
     state: Callable[[BitString], int]
@@ -66,6 +72,36 @@ LEADING_ONES = Chain(BitString.leading_ones, _prefix_ones, uniform_leading_ones_
 # its mirror image, the leading-zeros count, on 0^l 1^(n-l)
 LEADING_ZEROS = Chain(BitString.leading_zeros, lambda n, s: _prefix_ones(n, s).complement(),
                       uniform_leading_ones_counts, leading_ones_counts)
+
+
+class StateTables:
+    """The fitness, rank and target membership of every state 0..n of an
+    objective's chain, each from one evaluate and one target call on the
+    state's representative, which is not kept: n + 1 points of n bits
+    would take O(n^2) memory.
+
+    - fitness[s] and hit[s]: the values evaluate and target.contains return;
+    - rank[s]: the index of fitness[s] among the distinct fitness values,
+      worst first in the objective's direction, as an intp array.  Ranks
+      come from Python's own comparisons, so values that one float64 would
+      merge (2^60 and 2^60 + 1) keep distinct ranks;
+    - member[s]: hit[s] as a bool array.
+    """
+
+    def __init__(self, obj: "Objective", chain: Chain):
+        n = obj.n
+        self.fitness: list = []
+        self.hit: list[bool] = []
+        for s in range(n + 1):
+            x = chain.point(n, s)
+            self.fitness.append(obj.evaluate(x))
+            self.hit.append(bool(obj.target.contains(x)))
+        order = sorted(range(n + 1), key=self.fitness.__getitem__, reverse=obj.direction == "min")
+        ranks = [0] * (n + 1)
+        for prev, s in zip(order, order[1:]):
+            ranks[s] = ranks[prev] + (self.fitness[s] != self.fitness[prev])
+        self.rank = np.array(ranks, dtype=np.intp)
+        self.member = np.array(self.hit, dtype=bool)
 
 
 def is_int(value) -> bool:
@@ -156,6 +192,12 @@ class Objective:
     def better(self) -> Callable[[float, float], bool]:
         """better(a, b) is true when fitness a strictly improves on b."""
         return operator.gt if self.direction == "max" else operator.lt
+
+    @cached_property
+    def state_tables(self) -> StateTables:
+        """The tables of the declared chain, built on first use and shared
+        by every run on this instance; a KeyError without a declaration."""
+        return StateTables(self, self.metadata[CHAIN])
 
     def with_target(self, target: TargetSet) -> "Objective":
         """The same function with another target.  The chain declaration is

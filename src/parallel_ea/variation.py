@@ -15,6 +15,8 @@ from functools import lru_cache
 from math import comb, exp, lgamma, log, log1p
 from typing import Optional
 
+import numpy as np
+
 from .bitstring import BitString, hamming_distance
 from .rng import UniformStream
 
@@ -134,7 +136,8 @@ def apply(op: UnaryOperator, x: BitString, rng: UniformStream) -> BitString:
     return x.flip_mask(mask)
 
 
-def ones_counts(op: UnaryOperator, n: int, k: int, size: int, rng: UniformStream) -> list[int]:
+def ones_counts(op: UnaryOperator, n: int, k: int, size: int,
+                rng: UniformStream) -> np.ndarray | list[int]:
     """Ones counts of `size` independent offspring of a point with k ones.
 
     The image of `apply` under x -> |x|_1, for the elitist runners'
@@ -143,22 +146,23 @@ def ones_counts(op: UnaryOperator, n: int, k: int, size: int, rng: UniformStream
     flip-exact at radius 1 (RLS) gains a one exactly when its position is
     one of the n - k zeros, with probability (n - k)/n, read off the
     stream's next double (to within 2^-52, as in `apply`).  The counts are
-    Python ints.
+    an int ndarray under standard mutation and a list of Python ints under
+    RLS.
     """
     if op.kind == STANDARD_MUTATION:
         gain = rng.binomial(n - k, op.p, size=size)
         loss = rng.binomial(k, op.p, size=size)
-        return (k + gain - loss).tolist()
+        return k + gain - loss
     if op.kind == FLIP_EXACT and op.r == 1:
         u = rng.next_double
         return [k + 1 if u() * n < n - k else k - 1 for _ in range(size)]
     raise ValueError(f"no ones-count sampler for {op}")
 
 
-def uniform_ones_counts(n: int, size: int, rng: UniformStream) -> list[int]:
+def uniform_ones_counts(n: int, size: int, rng: UniformStream) -> np.ndarray:
     """Ones counts of `size` uniform points: Binomial(n, 1/2), drawn off the
-    bit generator in one vector call."""
-    return rng.binomial(n, 0.5, size=size).tolist()
+    bit generator in one vector call, as an int ndarray."""
+    return rng.binomial(n, 0.5, size=size)
 
 
 _LN_HALF = log(0.5)

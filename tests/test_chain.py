@@ -12,10 +12,12 @@ forms.  Every seed is fixed in advance.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from parallel_ea import algorithms
 from parallel_ea.algorithms import AlgoConfig, adaptive_rate, run_one_plus_lambda
 from parallel_ea.bitstring import BitString
 from parallel_ea.objectives import CHAIN, ONES_COUNT, local_optima, make_objective, objective_names
@@ -188,17 +190,17 @@ def test_chain_and_bit_path_agree(name, params, lam, ones, runs):
         assert stats.chi2_contingency(ends).pvalue > ALPHA
 
 
-def test_ties_break_uniformly_with_multiplicity():
-    # twomax at n=20 from 12 ones: the stub's offspring 15, 15 and 5 all
-    # score 15, so the one generation (budget 1 + lambda) ends on a tie.
-    # Each of the three offspring wins with probability 1/3, so the parent
-    # moves to 5 ones in a third of the runs; a pick among distinct states
-    # would give a half.
-    n, runs = 20, 1200
+def tie_law(states):
+    # twomax at n=20 from 12 ones: the stub's offspring states 15 and 5 score
+    # 15, so the one generation (budget 1 + lambda) ends on a tie.  Each tied
+    # offspring wins with the same probability; with 15 twice as often as 5
+    # the parent moves to 5 ones in a third of the runs, and a pick among
+    # distinct states would give a half.
+    n, runs, lam = 20, 1200, len(states)
     obj = make_objective("twomax", n)
-    stub = dataclasses.replace(ONES_COUNT, offspring=lambda op, n, s, lam, rng: [15, 15, 5])
+    stub = dataclasses.replace(ONES_COUNT, offspring=lambda op, n, s, lam, rng: list(states))
     obj = dataclasses.replace(obj, metadata={CHAIN: stub})
-    cfg = AlgoConfig("one-plus-lambda-fixed", n=n, lam=3, budget=4)
+    cfg = AlgoConfig("one-plus-lambda-fixed", n=n, lam=lam, budget=1 + lam)
     rng = derive_rng(911)
     parents = []
     for _ in range(runs):
@@ -209,6 +211,115 @@ def test_ties_break_uniformly_with_multiplicity():
     assert set(ends) <= {5, 15}
     to_five = ends.count(5)
     assert stats.chisquare([to_five, runs - to_five], [runs / 3, 2 * runs / 3]).pvalue > ALPHA
+
+
+def test_ties_break_uniformly_with_multiplicity():
+    tie_law([15, 15, 5])
+
+
+def test_ties_break_uniformly_with_multiplicity_in_the_array_kernel():
+    states = [12] + [15, 15, 5] * 21
+    assert len(states) >= algorithms.ARRAY_SELECTION_LAMBDA
+    tie_law(states)
+
+
+# ------------------------------------------------ the two selection kernels
+
+def both_kernels(monkeypatch, obj, cfg, key, initial=None):
+    """The run of cfg on obj with the per-offspring loop and with the array
+    kernel, each with the parents its hook saw, from the same stream."""
+    out = []
+    for crossover in (10**9, 1):
+        monkeypatch.setattr(algorithms, "ARRAY_SELECTION_LAMBDA", crossover)
+        parents = []
+        rec = run_one_plus_lambda(cfg, obj, derive_rng(*key), initial=initial,
+                                  on_generation=lambda g, q, x, f: parents.append((x, f)))
+        out.append((rec, parents))
+    return out
+
+
+KERNEL_CASES = [(name, params, algorithm, lam)
+                for name, params in (("onemax", {}), ("twomax", {}), ("twomax-prime", {}),
+                                     ("jump", {"k": 3}), ("cliff", {"d": 3}),
+                                     ("leadingones", {}), ("leadingzeros", {}))
+                for algorithm in ("one-plus-lambda-fixed", "one-plus-lambda-adaptive")
+                if algorithm == "one-plus-lambda-fixed" or not name.startswith("leading")
+                for lam in (2, 64)]
+
+
+@pytest.mark.parametrize("name, params, algorithm, lam", KERNEL_CASES)
+def test_kernels_give_the_same_runs(monkeypatch, name, params, algorithm, lam):
+    # the budget stops the slow runs (jump, cliff, twomax-prime at lambda 2)
+    # part way; each kernel must reach the same record by the same parents
+    n, runs = 24, 6
+    obj = make_objective(name, n, **params)
+    assert CHAIN in obj.metadata
+    for rep in range(runs):
+        cfg = AlgoConfig(algorithm, n=n, lam=lam, budget=40 * lam + 3, seed=rep)
+        item, array = both_kernels(monkeypatch, obj, cfg, (912, rep))
+        assert item == array
+
+
+@pytest.mark.parametrize("algorithm, lam", [
+    ("one-plus-lambda-fixed", 2), ("one-plus-lambda-fixed", 64), ("one-plus-lambda-adaptive", 64),
+    ("rls", 1),
+])
+def test_kernels_give_the_same_runs_from_initial(monkeypatch, algorithm, lam):
+    n = 40
+    obj = make_objective("twomax", n)
+    for ones in (3, 20, 33):
+        cfg = AlgoConfig(algorithm, n=n, lam=lam, seed=ones)
+        item, array = both_kernels(monkeypatch, obj, cfg, (913, ones),
+                                   initial=BitString(n, (1 << ones) - 1))
+        assert item == array and item[0].hit_target
+
+
+def test_kernels_stop_at_the_same_budget(monkeypatch):
+    # a budget between two generations' ends: both stop after the last
+    # whole generation, short of the target
+    n, lam = 200, 64
+    cfg = AlgoConfig("one-plus-lambda-adaptive", n=n, lam=lam, budget=10 * lam + 37, seed=0)
+    item, array = both_kernels(monkeypatch, make_objective("onemax", n), cfg, (914,))
+    assert item == array
+    assert item[0].evaluations_used == 10 * lam and not item[0].hit_target
+
+
+@pytest.mark.parametrize("stub", ["direction-min", "fitness-2^60"])
+@pytest.mark.parametrize("lam", [2, 64])
+def test_kernels_agree_on_stub_objectives(monkeypatch, stub, lam):
+    # minimising twomax drives the parent to n/2, between tied states; the
+    # fitness 2^60 + k keeps states that one float64 would merge apart, so
+    # a rank taken from floats would add ties that the loop does not see
+    n = 30
+    obj = make_objective("twomax" if stub == "direction-min" else "onemax", n)
+    if stub == "direction-min":
+        obj = dataclasses.replace(obj, direction="min")
+    else:
+        obj = dataclasses.replace(obj, evaluate=lambda x: 2**60 + x.count_ones())
+        assert float(2**60 + 1) == float(2**60)
+    for rep in range(6):
+        cfg = AlgoConfig("one-plus-lambda-fixed", n=n, lam=lam, budget=5000, seed=rep)
+        item, array = both_kernels(monkeypatch, obj, cfg, (915, rep))
+        assert item == array
+        if stub == "fitness-2^60":
+            assert item[0].hit_target and item[0].best_fitness == 2**60 + n
+        else:
+            assert item[0].best_fitness == obj.evaluate(BitString(n, (1 << n // 2) - 1))
+
+
+def test_state_tables_are_linear_in_n():
+    # n + 1 fitness values, ranks and memberships; no representative point
+    n = 10**4
+    obj = make_objective("onemax", n)
+    tracemalloc.start()
+    try:
+        tables = obj.state_tables
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert tables.fitness == list(range(n + 1)) and tables.rank.tolist() == tables.fitness
+    assert tables.hit == [False] * n + [True] and obj.state_tables is tables
 
 
 # ---------------------------------------------------- the leading-ones chain
@@ -401,6 +512,14 @@ def hook_keeps_the_stream(name, algorithm, lam):
 
 def test_hook_does_not_select_the_path_or_the_stream():
     hook_keeps_the_stream("onemax", "one-plus-lambda-adaptive", 16)
+
+
+@pytest.mark.parametrize("name, algorithm, lam", [
+    ("onemax", "one-plus-lambda-adaptive", 128), ("leadingones", "one-plus-lambda-fixed", 64),
+])
+def test_hook_does_not_select_the_array_kernel_or_the_stream(name, algorithm, lam):
+    assert lam >= algorithms.ARRAY_SELECTION_LAMBDA
+    hook_keeps_the_stream(name, algorithm, lam)
 
 
 @pytest.mark.parametrize("name, algorithm, lam", [

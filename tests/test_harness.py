@@ -173,6 +173,44 @@ def test_worker_pool_matches_serial_on_bit_strings(tmp_path):
     assert len(read_runs(str(tmp_path / "serial.csv"))) == 10
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records how it was sized and maps
+    serially in this process, so no worker starts."""
+
+    made: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize):
+        self.made.append((self.max_workers, chunksize))
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("workers, lambdas, reps, sized", [
+    (2, [1, 256], 3, (2, 1)),  # six runs: one at a time, not all in one chunk
+    (8, [2], 3, (3, 1)),       # no more workers than runs
+    (2, [2, 4], 40, (2, 10)),  # about four chunks per worker
+    (4, [2], 1, None),         # one run needs no pool
+])
+def test_worker_pool_is_sized_from_the_runs(tmp_path, monkeypatch, workers, lambdas, reps, sized):
+    from parallel_ea import harness
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "made", [])
+    spec = functools.partial(onemax_spec, tmp_path, lambdas=lambdas, repetitions=reps)
+    run_experiment(spec("pool.csv"), workers=workers)
+    run_experiment(spec("serial.csv"), workers=1)
+    assert RecordingPool.made == ([] if sized is None else [sized])
+    assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
 def test_csv_round_trip(tmp_path):
     spec = onemax_spec(tmp_path, "r.csv")
     run_experiment(spec)
