@@ -4,7 +4,7 @@ The potential-drop law: varying a parent with m zeros at radius r turns
 Z ~ Hypergeometric(n, m, r) zero-positions into ones, so the drop of the
 zero-potential s is max{2Z - r + s - m, 0}.  The exact big-rational
 laws are authoritative for moderate n; the log-gamma point laws cover n
-up to 2^20.
+up to 2^20, one point at a time or as arrays over many radii.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, inf, lgamma
 from typing import Optional, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -130,6 +132,41 @@ def delta0_point_prob(n: int, s: int, m: int, r: int, z: int) -> Fraction:
 def delta0_point_log_prob(n: int, s: int, m: int, r: int, z: int) -> float:
     zh = _delta0_index(n, s, m, r, z)
     return -inf if zh is None else hypergeom_log_pmf(n, m, r, zh)
+
+
+def delta0_log_prob_cells(
+    n: int, s: int, m: int, radii: Sequence[int], z_max: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrays r, z, lp over the cells with r in the sorted radii, 1 <= z <= z_max
+    and P(Delta_0 = z) > 0, ordered by r, then z; lp equals
+    delta0_point_log_prob(n, s, m, r, z) bit for bit.  Every other cell is -inf
+    there.
+
+    Cell (r, z) reads Z = (z + r + m - s) / 2, so the cells of one radius are
+    the Z between its drop bounds and the hypergeometric support.  lp repeats
+    the operations of log_comb and hypergeom_log_pmf in their order, with one
+    lgamma call per distinct argument.
+    """
+    r = np.asarray(radii, dtype=np.int64)
+    if not 0 <= m <= n or (r.size and (r.min() < 0 or r.max() > n)):
+        raise ValueError(f"need 0 <= m <= n and radii in [0, n], got n={n}, m={m}")
+    k = r + m - s  # the drop of Z is 2Z - k
+    lo = np.maximum(np.maximum(k // 2 + 1, 0), r - (n - m))
+    hi = np.minimum(np.minimum(r, m), (k + z_max) // 2)
+    counts = np.maximum(hi - lo + 1, 0)
+    cells = int(counts.sum())
+    # Z runs from lo to hi within each radius: a running index, shifted per radius
+    zh = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(cells)
+    rc = np.repeat(r, counts)
+    args = np.concatenate([zh + 1, m - zh + 1, rc - zh + 1, n - m - rc + zh + 1,
+                           r + 1, n - r + 1, [m + 1, n - m + 1, n + 1]])
+    distinct, index = np.unique(args, return_inverse=True)
+    lg = np.array([lgamma(a) for a in distinct.tolist()])[index]
+    lg_z, lg_mz, lg_rz, lg_rest, lg_r, lg_nr, (lg_m, lg_nm, lg_n) = np.split(
+        lg, np.cumsum([cells] * 4 + [r.size] * 2))
+    log_comb_n_r = np.repeat(lg_n - lg_r - lg_nr, counts)
+    lp = (lg_m - lg_z - lg_mz) + (lg_nm - lg_rz - lg_rest) - log_comb_n_r
+    return rc, 2 * zh - np.repeat(k, counts), lp
 
 
 def delta0_tail_prob(n: int, s: int, m: int, r: int) -> Fraction:

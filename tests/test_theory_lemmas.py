@@ -1,15 +1,21 @@
 import json
 from fractions import Fraction
-from math import exp, log, sqrt
+from math import exp, inf, lgamma, log, sqrt
 
 import pytest
 
+from parallel_ea.theory import lemmas, pmf
 from parallel_ea.theory.lemmas import (
     D_DROP_CHAIN,
     D_FREE_RIDERS,
     ETA_DROP_CHAIN,
     ETA_FREE_RIDERS,
     GAMMA_POTENTIAL,
+    LemmaReport,
+    MAX_VIOLATIONS_KEPT,
+    MULTIBIT_GRID_POINTS,
+    MULTIBIT_S,
+    _geometric_grid,
     drop_chain_series,
     expected_max_bound,
     expected_max_drop,
@@ -114,6 +120,80 @@ def test_multibit_small_supported_n():
     report = verify_multibit_progress(n, z_max=60)
     assert report.passed
     assert report.max_slack > 0  # grid reaches points with nonzero probability
+
+
+def test_multibit_refuses_a_grid_without_drops():
+    # z_max = 0 checks no point and would pass vacuously
+    for z_max in (0, -3):
+        with pytest.raises(ValueError, match="z_max"):
+            verify_multibit_progress(2**18, z_max=z_max)
+
+
+def scalar_multibit(n, z_max):
+    """The multibit check one point at a time through delta0_point_log_prob:
+    the reference the array verifier must reproduce bit for bit."""
+    nstar = multibit_nstar(n)
+    report = LemmaReport(
+        lemma="multibit",
+        grid=(
+            f"n={n}, s in {MULTIBIT_S}, m in [s,2n*] u [n-2n*,n-s] plus "
+            f"{MULTIBIT_GRID_POINTS}-point geometric middle grid, r geometric + near-support, "
+            f"z in [1,{z_max}]"
+        ),
+        details={"n_star": nstar},
+    )
+    log_low_bound = 2.0 * log(16.0 * nstar / n)
+    log2 = log(2.0)
+    two_nstar = int(2 * nstar)
+    radii = set(_geometric_grid(2, n - 2))
+    middle = _geometric_grid(two_nstar + 1, n - two_nstar - 1)
+
+    for s in MULTIBIT_S:  # s <= 2 <= n*
+        low = list(range(s, two_nstar + 1))
+        for m in low + [n - m for m in low] + middle:
+            regime = "middle" if two_nstar < m < n - two_nstar else "low/high"
+            near = {c + d for c in (m, n - m) for d in range(-2, 3) if 2 <= c + d <= n - 2}
+            for r in sorted(radii | near):
+                # log bound at z is base - z * slope
+                if regime == "middle":
+                    m_sym, r_sym = (m, r) if m <= n / 2 else (n - m, n - r)
+                    base, slope = -((m_sym - s) ** 2) / (2 * r_sym), 0.0
+                else:
+                    base, slope = log_low_bound, log2
+                report.points_checked += z_max
+                for z in range(1, z_max + 1):
+                    lp = delta0_point_log_prob(n, s, m, r, z)
+                    if lp == -inf:
+                        continue
+                    log_bound = base - z * slope
+                    report.observe(exp(lp - log_bound),
+                                   {"s": s, "m": m, "r": r, "z": z, "regime": regime}
+                                   if lp > log_bound + 1e-12 else None)
+    return report
+
+
+@pytest.mark.parametrize("z_max", [60, 200])
+def test_multibit_report_is_the_scalar_report(z_max):
+    n = 2**18
+    report = verify_multibit_progress(n, z_max=z_max)
+    assert report.passed
+    assert report.to_json() == scalar_multibit(n, z_max).to_json()
+
+
+def test_multibit_violations_are_the_scalar_violations(monkeypatch):
+    # both versions read pmf.lgamma; lowering every lgamma by 40 raises each
+    # log-probability by 40 nats, past the bound at more points than a report keeps
+    n, z_max = 2**18, 60
+    monkeypatch.setattr(pmf, "lgamma", lambda x: lgamma(x) - 40.0)
+    capped = verify_multibit_progress(n, z_max=z_max)
+    monkeypatch.setattr(lemmas, "MAX_VIOLATIONS_KEPT", 10**6)
+    every = verify_multibit_progress(n, z_max=z_max)
+    reference = scalar_multibit(n, z_max)
+    assert not reference.passed and len(reference.violations) > MAX_VIOLATIONS_KEPT
+    # every violation in loop order, each with its slack, then the first ones kept
+    assert every.to_json() == reference.to_json()
+    reference.violations = reference.violations[:MAX_VIOLATIONS_KEPT]
+    assert capped.to_json() == reference.to_json()
 
 
 def test_multibit_parity_empty_support():

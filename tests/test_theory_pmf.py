@@ -1,11 +1,13 @@
 from fractions import Fraction
-from math import comb, exp
+from math import comb, exp, inf
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from parallel_ea.theory.pmf import (
     ProgressParams,
+    delta0_log_prob_cells,
     delta0_pmf,
     delta0_point_log_prob,
     delta0_point_prob,
@@ -141,6 +143,66 @@ def test_delta0_tail_counts_match_tail_prob():
                 pmf = delta0_pmf(ProgressParams(n, s, m, r))
                 tail = sum((v for k, v in pmf.items() if k > 0), Fraction(0))
                 assert Fraction(tails[s], comb(n, r)) == tail == delta0_tail_prob(n, s, m, r)
+
+
+def _seeded_cells(n, seed):
+    """(s, m, sorted radii) with radii near m and n - m, where the drop law
+    has its support, and spread over [0, n]."""
+    rng = np.random.default_rng(seed)
+    s = int(rng.integers(0, 40))
+    m = int(rng.choice([rng.integers(s, 60), rng.integers(s, n - s + 1), n - rng.integers(s, 60)]))
+    near = {c + d for c in (m, n - m) for d in rng.integers(-45, 46, size=12).tolist() if 0 <= c + d <= n}
+    far = rng.integers(0, n + 1, size=6).tolist()
+    return s, m, sorted(near | set(far) | {0, n})
+
+
+@pytest.mark.parametrize("n", [2**18, 2**20])
+@pytest.mark.parametrize("seed", range(6))
+def test_log_prob_cells_are_the_point_law_bit_for_bit(n, seed):
+    s, m, radii = _seeded_cells(n, seed)
+    z_max = 60
+    r, z, lp = delta0_log_prob_cells(n, s, m, radii, z_max)
+    cells = list(zip(r.tolist(), z.tolist()))
+    assert cells == sorted(set(cells))  # r ascending, then z ascending, each once
+    for (ri, zi), lpi in zip(cells, lp.tolist()):
+        assert lpi == delta0_point_log_prob(n, s, m, ri, zi) > -inf
+    # every cell left out is off the support or of the wrong parity
+    kept = set(cells)
+    for ri in radii:
+        for zi in range(1, z_max + 1):
+            if (ri, zi) not in kept:
+                assert delta0_point_log_prob(n, s, m, ri, zi) == -inf
+
+
+def test_log_prob_cells_are_the_point_law_on_every_small_cell():
+    # every (s, m) at n = 10, also m > n - s, where the hypergeometric
+    # support, not the drop, bounds Z from below
+    n, radii = 10, list(range(11))
+    for s in range(n + 1):
+        for m in range(n + 1):
+            r, z, lp = delta0_log_prob_cells(n, s, m, radii, n + 2)
+            law = dict(zip(zip(r.tolist(), z.tolist()), lp.tolist()))
+            assert len(law) == r.size
+            for ri in radii:
+                for zi in range(1, n + 3):
+                    assert law.get((ri, zi), -inf) == delta0_point_log_prob(n, s, m, ri, zi)
+
+
+def test_log_prob_cells_reach_support_cells_of_both_parities():
+    # the seeded grids above hold cells, at odd and even drops
+    z = np.concatenate([delta0_log_prob_cells(n, *_seeded_cells(n, seed), 60)[1]
+                        for n in (2**18, 2**20) for seed in range(6)])
+    assert z.size > 100 and {1, 2} <= set(z.tolist())
+
+
+def test_log_prob_cells_edge_cases():
+    n = 64
+    r, z, lp = delta0_log_prob_cells(n, 2, 2, [], 10)
+    assert r.size == z.size == lp.size == 0
+    assert delta0_log_prob_cells(n, 2, 2, [2, 3], 0)[2].size == 0  # no drop z in [1, 0]
+    for m, radii in [(65, [1]), (-1, [1]), (2, [65]), (2, [-1, 3])]:
+        with pytest.raises(ValueError):
+            delta0_log_prob_cells(n, 0, m, radii, 5)
 
 
 def test_log_mode_agrees_with_exact():
