@@ -9,8 +9,10 @@ the theory module's bound curves.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -18,7 +20,14 @@ import numpy as np
 from .bitstring import BitString, random_bitstring
 from .objectives.base import CHAIN, Objective
 from .rng import as_stream, derive_rng
-from .variation import UnaryOperator, apply, mirrored, single_bit, standard_mutation
+from .variation import (
+    HISTOGRAM_LAMBDA,
+    UnaryOperator,
+    apply,
+    mirrored,
+    single_bit,
+    standard_mutation,
+)
 
 ONE_PLUS_LAMBDA_FIXED = "one-plus-lambda-fixed"
 ONE_PLUS_LAMBDA_ADAPTIVE = "one-plus-lambda-adaptive"
@@ -183,13 +192,37 @@ def check_elitist_run(cfg: AlgoConfig, obj: Objective) -> None:
 
 
 # The offspring count from which a chain run selects each generation with
-# numpy over the offspring's state array; below it the per-offspring loop is
-# faster.  Timing both kernels (CHANGES.md) put the crossover between 16 and 32.
-ARRAY_SELECTION_LAMBDA = 32
+# numpy; below it the per-offspring loop does.  It is the chain samplers' own
+# crossover, from which they return histograms.
+ARRAY_SELECTION_LAMBDA = HISTOGRAM_LAMBDA
 
 
-def _as_list(states) -> list:
-    return states if type(states) is list else states.tolist()
+def _as_list(batch):
+    """A per-offspring batch as a list, for the loop kernel; a histogram as it is."""
+    return batch if type(batch) is list or type(batch) is tuple else batch.tolist()
+
+
+def _as_array(batch):
+    """A per-offspring batch as an ndarray, for the array kernel; a histogram as it is."""
+    return batch if type(batch) is tuple else np.asarray(batch)
+
+
+def _weighted_pick(weights: list[int], u: float) -> int:
+    """The index of the entry whose cumulative weight first exceeds
+    floor(u T), T the total weight: with unit weights, floor(u T) itself."""
+    cumulative = list(accumulate(weights))
+    return bisect_right(cumulative, int(u * cumulative[-1]))
+
+
+def _first_position(lam: int, hits: int, u: float) -> int:
+    """The position I, from 1 to lam, of the first of `hits` target members
+    among lam exchangeable offspring, read off one uniform double u: the
+    least i with P(I > i) = C(lam - i, hits) / C(lam, hits) <= u."""
+    i, tail = 0, 1.0
+    while tail > u:
+        i += 1
+        tail *= (lam - i - hits + 1) / (lam - i + 1)
+    return i
 
 
 def run_one_plus_lambda(
@@ -214,20 +247,29 @@ def run_one_plus_lambda(
     chain of the parent's state s: offspring are states from the chain's
     sampler, no bit string is sampled, and fitness and target membership
     are read off the objective's `state_tables`, filled once per state and
-    shared by every run on it.  The hook sees the states' representatives,
-    built for it alone.  From lambda = ARRAY_SELECTION_LAMBDA on, a
-    generation's states are one int array, and numpy finds its best rank,
-    the ties and the first hit; the tie break reads the same double as the
-    per-offspring loop and picks the same offspring, so the two kernels give
-    the same run.  A chain that needs a uniform start does not run from
-    `initial`, and one whose state does not hold the zero count does not
-    run the adaptive EA: those runs sample bit strings.
+    shared by every run on it.  A sampler returns one state per offspring,
+    or, from lambda = ARRAY_SELECTION_LAMBDA on, the generation's histogram
+    (states, counts), and both kernels read both shapes: the per-offspring
+    loop below that lambda, and numpy's best rank, ties and hits from it.
+    On a histogram a tie takes the tied entry whose cumulative count first
+    exceeds floor(u T), T the tied offspring, which with unit counts is the
+    per-offspring pick, and the first hit's position among lambda
+    exchangeable offspring, H of them members, is drawn from
+    P(I > i) = C(lambda - i, H) / C(lambda, H) with one more double.  The
+    two kernels read the same doubles and pick the same offspring, so they
+    give the same run.  The hook sees the states' representatives, a
+    histogram expanded to lambda of them, built for it alone.  A chain that
+    needs a uniform start does not run from `initial`, and one whose state
+    does not hold the zero count does not run the adaptive EA: those runs
+    sample bit strings.
 
     rng may be any Generator: the run wraps it once, with `as_stream`, in a
     UniformStream on the same bit generator, whose buffered doubles feed
-    `apply`, the chains' samplers and the tie breaks.  The ones-count
-    chain's binomial draws and the bit path's initial batch read the bit
-    generator directly.
+    `apply`, the chains' per-offspring samplers, the free-rider walk's
+    parent bits, the tie breaks and the first-hit positions.  The
+    histograms' multinomial draws, the walk's binomial survivors, the
+    ones-count chain's initial batch and the bit path's initial batch read
+    the bit generator directly.
     """
     check_elitist_run(cfg, obj)
     rng = as_stream(rng) if rng is not None else derive_rng(cfg.seed)
@@ -242,7 +284,7 @@ def run_one_plus_lambda(
         fitness, hit = tables.fitness.__getitem__, tables.hit.__getitem__
         rank, member = tables.rank, tables.member
         array = lam >= ARRAY_SELECTION_LAMBDA
-        take = np.asarray if array else _as_list
+        take = _as_array if array else _as_list
         operator_for = _operator_schedule(cfg, lambda s: chain.zeros(n, s))
         batch = take([chain.state(initial)] if initial is not None else chain.initial(n, lam, rng))
         sample = chain.offspring
@@ -264,22 +306,15 @@ def run_one_plus_lambda(
             return [apply(op, x, rng) for _ in range(lam)]
 
     # One loop selects from the initial batch (gens = 0, x not yet set) and
-    # from every generation's offspring, with either kernel.  Ties are
-    # listed only when they occur, and their one stream double (uniform over
-    # the ties to within 2^-52, as in `apply`) follows the batch's own draws.
+    # from every generation's offspring.  A list is a per-offspring batch
+    # for the loop kernel, an int array one for the array kernel, and a
+    # tuple a histogram, which either kernel reads.  Ties are listed only
+    # when they occur, and their one stream double (uniform over the tied
+    # offspring to within 2^-52, as in `apply`) follows the batch's own draws.
     x = fx = first_hit = None
     evals = gens = 0
     while True:
-        if array:  # batch is an int array of states
-            ranks = rank[batch]
-            ties = (ranks == ranks[ranks.argmax()]).nonzero()[0]  # argmax costs less than max
-            z = int(batch[ties[int(rng.next_double() * len(ties))] if len(ties) > 1 else ties[0]])
-            fz = fitness(z)
-            hits = member[batch]
-            first = int(hits.argmax())
-            if hits[first]:
-                first_hit = evals + first + 1
-        else:
+        if type(batch) is list:
             z = ties = None
             for y in batch:
                 fy = fitness(y)
@@ -295,11 +330,55 @@ def run_one_plus_lambda(
                     ties.append(y)
             if ties is not None:
                 z = ties[int(rng.next_double() * len(ties))]
-        evals += len(batch)
+            evals += len(batch)
+        elif type(batch) is tuple:  # distinct states and their counts
+            states, counts = batch
+            if array:
+                drawn = counts.nonzero()[0]
+                present = states[drawn]
+                ranks = rank[present]
+                tied = (ranks == ranks[ranks.argmax()]).nonzero()[0]
+                ties = present[tied].tolist()
+                if len(ties) > 1:
+                    weights = counts[drawn[tied]].tolist()
+                members = member[present].nonzero()[0]  # costs less than any()
+                hits = int(counts[drawn[members]].sum()) if len(members) else 0
+            else:
+                ties, hits = None, 0
+                for y, c in zip(states.tolist(), counts.tolist()):
+                    if c:
+                        fy = fitness(y)
+                        if hit(y):
+                            hits += c
+                        if ties is None or better(fy, fz):
+                            ties, weights, fz = [y], [c], fy
+                        elif fy == fz:
+                            ties.append(y)
+                            weights.append(c)
+            # a tie between entries takes each tied offspring with the same
+            # chance; the first hit's position is drawn after it
+            z = ties[_weighted_pick(weights, rng.next_double())] if len(ties) > 1 else ties[0]
+            fz = fitness(z)
+            if hits:
+                first_hit = evals + _first_position(lam, hits, rng.next_double())
+            evals += lam
+        else:  # an int array of states
+            ranks = rank[batch]
+            ties = (ranks == ranks[ranks.argmax()]).nonzero()[0]  # argmax costs less than max
+            z = int(batch[ties[int(rng.next_double() * len(ties))] if len(ties) > 1 else ties[0]])
+            fz = fitness(z)
+            hits = member[batch]
+            first = int(hits.argmax())
+            if hits[first]:
+                first_hit = evals + first + 1
+            evals += len(batch)
         if x is None or not better(fx, fz):
             x, fx = z, fz
         if on_generation is not None:
-            queried = batch.tolist() if array else batch
+            if type(batch) is tuple:
+                queried = np.repeat(*batch).tolist()
+            else:
+                queried = batch if type(batch) is list else batch.tolist()
             on_generation(gens, [point(y) for y in queried], point(x), fx)
         if first_hit is not None or evals + lam > cfg.budget:
             break

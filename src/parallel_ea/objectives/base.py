@@ -46,8 +46,12 @@ class Chain:
     - any_start: whether the chain is exact from any given point, or only
       from a uniform start.
 
-    States run from 0 to n, and the samplers return them as a list of ints
-    or as a 1-d integer ndarray.
+    States run from 0 to n.  A sampler returns one state per offspring, as
+    a list of ints or a 1-d integer ndarray, or the histogram of the lam
+    offspring: a tuple (states, counts) of 1-d integer ndarrays, the states
+    distinct and the counts, zeros allowed, summing to lam.  Offspring are
+    exchangeable, so the histogram holds all that the runner selects from;
+    the shipped samplers return it from `variation.HISTOGRAM_LAMBDA` on.
     """
 
     state: Callable[[BitString], int]

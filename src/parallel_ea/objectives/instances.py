@@ -238,22 +238,14 @@ def maxsat_hard_enum_count(x: BitString) -> int:
     return sat
 
 
-def _maxsat_objective(n: int, evaluate, name: str) -> Objective:
+def maxsat_hard(n: int) -> Objective:
     check_int("hard MaxSat instance n", n, 3)
     return Objective(
-        name=name,
+        name="maxsat-hard",
         n=n,
-        evaluate=evaluate,
+        evaluate=maxsat_hard_count,
         target=TargetSet.from_points([BitString.ones(n)], GLOBAL_OPTIMA, "1^n"),
     )
-
-
-def maxsat_hard(n: int) -> Objective:
-    return _maxsat_objective(n, maxsat_hard_count, "maxsat-hard")
-
-
-def maxsat_hard_enum(n: int) -> Objective:
-    return _maxsat_objective(n, maxsat_hard_enum_count, "maxsat-hard-enum")
 
 
 # ------------------------------------------------------------ planted sat

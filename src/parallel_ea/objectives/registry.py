@@ -20,7 +20,6 @@ from .instances import (
     gen_planted_3sat,
     knapsack_hard,
     maxsat_hard,
-    maxsat_hard_enum,
     partition_objective,
     planted_3sat_objective,
     two_cliques_objective,
@@ -49,7 +48,6 @@ _BUILDERS: dict[str, Callable[..., Objective]] = {
     "partition": _partition,  # distribution=..., seed=...
     "knapsack-hard": knapsack_hard,
     "maxsat-hard": maxsat_hard,
-    "maxsat-hard-enum": maxsat_hard_enum,
     "planted-3sat": _planted_3sat,  # m=..., c1=..., c3=..., seed=...
 }
 

@@ -136,23 +136,101 @@ def apply(op: UnaryOperator, x: BitString, rng: UniformStream) -> BitString:
     return x.flip_mask(mask)
 
 
-def ones_counts(op: UnaryOperator, n: int, k: int, size: int,
-                rng: UniformStream) -> np.ndarray | list[int]:
+# From this offspring count on, the chain samplers return a generation as a
+# histogram, a pair of int arrays (states, counts) whose counts sum to the
+# offspring count, and the runner selects with numpy; below it they return
+# one state per offspring, and a per-offspring loop selects.  Timing both
+# shapes on onemax, twomax and leadingones put the crossover between 16 and
+# 24 (CHANGES.md).
+HISTOGRAM_LAMBDA = 32
+
+
+def _binomial_terms(n: int, p: float) -> tuple[int, list[float]]:
+    """(lo, terms): terms[i] = P(B = lo + i) for B ~ Binomial(n, p), tails cut.
+
+    The terms recur from the mode, which is exponentiated from log space, so
+    the start does not underflow as (1-p)^n does at large n.  Each side ends,
+    as in `_binomial_cdf`, at the first term that can no longer move the sum.
+    """
+    if p == 0.0 or n == 0:
+        return 0, [1.0]
+    if p == 1.0:
+        return n, [1.0]
+    odds = p / (1.0 - p)
+    mode = min(n, int((n + 1) * p))
+    term = total = exp(lgamma(n + 1) - lgamma(mode + 1) - lgamma(n - mode + 1)
+                       + mode * log(p) + (n - mode) * log1p(-p))
+    up = [term]
+    for r in range(mode, n):
+        term *= odds * (n - r) / (r + 1)
+        if total + term == total:
+            break
+        total += term
+        up.append(term)
+    down, term = [], up[0]
+    for r in range(mode, 0, -1):
+        term *= r / ((n - r + 1) * odds)
+        if total + term == total:
+            break
+        total += term
+        down.append(term)
+    down.reverse()
+    return mode - len(down), down + up
+
+
+def _ones_count_pmf(n: int, k: int, p: float) -> tuple[int, np.ndarray]:
+    """(lo, probs): the law of k + Binomial(n - k, p) - Binomial(k, p), the
+    ones count of one offspring of a point with k ones under standard
+    mutation, on the states lo, lo + 1, ...: the cut gain and loss laws
+    convolved and normalised.  The log-space start is exact only to about
+    1e-12 at n = 1000, and numpy's multinomial refuses probabilities whose
+    sum exceeds 1 by that much, so the normalisation is needed."""
+    g0, gain = _binomial_terms(n - k, p)
+    l0, loss = _binomial_terms(k, p)
+    loss.reverse()
+    probs = np.convolve(gain, loss)
+    probs /= probs.sum()
+    return k + g0 - l0 - len(loss) + 1, probs
+
+
+# The laws of the histogram draw, which makes their states with np.arange on
+# each call: cached state arrays would add about 40% to a law's memory.
+_ones_count_law = lru_cache(maxsize=4096)(_ones_count_pmf)
+
+
+@lru_cache(maxsize=4096)
+def _ones_count_cdf(n: int, k: int, p: float) -> tuple[int, list[float]]:
+    """(lo, cdf) of `_ones_count_pmf`, for the per-offspring draw; the last
+    entry is set to 1.0, as in `_binomial_cdf`."""
+    lo, probs = _ones_count_pmf(n, k, p)
+    cdf = probs.cumsum().tolist()
+    cdf[-1] = 1.0
+    return lo, cdf
+
+
+def ones_counts(op: UnaryOperator, n: int, k: int, size: int, rng: UniformStream):
     """Ones counts of `size` independent offspring of a point with k ones.
 
     The image of `apply` under x -> |x|_1, for the elitist runners'
     operators.  Standard mutation flips each bit independently, so an
-    offspring gains Binomial(n - k, p) ones and loses Binomial(k, p);
-    flip-exact at radius 1 (RLS) gains a one exactly when its position is
-    one of the n - k zeros, with probability (n - k)/n, read off the
-    stream's next double (to within 2^-52, as in `apply`).  The counts are
-    an int ndarray under standard mutation and a list of Python ints under
-    RLS.
+    offspring has k + Binomial(n - k, p) - Binomial(k, p) ones, a law cached
+    per (n, k, p).  Below HISTOGRAM_LAMBDA each offspring reads its count
+    off the law's CDF with one stream double, and the counts are a list;
+    from it one multinomial draw off the bit generator gives the histogram
+    (states, counts) of the whole generation.  flip-exact at radius 1 (RLS)
+    gains a one exactly when its position is one of the n - k zeros, with
+    probability (n - k)/n, read off the stream's next double (to within
+    2^-52, as in `apply`), and its counts are a list.
     """
     if op.kind == STANDARD_MUTATION:
-        gain = rng.binomial(n - k, op.p, size=size)
-        loss = rng.binomial(k, op.p, size=size)
-        return k + gain - loss
+        if size >= HISTOGRAM_LAMBDA:
+            lo, probs = _ones_count_law(n, k, op.p)
+            return np.arange(lo, lo + len(probs)), rng.multinomial(size, probs)
+        lo, cdf = _ones_count_cdf(n, k, op.p)
+        u = rng.next_double
+        if size == 1:  # the comprehension would double this call's cost
+            return [lo + bisect_right(cdf, u())]
+        return [lo + bisect_right(cdf, u()) for _ in range(size)]
     if op.kind == FLIP_EXACT and op.r == 1:
         u = rng.next_double
         return [k + 1 if u() * n < n - k else k - 1 for _ in range(size)]
@@ -181,33 +259,97 @@ def uniform_leading_ones_counts(n: int, size: int, rng: UniformStream) -> list[i
     return [_halving_run(u(), n) for _ in range(size)]
 
 
-def leading_ones_counts(op: UnaryOperator, n: int, l: int, size: int,
-                        rng: UniformStream) -> list[int]:
+@lru_cache(maxsize=256)
+def _first_flip_law(n: int, p: Optional[float]) -> np.ndarray:
+    """P(f = j), j = 0..n-1, for one offspring's first flipped position f,
+    then 0 (there is no bit n) and P(no flip): standard mutation at rate p,
+    or RLS's one uniform flip when p is None.
+
+    Against a parent with l leading ones, the slice [:l + 2] is the
+    multinomial law over a cut at each j < l, an improver (f = l) and
+    unchanged: numpy's multinomial gives the last category the probability
+    that the others leave, so one array of n + 2 serves every l."""
+    if p is None:
+        probs = np.full(n + 2, 1.0 / n)
+        probs[n + 1] = 0.0
+    else:
+        probs = p * (1.0 - p) ** np.arange(n + 2)
+        probs[n + 1] = (1.0 - p) ** n
+    probs[n] = 0.0
+    return probs
+
+
+def _free_rider_counts(live: int, cap: int, p: float, rng: UniformStream) -> list[int]:
+    """How many of `live` improvers end with r = 0, 1, ..., cap free riders.
+
+    The free riders are the parent's uniform suffix bits under independent
+    masks of rate p.  One improver's run has P(R >= r) = 2^-r, from one
+    stream double.  Several improvers walk together on the number still
+    live: at each position the parent's bit is one with probability 1/2
+    (one stream double), and then Binomial(live, 1 - p) of them keep a one,
+    else Binomial(live, p) do, drawn off the bit generator; under RLS
+    (p = 0) they all keep or all stop.
+    """
+    u = rng.next_double
+    if live == 1:
+        r = _halving_run(u(), cap)
+        return [0] * r + [1]
+    out = []
+    for _ in range(cap):
+        stay = 1.0 - p if u() < 0.5 else p
+        kept = live if stay == 1.0 else 0 if stay == 0.0 else int(rng.binomial(live, stay))
+        out.append(live - kept)
+        live = kept
+        if not live:
+            return out
+    out.append(live)
+    return out
+
+
+def leading_ones_counts(op: UnaryOperator, n: int, l: int, size: int, rng: UniformStream):
     """Leading-ones counts of `size` independent offspring of a point with
     l leading ones whose bits after its first zero are uniform.
 
-    Each offspring reads its first flipped position f off one stream double
-    u: f = floor(ln(1-u) / ln(1-p)) under standard mutation, floor(u n)
-    under flip-exact radius 1 (RLS).  f < l cuts the prefix at f; f > l
-    (or no flip) leaves l; f = l makes an improver with l + 1 + R leading
-    ones, R the run of free riders after position l.  Those bits are the
-    parent's uniform suffix under an independent mask, so one improver's R
-    has P(R >= k) = 2^-k, capped at n - l - 1, from one more double.
-    Several improvers share the parent's suffix: the walk draws the
-    parent's bit once per position and each live improver's mask bit apart,
-    and an improver stops where the two are equal.  Under RLS the mask is
-    empty, so its improvers share one run.
+    Below HISTOGRAM_LAMBDA each offspring reads its first flipped position f
+    off one stream double u: f = floor(ln(1-u) / ln(1-p)) under standard
+    mutation, floor(u n) under flip-exact radius 1 (RLS).  f < l cuts the
+    prefix at f; f > l (or no flip) leaves l; f = l makes an improver with
+    l + 1 + R leading ones, R the run of free riders after position l.
+    Those bits are the parent's uniform suffix under an independent mask,
+    so one improver's R has P(R >= k) = 2^-k, capped at n - l - 1, from one
+    more double.  Several improvers share the parent's suffix: the walk
+    draws the parent's bit once per position and each live improver's mask
+    bit apart, and an improver stops where the two are equal.  Under RLS
+    the mask is empty, so its improvers share one run.  The counts are a list.
+
+    From HISTOGRAM_LAMBDA on, one multinomial draw over the categories of
+    f (`_first_flip_law`) gives the cuts, the number of improvers and the
+    unchanged offspring, and `_free_rider_counts` spreads the improvers over
+    their runs: the histogram (states, counts) over the states 0, 1, ...
     """
-    u = rng.next_double
     if op.kind == STANDARD_MUTATION:
-        if op.p == 0.0:
-            return [l] * size
-        lq = log1p(-op.p)
-        firsts = [log1p(-u()) / lq for _ in range(size)] if size > 1 else [log1p(-u()) / lq]
+        p = op.p
     elif op.kind == FLIP_EXACT and op.r == 1:
-        firsts = [u() * n for _ in range(size)] if size > 1 else [u() * n]
+        p = None
     else:
         raise ValueError(f"no leading-ones sampler for {op}")
+    if size >= HISTOGRAM_LAMBDA:
+        counts = rng.multinomial(size, _first_flip_law(n, p)[:l + 2])
+        improvers = int(counts[l])
+        counts[l] = counts[l + 1]  # the unchanged offspring keep state l
+        counts = counts[:l + 1]
+        if improvers:
+            runs = _free_rider_counts(improvers, n - l - 1, p or 0.0, rng)
+            counts = np.concatenate((counts, runs))
+        return np.arange(len(counts)), counts
+    u = rng.next_double
+    if p is not None:
+        if p == 0.0:
+            return [l] * size
+        lq = log1p(-p)
+        firsts = [log1p(-u()) / lq for _ in range(size)] if size > 1 else [log1p(-u()) / lq]
+    else:
+        firsts = [u() * n for _ in range(size)] if size > 1 else [u() * n]
     # floor(f) < l exactly when f < l, and f in [l, top) flips bit l first
     top = l + 1 if l < n else l
     if size == 1:  # the loop below would double this call's cost
@@ -225,11 +367,11 @@ def leading_ones_counts(op: UnaryOperator, n: int, l: int, size: int,
     if len(improvers) == 1:
         out[improvers[0]] += _halving_run(u(), n - l - 1)
     elif improvers:
-        p = op.p if op.kind == STANDARD_MUTATION else 0.0  # RLS flips nothing else
+        mask = p or 0.0  # RLS flips nothing else
         live = improvers
         for _ in range(n - l - 1):
             one = u() < 0.5  # the parent's bit here; an offspring keeps a one
-            live = [i for i in live if (u() < p) != one]  # where its mask bit differs
+            live = [i for i in live if (u() < mask) != one]  # where its mask bit differs
             if not live:
                 break
             for i in live:

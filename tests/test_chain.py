@@ -23,6 +23,8 @@ from parallel_ea.bitstring import BitString
 from parallel_ea.objectives import CHAIN, ONES_COUNT, local_optima, make_objective, objective_names
 from parallel_ea.rng import derive_rng, derive_run_seed
 from parallel_ea.variation import (
+    HISTOGRAM_LAMBDA,
+    _ones_count_law,
     leading_ones_counts,
     radius_pmf,
     single_bit,
@@ -101,8 +103,9 @@ def parent_with_zeros(n: int, i: int) -> BitString:
 @pytest.mark.parametrize("algorithm, lam", [
     ("rls", 1),
     ("one-plus-lambda-fixed", 1), ("one-plus-lambda-fixed", 8), ("one-plus-lambda-fixed", 128),
-    ("one-plus-lambda-adaptive", 1), ("one-plus-lambda-adaptive", 8),
-    ("one-plus-lambda-adaptive", 128),
+    ("one-plus-lambda-fixed", 512), ("one-plus-lambda-adaptive", 1),
+    ("one-plus-lambda-adaptive", 8), ("one-plus-lambda-adaptive", 128),
+    ("one-plus-lambda-adaptive", 512),
 ])
 def test_one_generation_law(algorithm, lam):
     i, calls = 20, 4000
@@ -117,6 +120,23 @@ def test_one_generation_law(algorithm, lam):
         counts[N - rec.best_fitness] += 1
     pmf = one_generation_pmf(operator(algorithm, N, lam, i), N, i, lam)
     assert chi_square_p(counts, pmf) > ALPHA
+
+
+@pytest.mark.parametrize("n, k, p", [(100, 20, 0.01), (1000, 550, 0.0035), (50, 0, 0.5),
+                                     (50, 50, 0.9), (10**4, 6000, 0.2)])
+def test_ones_count_law_matches_the_exact_convolution(n, k, p):
+    # the law of k + Binomial(n - k, p) - Binomial(k, p) against the full
+    # convolution of scipy's pmfs, whose index is the state; at n = 10^4
+    # the recurrence could not start from (1 - p)^(n - k), which underflows
+    lo, probs = _ones_count_law(n, k, p)
+    states = np.arange(lo, lo + len(probs))
+    exact = np.convolve(stats.binom.pmf(np.arange(n - k + 1), n - k, p),
+                        stats.binom.pmf(np.arange(k + 1), k, p)[::-1])
+    assert 0 <= lo and states[-1] <= n
+    assert np.abs(probs - exact[states]).max() < 1e-12
+    assert 1.0 - exact[states].sum() < 1e-12
+    if n == 10**4:
+        assert (1.0 - p) ** (n - k) == 0.0
 
 
 # ------------------------------------------------------- mean evaluations
@@ -190,15 +210,17 @@ def test_chain_and_bit_path_agree(name, params, lam, ones, runs):
         assert stats.chi2_contingency(ends).pvalue > ALPHA
 
 
-def tie_law(states):
+def tie_law(states, lam=None):
     # twomax at n=20 from 12 ones: the stub's offspring states 15 and 5 score
     # 15, so the one generation (budget 1 + lambda) ends on a tie.  Each tied
     # offspring wins with the same probability; with 15 twice as often as 5
     # the parent moves to 5 ones in a third of the runs, and a pick among
-    # distinct states would give a half.
-    n, runs, lam = 20, 1200, len(states)
+    # distinct states would give a half.  A tuple is a histogram of lam
+    # offspring, returned as it is.
+    n, runs, lam = 20, 1200, lam or len(states)
     obj = make_objective("twomax", n)
-    stub = dataclasses.replace(ONES_COUNT, offspring=lambda op, n, s, lam, rng: list(states))
+    batch = states if isinstance(states, tuple) else list(states)
+    stub = dataclasses.replace(ONES_COUNT, offspring=lambda op, n, s, lam, rng: batch)
     obj = dataclasses.replace(obj, metadata={CHAIN: stub})
     cfg = AlgoConfig("one-plus-lambda-fixed", n=n, lam=lam, budget=1 + lam)
     rng = derive_rng(911)
@@ -221,6 +243,38 @@ def test_ties_break_uniformly_with_multiplicity_in_the_array_kernel():
     states = [12] + [15, 15, 5] * 21
     assert len(states) >= algorithms.ARRAY_SELECTION_LAMBDA
     tie_law(states)
+
+
+@pytest.mark.parametrize("crossover", [1, 10**9], ids=["array", "loop"])
+@pytest.mark.parametrize("states, counts", [([15, 5], [42, 21]), ([12, 15, 16, 5], [0, 42, 0, 21])],
+                         ids=["counts", "zero-counts"])
+def test_ties_break_uniformly_with_multiplicity_in_a_histogram(monkeypatch, crossover, states,
+                                                                counts):
+    # an entry of the histogram stands for its count of offspring; a state
+    # drawn zero times (16 would beat the tie) is not there at all
+    monkeypatch.setattr(algorithms, "ARRAY_SELECTION_LAMBDA", crossover)
+    tie_law((np.array(states), np.array(counts)), lam=63)
+
+
+@pytest.mark.parametrize("crossover", [1, 10**9], ids=["array", "loop"])
+def test_first_hit_position_in_a_histogram(monkeypatch, crossover):
+    # H = 3 of lambda = 64 offspring are the optimum, so the first hit's
+    # position I has P(I > i) = C(lambda - i, H) / C(lambda, H)
+    n, lam, hits, runs = 20, 64, 3, 4000
+    monkeypatch.setattr(algorithms, "ARRAY_SELECTION_LAMBDA", crossover)
+    batch = (np.array([n - 1, n, 3]), np.array([lam - hits - 1, hits, 1]))
+    stub = dataclasses.replace(ONES_COUNT, offspring=lambda op, n, s, lam, rng: batch)
+    obj = dataclasses.replace(make_objective("onemax", n), metadata={CHAIN: stub})
+    cfg = AlgoConfig("one-plus-lambda-fixed", n=n, lam=lam, budget=1 + lam)
+    rng = derive_rng(916)
+    counts = np.zeros(lam + 1)
+    for _ in range(runs):
+        rec = run_one_plus_lambda(cfg, obj, rng, initial=BitString(n, (1 << 10) - 1))
+        assert rec.hit_target and rec.evaluations_used == 1 + lam and rec.best_fitness == n
+        counts[rec.first_hit_evaluation - 1] += 1
+    tail = np.array([math.comb(lam - i, hits) for i in range(lam + 1)]) / math.comb(lam, hits)
+    pmf = np.append(0.0, tail[:-1] - tail[1:])  # P(I = i), i = 0..lambda
+    assert chi_square_p(counts, pmf) > ALPHA
 
 
 # ------------------------------------------------ the two selection kernels
@@ -399,9 +453,11 @@ def lo_level_moments(p, n: int) -> tuple[float, float]:
     return 1.0 + float(np.sum(0.5 / q)), float(np.sum((3 - 2 * q) / (4 * q * q)))
 
 
-@pytest.mark.parametrize("p, lam, l", [(None, 1, 12), (None, 16, 2), (1 / 40, 1, 12),
-                                       (1 / 40, 2, 12), (1 / 40, 16, 12), (0.2, 16, 2)],
-                         ids=["rls", "rls-16", "ea-1", "ea-2", "ea-16", "ea-16-p0.2"])
+@pytest.mark.parametrize("p, lam, l", [(None, 1, 12), (None, 16, 2), (None, 64, 2), (1 / 40, 1, 12),
+                                       (1 / 40, 2, 12), (1 / 40, 16, 12), (0.2, 16, 2),
+                                       (1 / 40, 64, 12), (0.2, 64, 2)],
+                         ids=["rls", "rls-16", "rls-64", "ea-1", "ea-2", "ea-16", "ea-16-p0.2",
+                              "ea-64", "ea-64-p0.2"])
 def test_leading_ones_one_generation_law(p, lam, l):
     n, calls = 40, 200_000 // lam
     op = single_bit() if p is None else standard_mutation(p)
@@ -412,10 +468,21 @@ def test_leading_ones_one_generation_law(p, lam, l):
         pmf = lo_offspring_pmf(p, n, l)
     else:  # the number of improvers and the parent that follows, against the walk
         counts = np.zeros((lam + 1, n + 1))
+        pooled = np.zeros(n + 1)  # offspring by state over every generation
         for _ in range(calls):
             states = leading_ones_counts(op, n, l, lam, rng)
+            if lam >= HISTOGRAM_LAMBDA:  # (states, counts) of the whole generation
+                assert states[1].sum() == lam
+                states = np.repeat(*states).tolist()
+            pooled += np.bincount(states, minlength=n + 1)
             counts[sum(s > l for s in states), max(l, *states)] += 1
         counts, pmf = counts.ravel(), lo_step_joint(p, n, l, lam).ravel()
+        # the cuts, the unchanged and the improvers of all generations are
+        # one multinomial sample of their first-flip categories
+        cut = first_flip_pmf(p, n)[: l + 1]
+        law = np.append(cut[:l], [1.0 - cut.sum(), cut[l]])
+        categories = np.append(pooled[: l + 1], pooled[l + 1:].sum())
+        assert chi_square_p(categories, law) > ALPHA
     assert chi_square_p(counts, pmf) > ALPHA
 
 
@@ -438,7 +505,7 @@ def test_leading_ones_dp_matches_closed_forms():
     assert lo_expected_generations(0.05, 20, 8) == pytest.approx(42.97, abs=0.005)
 
 
-@pytest.mark.parametrize("lam", [2, 8])
+@pytest.mark.parametrize("lam", [2, 8, 64])
 def test_leading_ones_mean_generations_match_exact_dp(lam):
     n, runs = 20, 1200
     obj = make_objective("leadingones", n)
