@@ -50,8 +50,8 @@ class Chain:
     a list of ints or a 1-d integer ndarray, or the histogram of the lam
     offspring: a tuple (states, counts) of 1-d integer ndarrays, the states
     distinct and the counts, zeros allowed, summing to lam.  Offspring are
-    exchangeable, so the histogram holds all that the runner selects from;
-    the shipped samplers return it from `variation.HISTOGRAM_LAMBDA` on.
+    exchangeable, so the histogram holds all that the runner selects from.
+    The offspring samplers here return it from `variation.HISTOGRAM_LAMBDA` on.
     """
 
     state: Callable[[BitString], int]
