@@ -4,13 +4,24 @@ Each checker asserts a stated inequality literally, over an explicit grid:
 exact big-integer cross-multiplication where the grid allows it, log-gamma
 arithmetic for huge dimensions.  The checkers are the oracle; a report
 with pass=False carries every violating grid point.
+
+The exact grids (hypergeom-tail, improve-prob, chvatal, mgf) are filtered in
+float64, one slice of O(n^2) cells at a time, from a float copy of the one
+exact Pascal table.  A cell whose float slack clears its bound by
+FLOAT_MARGIN is settled there; the float products, quotients and suffix sums
+are off by a few ulp, far inside that margin.  Every other cell goes through
+the exact scalar check: each cell inside the margin, each cell with a value
+that is not finite (the table passes 2^1024 from about n = 1030 on), each
+violation a report keeps, and each cell within the margin of the largest
+slack seen.  So the violations, their slacks and max_slack are those of the
+cell-by-cell exact loop, byte for byte.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import exp, inf, log, sqrt
+from math import exp, inf, log, nan, sqrt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -91,6 +102,76 @@ def _check_grid(lemma: str, n: int, lo: int, hi: Optional[int] = None) -> None:
         raise ValueError(f"the {lemma} grid needs {span}, got n={n}")
 
 
+# A float slack this far (relative) from its bound settles a cell; see the
+# module docstring.
+FLOAT_MARGIN = 1e-9
+
+
+def _float_table(ci: list[list[int]]) -> np.ndarray:
+    """The Pascal table as float64, NaN where an entry passes 2^1024, so that
+    every float value read from it is not finite."""
+    try:
+        return np.array(ci, dtype=np.float64)
+    except OverflowError:
+        return np.array([[float(c) if c.bit_length() < 1024 else nan for c in row] for row in ci])
+
+
+class _FloatFilter:
+    """Settles a grid one float slice at a time; see the module docstring.
+
+    Violations are kept with their loop-order keys and recorded in that
+    order by close(), so a verifier may visit its slices in another order.
+    """
+
+    def __init__(self, report: LemmaReport):
+        self.report = report
+        self.found = []  # (key, point, slack)
+        self.dropped = False  # a violation past the kept ones
+
+    def settle(self, decide, slack, observed, exact) -> bool:
+        """Settle one slice of cells, given in loop order as float arrays:
+        decide > 0 where a cell breaks its bound, slack the value the check
+        observes and observed where it observes one.  exact(i) runs the
+        scalar check of cell i and returns its key, its violations as
+        (point, slack) pairs and its observed slack (or None).  Returns
+        whether the margin settled every cell with no violation."""
+        decide, slack, observed = decide.ravel(), slack.ravel(), observed.ravel()
+        with np.errstate(invalid="ignore"):
+            settled = np.isfinite(decide) & np.isfinite(slack) & (np.abs(decide) > FLOAT_MARGIN)
+        broken = np.flatnonzero(settled & (decide > 0))
+        if broken.size > MAX_VIOLATIONS_KEPT:
+            self.dropped = True
+            broken = broken[:MAX_VIOLATIONS_KEPT]
+        cells = ~settled
+        cells[broken] = True
+        known = settled & observed
+        if known.any():
+            floor = max(slack[known].max(), self.report.max_slack) * (1.0 - FLOAT_MARGIN)
+            cells |= known & (slack >= floor)
+        for i in np.flatnonzero(cells).tolist():
+            key, violations, value = exact(i)
+            if value is not None:
+                self.report.observe(value)
+            self.found.extend((key + (j,), point, v) for j, (point, v) in enumerate(violations))
+        if len(self.found) > MAX_VIOLATIONS_KEPT:
+            self._trim()
+        return settled.all() and not broken.size
+
+    def _trim(self) -> None:
+        self.found.sort(key=lambda v: v[0])
+        if len(self.found) > MAX_VIOLATIONS_KEPT:
+            self.dropped = True
+            del self.found[MAX_VIOLATIONS_KEPT:]
+
+    def close(self) -> LemmaReport:
+        self._trim()
+        for _, point, slack in self.found:
+            self.report.record(point, slack)
+        if self.dropped:
+            self.report.passed = False
+        return self.report
+
+
 def verify_hypergeom_tail(n: int) -> LemmaReport:
     """P(Z=z) <= C(r,z) (m/n)^z for all z, and C(r,z) <= 4^z for z >= r/2,
     over the full (m, r, z) grid.  Exact integer comparisons."""
@@ -100,28 +181,69 @@ def verify_hypergeom_tail(n: int) -> LemmaReport:
         grid=f"n={n}, all 0<=m,r<=n, z in support",
     )
     ci = _comb_table(n)
+    cf = _float_table(ci)
+    grid = _FloatFilter(report)
+    radii = np.arange(n + 1)
+    lower = radii[:, None] - radii  # r - z over the (r, z) square
+    # C(r, z) <= 4^z does not depend on m: a failing (r, z) is checked
+    # exactly at every m
+    four_fails = np.zeros((n + 1, n + 1), dtype=bool)
+    for r in range(n + 1):
+        for z in range((r + 1) // 2, r + 1):
+            four_fails[r, z] = ci[r][z] > 4**z
+
+    def cell(m, r, z):
+        den = ci[n][r]
+        num = ci[m][z] * ci[n - m][r - z]
+        bound_int = ci[r][z] * m**z
+        violations = []
+        if num * n**z > bound_int * den:
+            violations.append(({"m": m, "r": r, "z": z, "which": "binomial-bound"}, inf))
+        value = num / float(den) / (ci[r][z] * (m / n) ** z) if num and bound_int else None
+        if 2 * z >= r and ci[r][z] > 4**z:
+            violations.append(({"m": m, "r": r, "z": z, "which": "4^z-bound"}, inf))
+        return (m, r, z), violations, value
+
     for m in range(n + 1):
-        for r in range(n + 1):
-            den = ci[n][r]
-            den_f = float(den)
-            mz = 1  # m^z
-            nz = 1  # n^z
-            four_z = 1  # 4^z
-            for z in range(min(m, r) + 1):
-                if z > 0:
-                    mz *= m
-                    nz *= n
-                    four_z *= 4
-                num = ci[m][z] * ci[n - m][r - z]
-                bound_int = ci[r][z] * mz
-                report.points_checked += 1
-                if num * nz > bound_int * den:
-                    report.record({"m": m, "r": r, "z": z, "which": "binomial-bound"}, inf)
-                if num and bound_int:
-                    report.observe(num / den_f / (ci[r][z] * (m / n) ** z))
-                if 2 * z >= r and ci[r][z] > four_z:
-                    report.record({"m": m, "r": r, "z": z, "which": "4^z-bound"}, inf)
-    return report
+        width = m + 1  # z <= m
+        cut = lower[:, :width]
+        inside = cut >= 0
+        num = cf[m, :width] * cf[n - m][np.maximum(cut, 0)]
+        bound = cf[:, :width] * np.array([(m / n) ** z for z in range(width)])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(inside, num / cf[n][:, None] / bound, 0.0)
+        decide = ratio - 1.0
+        decide[inside & four_fails[:, :width]] = nan  # to the exact check
+        report.points_checked += int(np.minimum(radii, m).sum()) + n + 1
+        grid.settle(decide, ratio, inside & (num > 0),
+                    lambda i, m=m, width=width: cell(m, *divmod(i, width)))
+    return grid.close()
+
+
+def _drop_counts(cf: np.ndarray, n: int, m: int, depth: int) -> np.ndarray:
+    """counts[r, d] ~ C(n, r) P(Delta_0(s, m, r) = s + 1 - depth + d) for r in
+    [0, n] and d < depth, in float.  A drop z at potential s reads
+    Z = (z - s + r + m) / 2, so one array serves every s <= depth: the
+    drops 1..s of s are its last s columns."""
+    radii = np.arange(n + 1)[:, None]
+    twice = np.arange(1 - depth, 1) + radii + m
+    zh = twice // 2
+    live = (twice % 2 == 0) & (zh <= np.minimum(radii, m))
+    return np.where(live, cf[m][np.minimum(zh, m)] * cf[n - m][np.maximum(radii - zh, 0)], 0.0)
+
+
+def _drop_slices(grid: _FloatFilter, probs: np.ndarray, depth: int, scale: float, cell) -> None:
+    """Settle the drops 1..s at each potential s <= depth, given probs from
+    _drop_counts divided by C(n, r); the slack of drop z is
+    probs * 2^(z/2) / scale.  A slack grows with s at a fixed (r, Z), so when
+    s = depth settles clean every smaller s does too.  cell(s, i) runs the
+    scalar check of cell i of potential s."""
+    for s in range(depth, 0, -1):
+        block = probs[:, depth - s:]
+        slack = block / (scale * 0.5 ** (np.arange(1, s + 1) / 2))
+        clean = grid.settle(slack - 1.0, slack, block > 0, lambda i, s=s: cell(s, i))
+        if s == depth and clean:
+            return
 
 
 def verify_improve_prob(n: int) -> LemmaReport:
@@ -133,21 +255,22 @@ def verify_improve_prob(n: int) -> LemmaReport:
         grid=f"n={n}, s<=m<={n // 8}, r in [1,{n}], z>=1",
     )
     ci = _comb_table(n)
+    cf = _float_table(ci)
+    grid = _FloatFilter(report)
+
+    def cell(s, m, r, z):
+        den = ci[n][r]
+        num = _delta0_counts(ci, n, s, m, r)[z]
+        violations = [({"s": s, "m": m, "r": r, "z": z}, inf)] if num * num << z > den * den else []
+        return (m, s, r, z), violations, num / float(den) / 0.5 ** (z / 2) if num else None
+
     m_cap = n // 8
-    for m in range(m_cap + 1):
-        for s in range(m + 1):
-            for r in range(1, n + 1):
-                den = ci[n][r]
-                den_f = float(den)
-                counts = _delta0_counts(ci, n, s, m, r)
-                report.points_checked += s
-                for z in range(1, s + 1):
-                    num = counts[z]
-                    if num * num << z > den * den:
-                        report.record({"s": s, "m": m, "r": r, "z": z}, inf)
-                    if num:
-                        report.observe(num / den_f / 0.5 ** (z / 2))
-    return report
+    for m in range(1, m_cap + 1):  # m = 0 has s = 0 and no drops
+        report.points_checked += n * m * (m + 1) // 2
+        probs = (_drop_counts(cf, n, m, m) / cf[n][:, None])[1:]
+        _drop_slices(grid, probs, m, 1.0,
+                     lambda s, i, m=m: cell(s, m, i // s + 1, i % s + 1))
+    return grid.close()
 
 
 def verify_chvatal(n: int) -> LemmaReport:
@@ -159,19 +282,39 @@ def verify_chvatal(n: int) -> LemmaReport:
         grid=f"n={n}, s<=m<={n // 2}, r in [1,{n}]",
     )
     ci = _comb_table(n)
+    cf = _float_table(ci)
+    grid = _FloatFilter(report)
+    all_radii = np.arange(n + 1)
+    radii = all_radii[1:]
+    with np.errstate(divide="ignore"):
+        log_den = np.log(cf[n, 1:])
+
+    def cell(m, s, r):
+        num = _delta0_tail_counts(ci, n, m, r)[s]
+        if num == 0:
+            return (m, s, r), [], None
+        log_p = log(num) - log(ci[n][r])
+        log_bound = -((m - s) ** 2) / (2 * r)
+        slack = exp(log_p - log_bound)
+        return (m, s, r), [({"s": s, "m": m, "r": r}, slack)] if log_p > log_bound + 1e-12 else [], slack
+
     for m in range(n // 2 + 1):
-        tails = [_delta0_tail_counts(ci, n, m, r) for r in range(n + 1)]
-        for s in range(m + 1):
-            for r in range(1, n + 1):
-                num = tails[r][s]
-                report.points_checked += 1
-                if num == 0:
-                    continue
-                log_p = log(num) - log(ci[n][r])
-                log_bound = -((m - s) ** 2) / (2 * r)
-                report.observe(exp(log_p - log_bound),
-                               {"s": s, "m": m, "r": r} if log_p > log_bound + 1e-12 else None)
-    return report
+        cut = all_radii[:, None] - np.arange(m + 1)  # r - Z
+        terms = np.where(cut >= 0, cf[m, :m + 1] * cf[n - m][np.maximum(cut, 0)], 0.0)
+        # suffix[r, Z] = C(n, r) P(Z' >= Z), zero past Z = m
+        suffix = np.zeros((n + 1, m + 2))
+        suffix[:, m::-1] = np.cumsum(terms[:, ::-1], axis=1)
+        potentials = np.arange(m + 1)[:, None]
+        tails = suffix[radii, np.minimum((radii + m - potentials) // 2 + 1, m + 1)]
+        observed = tails != 0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            excess = np.log(tails) - log_den + (m - potentials) ** 2 / (2 * radii)
+            decide = np.where(observed, excess - 1e-12, -1.0)
+            slack = np.where(observed, np.exp(excess), 0.0)
+        report.points_checked += (m + 1) * n
+        grid.settle(decide, slack, observed,
+                    lambda i, m=m: cell(m, i // n, i % n + 1))
+    return grid.close()
 
 
 def _geometric_sum(first: float, ratio: float, rel_tol: float) -> float:
@@ -208,22 +351,27 @@ def verify_mgf_bound(n: int, lam: int | Sequence[int] = (1, 64, 4096)) -> LemmaR
         grid=f"n={n}, s<={n // 8}, s<=m<={n // 2}, r in [0,{n}], z in [1,s]",
     )
     ci = _comb_table(n)
-    for s in range(n // 8 + 1):
-        for m in range(s, n // 2 + 1):
-            for r in range(n + 1):
-                den = ci[n][r]
-                den_f = float(den)
-                counts = _delta0_counts(ci, n, s, m, r)
-                mirror = _delta0_counts(ci, n, s, m, n - r)
-                report.points_checked += s
-                for z in range(1, s + 1):
-                    num = counts[z] + mirror[z]
-                    if num == 0:
-                        continue
-                    # (num/den) <= 2 * 2^(-z/2)  <=>  num^2 * 2^z <= 4 den^2
-                    if num * num << z > 4 * den * den:
-                        report.record({"s": s, "m": m, "r": r, "z": z}, inf)
-                    report.observe((num / den_f) / (2.0 * 0.5 ** (z / 2)))
+    cf = _float_table(ci)
+    grid = _FloatFilter(report)
+
+    def cell(s, m, r, z):
+        num = _delta0_counts(ci, n, s, m, r)[z] + _delta0_counts(ci, n, s, m, n - r)[z]
+        if num == 0:
+            return (s, m, r, z), [], None
+        den = ci[n][r]
+        # (num/den) <= 2 * 2^(-z/2)  <=>  num^2 * 2^z <= 4 den^2
+        violations = [({"s": s, "m": m, "r": r, "z": z}, inf)] if num * num << z > 4 * den * den else []
+        return (s, m, r, z), violations, (num / float(den)) / (2.0 * 0.5 ** (z / 2))
+
+    for m in range(1, n // 2 + 1):  # m = 0 has s = 0 and no drops
+        depth = min(m, n // 8)
+        report.points_checked += (n + 1) * depth * (depth + 1) // 2
+        counts = _drop_counts(cf, n, m, depth)
+        with np.errstate(invalid="ignore"):
+            probs = (counts + counts[::-1]) / cf[n][:, None]  # radii r and n - r
+        _drop_slices(grid, probs, depth, 2.0,
+                     lambda s, i, m=m: cell(s, m, i // s, i % s + 1))
+    grid.close()
     series = {}
     for lam_v in lambdas:
         value = mgf_series_value(float(lam_v))

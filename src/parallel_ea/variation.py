@@ -193,19 +193,36 @@ def _ones_count_pmf(n: int, k: int, p: float) -> tuple[int, np.ndarray]:
     return k + g0 - l0 - len(loss) + 1, probs
 
 
-# The laws of the histogram draw, which makes their states with np.arange on
-# each call: cached state arrays would add about 40% to a law's memory.
-_ones_count_law = lru_cache(maxsize=4096)(_ones_count_pmf)
-
-
-@lru_cache(maxsize=4096)
-def _ones_count_cdf(n: int, k: int, p: float) -> tuple[int, list[float]]:
+def _ones_count_cdf_of(n: int, k: int, p: float) -> tuple[int, list[float]]:
     """(lo, cdf) of `_ones_count_pmf`, for the per-offspring draw; the last
     entry is set to 1.0, as in `_binomial_cdf`."""
     lo, probs = _ones_count_pmf(n, k, p)
     cdf = probs.cumsum().tolist()
     cdf[-1] = 1.0
     return lo, cdf
+
+
+class _Laws:
+    """`get` is an LRU cache of law(n, k, p) that holds at least n + 1 laws
+    (4096 below that): a run on n bits reads one law per ones count k, its
+    rate fixed or set by k, so it never evicts a law it reads again.  The
+    first law at a larger n swaps in a larger, empty cache."""
+
+    def __init__(self, law):
+        self.law = law
+        self.get = lru_cache(maxsize=4096)(self._build)
+
+    def _build(self, n: int, k: int, p: float):
+        if n >= self.get.cache_parameters()["maxsize"]:
+            self.get = lru_cache(maxsize=n + 1)(self._build)
+            return self.get(n, k, p)
+        return self.law(n, k, p)
+
+
+# The histogram draw's laws make their states with np.arange on each call:
+# cached state arrays would add about 40% to a law's memory.
+_ones_count_law = _Laws(_ones_count_pmf)
+_ones_count_cdf = _Laws(_ones_count_cdf_of)
 
 
 def ones_counts(op: UnaryOperator, n: int, k: int, size: int, rng: UniformStream):
@@ -224,9 +241,9 @@ def ones_counts(op: UnaryOperator, n: int, k: int, size: int, rng: UniformStream
     """
     if op.kind == STANDARD_MUTATION:
         if size >= HISTOGRAM_LAMBDA:
-            lo, probs = _ones_count_law(n, k, op.p)
+            lo, probs = _ones_count_law.get(n, k, op.p)
             return np.arange(lo, lo + len(probs)), rng.multinomial(size, probs)
-        lo, cdf = _ones_count_cdf(n, k, op.p)
+        lo, cdf = _ones_count_cdf.get(n, k, op.p)
         u = rng.next_double
         if size == 1:  # the comprehension would double this call's cost
             return [lo + bisect_right(cdf, u())]

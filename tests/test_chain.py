@@ -128,7 +128,7 @@ def test_ones_count_law_matches_the_exact_convolution(n, k, p):
     # the law of k + Binomial(n - k, p) - Binomial(k, p) against the full
     # convolution of scipy's pmfs, whose index is the state; at n = 10^4
     # the recurrence could not start from (1 - p)^(n - k), which underflows
-    lo, probs = _ones_count_law(n, k, p)
+    lo, probs = _ones_count_law.get(n, k, p)
     states = np.arange(lo, lo + len(probs))
     exact = np.convolve(stats.binom.pmf(np.arange(n - k + 1), n - k, p),
                         stats.binom.pmf(np.arange(k + 1), k, p)[::-1])

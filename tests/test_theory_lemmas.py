@@ -1,9 +1,13 @@
+import contextlib
+import hashlib
+import io
 import json
 from fractions import Fraction
 from math import exp, inf, lgamma, log, sqrt
 
 import pytest
 
+from parallel_ea import cli
 from parallel_ea.theory import lemmas, pmf
 from parallel_ea.theory.lemmas import (
     D_DROP_CHAIN,
@@ -32,6 +36,8 @@ from parallel_ea.theory.lemmas import (
 )
 from parallel_ea.theory.pmf import (
     ProgressParams,
+    _delta0_counts,
+    _delta0_tail_counts,
     delta0_pmf,
     delta0_point_log_prob,
     delta0_point_prob,
@@ -307,3 +313,176 @@ def test_grid_points_match_closed_form(verify, n):
     report = verify(n)
     assert report.passed
     assert report.points_checked == _closed_form_grid_size(verify, n)
+
+
+# The four exact grids one cell at a time, with one big-integer comparison
+# each: the references the float-filtered verifiers must reproduce byte for
+# byte.  They read lemmas._comb_table when called, as the verifiers do.
+
+
+def scalar_hypergeom_tail(n):
+    report = LemmaReport(lemma="hypergeom-tail", grid=f"n={n}, all 0<=m,r<=n, z in support")
+    ci = lemmas._comb_table(n)
+    for m in range(n + 1):
+        for r in range(n + 1):
+            den = ci[n][r]
+            den_f = float(den)
+            mz = 1  # m^z
+            nz = 1  # n^z
+            four_z = 1  # 4^z
+            for z in range(min(m, r) + 1):
+                if z > 0:
+                    mz *= m
+                    nz *= n
+                    four_z *= 4
+                num = ci[m][z] * ci[n - m][r - z]
+                bound_int = ci[r][z] * mz
+                report.points_checked += 1
+                if num * nz > bound_int * den:
+                    report.record({"m": m, "r": r, "z": z, "which": "binomial-bound"}, inf)
+                if num and bound_int:
+                    report.observe(num / den_f / (ci[r][z] * (m / n) ** z))
+                if 2 * z >= r and ci[r][z] > four_z:
+                    report.record({"m": m, "r": r, "z": z, "which": "4^z-bound"}, inf)
+    return report
+
+
+def scalar_improve_prob(n):
+    report = LemmaReport(lemma="improve-prob", grid=f"n={n}, s<=m<={n // 8}, r in [1,{n}], z>=1")
+    ci = lemmas._comb_table(n)
+    for m in range(n // 8 + 1):
+        for s in range(m + 1):
+            for r in range(1, n + 1):
+                den = ci[n][r]
+                den_f = float(den)
+                counts = _delta0_counts(ci, n, s, m, r)
+                report.points_checked += s
+                for z in range(1, s + 1):
+                    num = counts[z]
+                    if num * num << z > den * den:
+                        report.record({"s": s, "m": m, "r": r, "z": z}, inf)
+                    if num:
+                        report.observe(num / den_f / 0.5 ** (z / 2))
+    return report
+
+
+def scalar_chvatal(n):
+    report = LemmaReport(lemma="chvatal", grid=f"n={n}, s<=m<={n // 2}, r in [1,{n}]")
+    ci = lemmas._comb_table(n)
+    for m in range(n // 2 + 1):
+        tails = [_delta0_tail_counts(ci, n, m, r) for r in range(n + 1)]
+        for s in range(m + 1):
+            for r in range(1, n + 1):
+                num = tails[r][s]
+                report.points_checked += 1
+                if num == 0:
+                    continue
+                log_p = log(num) - log(ci[n][r])
+                log_bound = -((m - s) ** 2) / (2 * r)
+                report.observe(exp(log_p - log_bound),
+                               {"s": s, "m": m, "r": r} if log_p > log_bound + 1e-12 else None)
+    return report
+
+
+def scalar_mgf_bound(n, lam=(1, 64, 4096)):
+    report = LemmaReport(
+        lemma="mgf",
+        grid=f"n={n}, s<={n // 8}, s<=m<={n // 2}, r in [0,{n}], z in [1,s]",
+    )
+    ci = lemmas._comb_table(n)
+    for s in range(n // 8 + 1):
+        for m in range(s, n // 2 + 1):
+            for r in range(n + 1):
+                den = ci[n][r]
+                den_f = float(den)
+                counts = _delta0_counts(ci, n, s, m, r)
+                mirror = _delta0_counts(ci, n, s, m, n - r)
+                report.points_checked += s
+                for z in range(1, s + 1):
+                    num = counts[z] + mirror[z]
+                    if num == 0:
+                        continue
+                    if num * num << z > 4 * den * den:
+                        report.record({"s": s, "m": m, "r": r, "z": z}, inf)
+                    report.observe((num / den_f) / (2.0 * 0.5 ** (z / 2)))
+    series = {}
+    for lam_v in lam:
+        value = mgf_series_value(float(lam_v))
+        target = 8.0 * lam_v
+        series[str(lam_v)] = {"series": value, "eight_lambda": target}
+        if abs(value - target) > 1e-9 * target:
+            report.record({"lambda": lam_v, "series": value}, value / target)
+    report.details["gamma"] = GAMMA_POTENTIAL
+    report.details["series"] = series
+    return report
+
+
+EXACT_GRIDS = {
+    "hypergeom-tail": (verify_hypergeom_tail, scalar_hypergeom_tail),
+    "improve-prob": (verify_improve_prob, scalar_improve_prob),
+    "chvatal": (verify_chvatal, scalar_chvatal),
+    "mgf": (verify_mgf_bound, scalar_mgf_bound),
+}
+
+
+@pytest.mark.parametrize("n", [16, 33, 64, 128])  # odd n floors n/8 and n/2
+@pytest.mark.parametrize("lemma", list(EXACT_GRIDS))
+def test_exact_grid_report_is_the_scalar_report(lemma, n):
+    verify, scalar = EXACT_GRIDS[lemma]
+    assert verify(n).to_json() == scalar(n).to_json()
+
+
+# sha256 of `parallel-ea verify --lemma X --n 128` stdout from the scalar
+# loops, so that editing a reference above cannot hide a changed report
+PINNED_STDOUT_128 = {
+    "hypergeom-tail": "2dd575f00eec54951dfe116506cdecdd23c289ae71322a360c2bbc87d214a4b5",
+    "improve-prob": "aba3fd1467a36ff084d6d31e9ccff4ee08f13a9e83c49cf4015f2bcbb60a4fa7",
+    "chvatal": "bff974ca88459a5145122323f7a77fa71ec0a5155d49408b91eb49f6b98a7965",
+    "mgf": "2b27041fabe6b15d2fb442676cfc64682c46cb70e0085988a76f6e745a4af225",
+}
+
+
+@pytest.mark.parametrize("lemma", list(PINNED_STDOUT_128))
+def test_exact_grid_stdout_is_pinned(lemma):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["verify", "--lemma", lemma, "--n", "128"]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == PINNED_STDOUT_128[lemma]
+
+
+def _doctored_row_n(change):
+    """A Pascal table whose row n is changed entry by entry; both the
+    verifiers and the references read it through lemmas._comb_table."""
+    pascal = lemmas._comb_table
+
+    def table(n):
+        rows = pascal(n)
+        rows[n] = [change(c) for c in rows[n]]
+        return rows
+
+    return table
+
+
+DOCTORED = {
+    # C(n, r) over 2^16 (at least 1): each probability up to 2^16 times too large
+    "deflated": lambda c: max(1, c >> 16),
+    # C(n, r) times 2^40: C(n, z) > 4^z near z = n/2
+    "inflated": lambda c: c << 40,
+}
+
+
+@pytest.mark.parametrize("lemma, doctoring", [(lemma, "deflated") for lemma in EXACT_GRIDS]
+                         + [("hypergeom-tail", "inflated")])
+def test_exact_grid_violations_are_the_scalar_violations(monkeypatch, lemma, doctoring):
+    verify, scalar = EXACT_GRIDS[lemma]
+    n = 33
+    monkeypatch.setattr(lemmas, "_comb_table", _doctored_row_n(DOCTORED[doctoring]))
+    capped = verify(n)
+    monkeypatch.setattr(lemmas, "MAX_VIOLATIONS_KEPT", 10**6)
+    every = verify(n)
+    reference = scalar(n)
+    assert not reference.passed and len(reference.violations) > MAX_VIOLATIONS_KEPT
+    # every violation in loop order, each with its slack, then the first ones kept
+    assert every.to_json() == reference.to_json()
+    reference.violations = reference.violations[:MAX_VIOLATIONS_KEPT]
+    assert capped.to_json() == reference.to_json()

@@ -9,6 +9,8 @@ from parallel_ea.bitstring import BitString, hamming_distance, random_bitstring
 from parallel_ea.rng import derive_rng
 from parallel_ea.variation import (
     UnaryOperator,
+    _ones_count_cdf,
+    _ones_count_law,
     apply,
     exact_distribution,
     flip_exact,
@@ -207,3 +209,20 @@ def test_reproducible_streams():
     a = apply(standard_mutation(0.05), x, derive_rng(123, 7))
     b = apply(standard_mutation(0.05), x, derive_rng(123, 7))
     assert a == b
+
+
+@pytest.mark.parametrize("laws", [_ones_count_law, _ones_count_cdf], ids=["law", "cdf"])
+def test_ones_count_laws_of_a_run_stay_cached(laws):
+    # a run on n = 10^4 bits reads up to n + 1 laws, more than 4096; the cache
+    # holds n + 1 of them, so a second pass over 5001 ones counts builds none
+    n, p = 10**4, 1e-4
+
+    def one_pass():
+        for k in range(5000, n + 1):
+            laws.get(n, k, p)
+        return laws.get.cache_info()
+
+    first, second = one_pass(), one_pass()
+    assert second.misses == first.misses
+    assert second.hits - first.hits == n + 1 - 5000
+    assert second.maxsize == n + 1
