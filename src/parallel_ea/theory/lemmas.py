@@ -105,6 +105,9 @@ def _check_grid(lemma: str, n: int, lo: int, hi: Optional[int] = None) -> None:
 # A float slack this far (relative) from its bound settles a cell; see the
 # module docstring.
 FLOAT_MARGIN = 1e-9
+# The largest n whose C(n, r) all convert to float: the improve-prob and mgf
+# slacks divide by float(C(n, r)).
+FLOAT_BINOMIAL_N = 1029
 
 
 def _float_table(ci: list[list[int]]) -> np.ndarray:
@@ -249,7 +252,7 @@ def _drop_slices(grid: _FloatFilter, probs: np.ndarray, depth: int, scale: float
 def verify_improve_prob(n: int) -> LemmaReport:
     """P(Delta_0(s,m,r) = z) <= (1/2)^(z/2) for s <= m <= n/8, r in [1,n],
     z >= 1.  Exact: num^2 * 2^z <= den^2 by cross-multiplication."""
-    _check_grid("improve-prob", n, 8)
+    _check_grid("improve-prob", n, 8, FLOAT_BINOMIAL_N)
     report = LemmaReport(
         lemma="improve-prob",
         grid=f"n={n}, s<=m<={n // 8}, r in [1,{n}], z>=1",
@@ -342,7 +345,7 @@ def verify_mgf_bound(n: int, lam: int | Sequence[int] = (1, 64, 4096)) -> LemmaR
     on the full grid s <= n/8, s <= m <= n/2, r in [0,n] (exact integers),
     then the geometric series sum_z lam 2^(1-z/2) e^(gamma z) = 8 lam.
     """
-    _check_grid("mgf", n, 8)
+    _check_grid("mgf", n, 8, FLOAT_BINOMIAL_N)
     lambdas = [lam] if isinstance(lam, (int, float)) else list(lam)
     if not lambdas or min(lambdas) < 1:
         raise ValueError(f"the mgf series needs at least one lambda, each >= 1, got {lambdas}")

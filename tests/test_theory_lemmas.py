@@ -450,6 +450,13 @@ def test_exact_grid_stdout_is_pinned(lemma):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == PINNED_STDOUT_128[lemma]
 
 
+@pytest.mark.parametrize("verify", [verify_improve_prob, verify_mgf_bound])
+def test_float_slack_grids_stop_where_binomials_overflow(verify):
+    # their slacks divide by float(C(n, r)), which overflows from n = 1030 on
+    with pytest.raises(ValueError, match="n <= 1029"):
+        verify(1030)
+
+
 def _doctored_row_n(change):
     """A Pascal table whose row n is changed entry by entry; both the
     verifiers and the references read it through lemmas._comb_table."""
