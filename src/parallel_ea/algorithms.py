@@ -22,6 +22,7 @@ from .objectives.base import CHAIN, Objective
 from .rng import as_stream, derive_rng
 from .variation import (
     HISTOGRAM_LAMBDA,
+    STATES_OF_DOUBLES,
     UnaryOperator,
     apply,
     mirrored,
@@ -225,6 +226,42 @@ def _first_position(lam: int, hits: int, u: float) -> int:
     return i
 
 
+def _idle_generations(ranks: np.ndarray, harmless: np.ndarray, lam: int,
+                      limit: int) -> tuple[list[int], int]:
+    """(starts, used): where the leading idle generations begin among the
+    offspring read off pending doubles, with these ranks, at most `limit`
+    of them, and how many doubles they read.
+
+    harmless[i] says that offspring i neither leaves the parent's state for
+    one as good nor is a target member, so a generation of harmless
+    offspring keeps the parent and ends nothing.  It reads lam doubles, and
+    one more to break a tie when two or more offspring share the best rank,
+    as selection does.  The scan stops before the first offspring that is
+    not harmless and before a generation whose doubles run past the end of
+    `ranks`; the caller draws that generation."""
+    m = len(ranks)
+    first = int(harmless.argmin())  # the first offspring that is not harmless
+    if harmless[first]:
+        first = m
+    if lam == 1:
+        return list(range(min(limit, first))), min(limit, first)
+    windows = first - lam + 1  # the generations from each start before `first`
+    if windows < 1:
+        return [], 0
+    best = ranks[:windows]
+    for d in range(1, lam):
+        best = np.maximum(best, ranks[d:d + windows])
+    tied = sum(ranks[d:d + windows] == best for d in range(lam)) > 1
+    steps = (tied + lam).tolist()
+    starts, i = [], 0
+    for _ in range(limit):
+        if i >= windows or i + steps[i] > m:
+            break
+        starts.append(i)
+        i += steps[i]
+    return starts, i
+
+
 def run_one_plus_lambda(
     cfg: AlgoConfig,
     obj: Objective,
@@ -288,6 +325,25 @@ def run_one_plus_lambda(
         operator_for = _operator_schedule(cfg, lambda s: chain.zeros(n, s))
         batch = take([chain.state(initial)] if initial is not None else chain.initial(n, lam, rng))
         sample = chain.offspring
+        states_of = STATES_OF_DOUBLES.get(sample) if lam < HISTOGRAM_LAMBDA else None
+
+        def skip_idle(s: int, fs, gens: int, limit: int) -> int:
+            """Consume the leading idle generations, at most limit, that the
+            pending doubles hold for a parent in state s, report each to the
+            hook as generation gens + 1, gens + 2, ..., and return how many
+            there were."""
+            u = rng.pending()
+            if limit < 1 or len(u) < lam:
+                return 0
+            states = states_of(operator_for(s), n, s, u)
+            ranks = rank[states]
+            harmless = ((ranks < rank[s]) | (states == s)) & ~member[states] & (states >= 0)
+            starts, used = _idle_generations(ranks, harmless, lam, limit)
+            rng.consume(used)
+            if on_generation is not None:
+                for g, i in enumerate(starts, gens + 1):
+                    on_generation(g, [point(y) for y in states[i:i + lam].tolist()], point(s), fs)
+            return len(starts)
 
         def point(s: int) -> BitString:
             return chain.point(n, s)
@@ -295,6 +351,7 @@ def run_one_plus_lambda(
         def offspring(s: int):
             return take(sample(operator_for(s), n, s, lam, rng))
     else:
+        states_of = None
         fitness, hit, point = obj.evaluate, obj.target.contains, lambda y: y
         operator_for = _operator_schedule(cfg, BitString.count_zeros)
         batch = [initial] if initial is not None else [random_bitstring(n, rng) for _ in range(lam)]
@@ -382,6 +439,10 @@ def run_one_plus_lambda(
             on_generation(gens, [point(y) for y in queried], point(x), fx)
         if first_hit is not None or evals + lam > cfg.budget:
             break
+        if states_of is not None:  # the last generation the budget allows is drawn below
+            idle = skip_idle(x, fx, gens, (cfg.budget - evals) // lam - 1)
+            gens += idle
+            evals += idle * lam
         batch = offspring(x)
         gens += 1
 

@@ -193,13 +193,14 @@ def _ones_count_pmf(n: int, k: int, p: float) -> tuple[int, np.ndarray]:
     return k + g0 - l0 - len(loss) + 1, probs
 
 
-def _ones_count_cdf_of(n: int, k: int, p: float) -> tuple[int, list[float]]:
-    """(lo, cdf) of `_ones_count_pmf`, for the per-offspring draw; the last
-    entry is set to 1.0, as in `_binomial_cdf`."""
+def _ones_count_cdf_of(n: int, k: int, p: float) -> tuple[int, list[float], np.ndarray]:
+    """(lo, cdf, the cdf as an array) of `_ones_count_pmf`: the list for the
+    per-offspring draw, the array for the idle scan's; the last entry is
+    set to 1.0, as in `_binomial_cdf`."""
     lo, probs = _ones_count_pmf(n, k, p)
-    cdf = probs.cumsum().tolist()
+    cdf = probs.cumsum()
     cdf[-1] = 1.0
-    return lo, cdf
+    return lo, cdf.tolist(), cdf
 
 
 class _Laws:
@@ -243,7 +244,7 @@ def ones_counts(op: UnaryOperator, n: int, k: int, size: int, rng: UniformStream
         if size >= HISTOGRAM_LAMBDA:
             lo, probs = _ones_count_law.get(n, k, op.p)
             return np.arange(lo, lo + len(probs)), rng.multinomial(size, probs)
-        lo, cdf = _ones_count_cdf.get(n, k, op.p)
+        lo, cdf, _ = _ones_count_cdf.get(n, k, op.p)
         u = rng.next_double
         if size == 1:  # the comprehension would double this call's cost
             return [lo + bisect_right(cdf, u())]
@@ -251,6 +252,21 @@ def ones_counts(op: UnaryOperator, n: int, k: int, size: int, rng: UniformStream
     if op.kind == FLIP_EXACT and op.r == 1:
         u = rng.next_double
         return [k + 1 if u() * n < n - k else k - 1 for _ in range(size)]
+    raise ValueError(f"no ones-count sampler for {op}")
+
+
+def ones_count_states(op: UnaryOperator, n: int, k: int, u: np.ndarray) -> np.ndarray:
+    """The ones counts that `ones_counts` gives, below HISTOGRAM_LAMBDA, to
+    offspring of a point with k ones that read the doubles u, one each: the
+    same comparisons of the same doubles, made by numpy.  searchsorted with
+    side "right" finds bisect_right's index; the CDF rises up to its last
+    entries, and the entries of 1.0 or more all exceed every u < 1, so both
+    searches find the same one."""
+    if op.kind == STANDARD_MUTATION:
+        lo, _, cdf = _ones_count_cdf.get(n, k, op.p)
+        return lo + np.searchsorted(cdf, u, "right")
+    if op.kind == FLIP_EXACT and op.r == 1:
+        return np.where(u * n < n - k, k + 1, k - 1)
     raise ValueError(f"no ones-count sampler for {op}")
 
 
@@ -394,6 +410,44 @@ def leading_ones_counts(op: UnaryOperator, n: int, l: int, size: int, rng: Unifo
             for i in live:
                 out[i] += 1
     return out
+
+
+# numpy's log1p and math.log1p may differ in the last place, which moves a
+# first-flip value f across an integer only when f lies this close to one
+_FIRST_FLIP_MARGIN = 1e-9
+
+
+def leading_ones_states(op: UnaryOperator, n: int, l: int, u: np.ndarray) -> np.ndarray:
+    """The leading-ones counts that `leading_ones_counts` gives, below
+    HISTOGRAM_LAMBDA, to offspring of a point with l leading ones whose
+    first-flip doubles are u, one each, with -1 for an improver: it reads
+    more doubles than its own, so its state is not read off u alone.
+
+    The first-flip values f are those of the scalar sampler: u n for RLS,
+    and log1p(-u) / ln(1-p) under standard mutation, each f within
+    _FIRST_FLIP_MARGIN (relative to 1 + f) of an integer taken again from
+    math.log1p, so that every cut int(f) and every comparison with l is the
+    sampler's own."""
+    if op.kind == STANDARD_MUTATION and 0.0 < op.p:
+        lq = log1p(-op.p)
+        f = np.log1p(-u) / lq
+        near = np.abs(f - np.rint(f)) <= _FIRST_FLIP_MARGIN * (1.0 + f)
+        if near.any():
+            f[near] = [log1p(-v) / lq for v in u[near].tolist()]
+    elif op.kind == FLIP_EXACT and op.r == 1:
+        f = u * n
+    else:
+        raise ValueError(f"no per-double leading-ones map for {op}")
+    states = np.minimum(f, l).astype(np.intp)  # int(f) below l, else l
+    if l < n:
+        states[(f >= l) & (f < l + 1)] = -1
+    return states
+
+
+# The per-offspring samplers that read exactly one stream double for each
+# offspring that does not improve on a leading-ones parent, and the map of
+# those doubles to the offspring's states (below HISTOGRAM_LAMBDA).
+STATES_OF_DOUBLES = {ones_counts: ones_count_states, leading_ones_counts: leading_ones_states}
 
 
 def mirrored(op: UnaryOperator, x: BitString, rng: UniformStream) -> tuple[BitString, BitString]:
