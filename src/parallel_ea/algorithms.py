@@ -300,6 +300,15 @@ def run_one_plus_lambda(
     does not hold the zero count does not run the adaptive EA: those runs
     sample bit strings.
 
+    Below HISTOGRAM_LAMBDA the chains' own samplers read one stream double
+    per offspring that does not improve on a leading-ones parent, so before
+    each generation the run maps the doubles pending in the stream's buffer
+    to offspring states (`variation.STATES_OF_DOUBLES`) and consumes every
+    leading idle generation at once: its offspring all stay in the parent's
+    state or rank below it, and none is a target member.  Each one adds
+    lambda evaluations, its tie double and its hook call, so the run is the
+    one drawn generation by generation.
+
     rng may be any Generator: the run wraps it once, with `as_stream`, in a
     UniformStream on the same bit generator, whose buffered doubles feed
     `apply`, the chains' per-offspring samplers, the free-rider walk's

@@ -69,8 +69,7 @@ class UniformStream(np.random.Generator):
         left = buffer.rest.__length_hint__()
         if not 0 <= k <= left:
             raise ValueError(f"cannot consume {k} doubles: {left} are pending")
-        if k:
-            buffer.rest.__setstate__(len(buffer.block) - left + k)
+        buffer.rest.__setstate__(len(buffer.block) - left + k)
 
 
 def as_stream(rng: np.random.Generator) -> UniformStream:

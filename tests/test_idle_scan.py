@@ -20,7 +20,6 @@ from parallel_ea.bitstring import BitString
 from parallel_ea.objectives import TargetSet, make_objective
 from parallel_ea.rng import BLOCK, derive_rng
 from parallel_ea.variation import (
-    HISTOGRAM_LAMBDA,
     STATES_OF_DOUBLES,
     _ones_count_cdf,
     leading_ones_counts,
@@ -279,9 +278,3 @@ def test_ones_count_map_at_its_thresholds(p):
         expected = [scalar_state(ones_counts, op, n, k, v) for v in u.tolist()]
         assert ones_count_states(op, n, k, u).tolist() == expected
 
-
-def test_maps_cover_the_per_offspring_samplers():
-    # the scan runs below the histogram crossover, on these samplers only
-    assert STATES_OF_DOUBLES == {ones_counts: ones_count_states,
-                                 leading_ones_counts: leading_ones_states}
-    assert HISTOGRAM_LAMBDA == algorithms.ARRAY_SELECTION_LAMBDA
