@@ -226,18 +226,26 @@ def _first_position(lam: int, hits: int, u: float) -> int:
     return i
 
 
+# The largest lambda whose idle generations the runner scans.  A scan's
+# numpy calls cost as much as tens of drawn generations, and as lambda
+# grows the idle stretches shorten: leadingones runs at n = 40 were slower
+# with the scan from lambda = 8 on, at n = 150 from 16 (CHANGES.md).  Up to
+# 2 the scan paid on every run timed, and a tie is one comparison.
+IDLE_SCAN_LAMBDA = 2
+
+
 def _idle_generations(ranks: np.ndarray, harmless: np.ndarray, lam: int,
                       limit: int) -> tuple[list[int], int]:
-    """(starts, used): where the leading idle generations begin among the
-    offspring read off pending doubles, with these ranks, at most `limit`
-    of them, and how many doubles they read.
+    """(starts, used): where the leading idle generations of lam = 1 or 2
+    offspring begin among the offspring read off pending doubles, with
+    these ranks, at most `limit` of them, and how many doubles they read.
 
     harmless[i] says that offspring i neither leaves the parent's state for
     one as good nor is a target member, so a generation of harmless
     offspring keeps the parent and ends nothing.  It reads lam doubles, and
-    one more to break a tie when two or more offspring share the best rank,
-    as selection does.  The scan stops before the first offspring that is
-    not harmless and before a generation whose doubles run past the end of
+    one more to break a tie when its two offspring share a rank, as
+    selection does.  The scan stops before the first offspring that is not
+    harmless and before a generation whose doubles run past the end of
     `ranks`; the caller draws that generation."""
     m = len(ranks)
     first = int(harmless.argmin())  # the first offspring that is not harmless
@@ -245,14 +253,10 @@ def _idle_generations(ranks: np.ndarray, harmless: np.ndarray, lam: int,
         first = m
     if lam == 1:
         return list(range(min(limit, first))), min(limit, first)
-    windows = first - lam + 1  # the generations from each start before `first`
+    windows = first - 1  # the generations from each start before `first`
     if windows < 1:
         return [], 0
-    best = ranks[:windows]
-    for d in range(1, lam):
-        best = np.maximum(best, ranks[d:d + windows])
-    tied = sum(ranks[d:d + windows] == best for d in range(lam)) > 1
-    steps = (tied + lam).tolist()
+    steps = ((ranks[:windows] == ranks[1:first]) + 2).tolist()
     starts, i = [], 0
     for _ in range(limit):
         if i >= windows or i + steps[i] > m:
@@ -300,14 +304,15 @@ def run_one_plus_lambda(
     does not hold the zero count does not run the adaptive EA: those runs
     sample bit strings.
 
-    Below HISTOGRAM_LAMBDA the chains' own samplers read one stream double
-    per offspring that does not improve on a leading-ones parent, so before
-    each generation the run maps the doubles pending in the stream's buffer
-    to offspring states (`variation.STATES_OF_DOUBLES`) and consumes every
-    leading idle generation at once: its offspring all stay in the parent's
-    state or rank below it, and none is a target member.  Each one adds
-    lambda evaluations, its tie double and its hook call, so the run is the
-    one drawn generation by generation.
+    Below HISTOGRAM_LAMBDA the leading-ones sampler reads one stream double
+    per offspring that does not improve on the parent, so at lambda <=
+    IDLE_SCAN_LAMBDA, before each generation, the run maps the doubles
+    pending in the stream's buffer to offspring states
+    (`variation.STATES_OF_DOUBLES`) and consumes every leading idle
+    generation at once: its offspring all stay in the parent's state or
+    rank below it, and none is a target member.  Each one adds lambda
+    evaluations, its tie double and its hook call, so the run is the one
+    drawn generation by generation.
 
     rng may be any Generator: the run wraps it once, with `as_stream`, in a
     UniformStream on the same bit generator, whose buffered doubles feed
@@ -334,7 +339,7 @@ def run_one_plus_lambda(
         operator_for = _operator_schedule(cfg, lambda s: chain.zeros(n, s))
         batch = take([chain.state(initial)] if initial is not None else chain.initial(n, lam, rng))
         sample = chain.offspring
-        states_of = STATES_OF_DOUBLES.get(sample) if lam < HISTOGRAM_LAMBDA else None
+        states_of = STATES_OF_DOUBLES.get(sample) if lam <= IDLE_SCAN_LAMBDA else None
 
         def skip_idle(s: int, fs, gens: int, limit: int) -> int:
             """Consume the leading idle generations, at most limit, that the

@@ -193,14 +193,13 @@ def _ones_count_pmf(n: int, k: int, p: float) -> tuple[int, np.ndarray]:
     return k + g0 - l0 - len(loss) + 1, probs
 
 
-def _ones_count_cdf_of(n: int, k: int, p: float) -> tuple[int, list[float], np.ndarray]:
-    """(lo, cdf, the cdf as an array) of `_ones_count_pmf`: the list for the
-    per-offspring draw, the array for the idle scan's; the last entry is
-    set to 1.0, as in `_binomial_cdf`."""
+def _ones_count_cdf_of(n: int, k: int, p: float) -> tuple[int, list[float]]:
+    """(lo, cdf) of `_ones_count_pmf`, for the per-offspring draw; the last
+    entry is set to 1.0, as in `_binomial_cdf`."""
     lo, probs = _ones_count_pmf(n, k, p)
-    cdf = probs.cumsum()
+    cdf = probs.cumsum().tolist()
     cdf[-1] = 1.0
-    return lo, cdf.tolist(), cdf
+    return lo, cdf
 
 
 class _Laws:
@@ -244,7 +243,7 @@ def ones_counts(op: UnaryOperator, n: int, k: int, size: int, rng: UniformStream
         if size >= HISTOGRAM_LAMBDA:
             lo, probs = _ones_count_law.get(n, k, op.p)
             return np.arange(lo, lo + len(probs)), rng.multinomial(size, probs)
-        lo, cdf, _ = _ones_count_cdf.get(n, k, op.p)
+        lo, cdf = _ones_count_cdf.get(n, k, op.p)
         u = rng.next_double
         if size == 1:  # the comprehension would double this call's cost
             return [lo + bisect_right(cdf, u())]
@@ -252,21 +251,6 @@ def ones_counts(op: UnaryOperator, n: int, k: int, size: int, rng: UniformStream
     if op.kind == FLIP_EXACT and op.r == 1:
         u = rng.next_double
         return [k + 1 if u() * n < n - k else k - 1 for _ in range(size)]
-    raise ValueError(f"no ones-count sampler for {op}")
-
-
-def ones_count_states(op: UnaryOperator, n: int, k: int, u: np.ndarray) -> np.ndarray:
-    """The ones counts that `ones_counts` gives, below HISTOGRAM_LAMBDA, to
-    offspring of a point with k ones that read the doubles u, one each: the
-    same comparisons of the same doubles, made by numpy.  searchsorted with
-    side "right" finds bisect_right's index; the CDF rises up to its last
-    entries, and the entries of 1.0 or more all exceed every u < 1, so both
-    searches find the same one."""
-    if op.kind == STANDARD_MUTATION:
-        lo, _, cdf = _ones_count_cdf.get(n, k, op.p)
-        return lo + np.searchsorted(cdf, u, "right")
-    if op.kind == FLIP_EXACT and op.r == 1:
-        return np.where(u * n < n - k, k + 1, k - 1)
     raise ValueError(f"no ones-count sampler for {op}")
 
 
@@ -444,10 +428,13 @@ def leading_ones_states(op: UnaryOperator, n: int, l: int, u: np.ndarray) -> np.
     return states
 
 
-# The per-offspring samplers that read exactly one stream double for each
-# offspring that does not improve on a leading-ones parent, and the map of
-# those doubles to the offspring's states (below HISTOGRAM_LAMBDA).
-STATES_OF_DOUBLES = {ones_counts: ones_count_states, leading_ones_counts: leading_ones_states}
+# The per-offspring samplers whose idle generations the runner scans, and
+# the map of their doubles to the offspring's states.  A leading-ones run
+# improves about n / 2 times in its e n^2 / 2 evaluations, so its idle
+# stretches are long.  The ones-count chain is left out: onemax improves
+# about n times in e n ln n, and under RLS or at lambda = 2 a scan's numpy
+# calls cost more than the short stretches they skip (CHANGES.md).
+STATES_OF_DOUBLES = {leading_ones_counts: leading_ones_states}
 
 
 def mirrored(op: UnaryOperator, x: BitString, rng: UniformStream) -> tuple[BitString, BitString]:

@@ -1,9 +1,10 @@
-"""The idle-generation scan of the small-lambda chains.
+"""The idle-generation scan of the leading-ones chain.
 
-Below `variation.HISTOGRAM_LAMBDA` a chain run consumes, in one numpy step,
-every leading generation of the stream's buffered doubles that changes
-nothing.  It must give the runs the per-generation path gives: the same
-doubles, the same picks, the same records and the same hook calls.
+At lambda <= `algorithms.IDLE_SCAN_LAMBDA` a leading-ones chain run
+consumes, in one numpy step, every leading generation of the stream's
+buffered doubles that changes nothing.  It must give the runs the
+per-generation path gives: the same doubles, the same picks, the same
+records and the same hook calls.
 """
 
 import dataclasses
@@ -16,16 +17,12 @@ import pytest
 
 from parallel_ea import algorithms, cli
 from parallel_ea.algorithms import AlgoConfig, run_one_plus_lambda
-from parallel_ea.bitstring import BitString
 from parallel_ea.objectives import TargetSet, make_objective
 from parallel_ea.rng import BLOCK, derive_rng
 from parallel_ea.variation import (
     STATES_OF_DOUBLES,
-    _ones_count_cdf,
     leading_ones_counts,
     leading_ones_states,
-    ones_count_states,
-    ones_counts,
     single_bit,
     standard_mutation,
 )
@@ -90,7 +87,7 @@ def reads_of(rng) -> list[int]:
     return calls
 
 
-def scanned_and_plain(monkeypatch, cfg, obj, key, initial=None):
+def scanned_and_plain(monkeypatch, cfg, obj, key):
     """The run of cfg on obj with the idle scan and with it monkeypatched
     out, from the same stream: for each, the record without a hook, the
     record with one, the hook's calls, and the next_double() calls made
@@ -98,7 +95,7 @@ def scanned_and_plain(monkeypatch, cfg, obj, key, initial=None):
     out = []
     for scans in (STATES_OF_DOUBLES, {}):
         monkeypatch.setattr(algorithms, "STATES_OF_DOUBLES", scans)
-        plain = run_one_plus_lambda(cfg, obj, derive_rng(*key), initial=initial)
+        plain = run_one_plus_lambda(cfg, obj, derive_rng(*key))
         rng = derive_rng(*key)
         reads = reads_of(rng)
         seen, counts = [], []
@@ -107,7 +104,7 @@ def scanned_and_plain(monkeypatch, cfg, obj, key, initial=None):
             seen.append((g, queried, x, fx))
             counts.append(reads[0])
 
-        hooked = run_one_plus_lambda(cfg, obj, rng, initial=initial, on_generation=hook)
+        hooked = run_one_plus_lambda(cfg, obj, rng, on_generation=hook)
         out.append((plain, hooked, seen, counts))
     return out
 
@@ -119,22 +116,36 @@ def assert_same_runs(scanned, plain):
     assert scanned[3][-1] < plain[3][-1]
 
 
-SAME_RUN_CASES = [(name, algorithm, lam)
-                  for name in ("leadingones", "leadingzeros", "onemax", "twomax", "jump")
-                  for algorithm, lams in (("one-plus-lambda-fixed", (1, 2, 3, 7, 16)), ("rls", (1,)),
-                                          ("one-plus-lambda-adaptive", (1, 2, 5)))
-                  if algorithm != "one-plus-lambda-adaptive" or not name.startswith("leading")
-                  for lam in lams]
+SAME_RUN_CASES = [(name, algorithm, lam, p)
+                  for name in ("leadingones", "leadingzeros")
+                  for algorithm, lam in (("one-plus-lambda-fixed", 1), ("one-plus-lambda-fixed", 2), ("rls", 1))
+                  for p in ((None, 0.2) if algorithm != "rls" else (None,))]
 
 
-@pytest.mark.parametrize("name, algorithm, lam", SAME_RUN_CASES)
-def test_scan_gives_the_same_runs(monkeypatch, name, algorithm, lam):
+@pytest.mark.parametrize("name, algorithm, lam, p", SAME_RUN_CASES)
+def test_scan_gives_the_same_runs(monkeypatch, name, algorithm, lam, p):
     n = 40
-    obj = make_objective(name, n, **({"k": 3} if name == "jump" else {}))
+    obj = make_objective(name, n)
     for rep in range(3):
-        cfg = AlgoConfig(algorithm, n=n, lam=lam, budget=30_000 + rep, seed=rep)
+        cfg = AlgoConfig(algorithm, n=n, lam=lam, p=p, budget=30_000 + rep, seed=rep)
         scanned, plain = scanned_and_plain(monkeypatch, cfg, obj, (1801, rep))
         assert_same_runs(scanned, plain)
+
+
+@pytest.mark.parametrize("name, algorithm, lam", [("leadingones", "one-plus-lambda-fixed", 3),
+                                                  ("onemax", "one-plus-lambda-fixed", 1),
+                                                  ("twomax", "rls", 1),
+                                                  ("jump", "one-plus-lambda-adaptive", 2)])
+def test_scan_runs_only_on_leading_ones_at_small_lambda(name, algorithm, lam):
+    def scanned(k):
+        raise AssertionError("the idle scan ran")
+
+    n = 40
+    obj = make_objective(name, n, **({"k": 3} if name == "jump" else {}))
+    cfg = AlgoConfig(algorithm, n=n, lam=lam, budget=5000, seed=0)
+    rng = derive_rng(1807)
+    rng.consume = scanned  # every scan consumes, if only 0 doubles
+    run_one_plus_lambda(cfg, obj, rng)
 
 
 @pytest.mark.parametrize("algorithm, lam", [("one-plus-lambda-fixed", 1), ("one-plus-lambda-fixed", 2),
@@ -151,85 +162,78 @@ def test_scan_stops_at_the_same_budget(monkeypatch, algorithm, lam):
         assert not plain[0].hit_target and budget - lam < plain[0].evaluations_used <= budget
 
 
-def peak_objective(n: int, name: str = "onemax", peak=None, member=None):
-    """A stub on the chain of `name`: the state `peak` (n // 2 by default)
-    is the best, each step away from it one worse, so a parent there stays
-    and every move ranks below it; the target is the state `member`, or the
-    optimum of `name`."""
-    obj = make_objective(name, n)
+def peak_objective(n: int, member=None):
+    """A stub on the leading-ones chain: the fitness is -l, so a parent at
+    l = 0 stays and every improver ranks below it; the target is the state
+    `member`, or the optimum l = n."""
+    obj = make_objective("leadingones", n)
     state = obj.metadata["chain"].state
-    peak = n // 2 if peak is None else peak
     target = obj.target if member is None else TargetSet("stub", lambda x: state(x) == member, 1)
-    return dataclasses.replace(obj, evaluate=lambda x: -abs(state(x) - peak), target=target)
+    return dataclasses.replace(obj, evaluate=lambda x: -state(x), target=target)
 
 
 @pytest.mark.parametrize("lam", [1, 2])
 def test_scan_stops_at_the_same_budget_on_a_refill_boundary(monkeypatch, lam):
-    # from `initial` no double is read before the first generation, so a
-    # budget in this range ends a run with its last generation's doubles
-    # ending exactly at the end of the first buffer
+    # a run reads one double per offspring, plus tie doubles and an
+    # improver's free riders, so a budget in this range ends some runs with
+    # their last generation's doubles ending exactly at the end of the
+    # first buffer
     n = 20
     obj = peak_objective(n)
     ended_on_boundary = 0
     for budget in range(BLOCK // 2, BLOCK + 16):
         cfg = AlgoConfig("one-plus-lambda-fixed", n=n, lam=lam, budget=budget, seed=budget)
-        scanned, plain = scanned_and_plain(monkeypatch, cfg, obj, (1803, budget),
-                                           initial=BitString(n, (1 << n // 2) - 1))
+        scanned, plain = scanned_and_plain(monkeypatch, cfg, obj, (1803, budget))
         assert scanned[:3] == plain[:3] and scanned[0] == scanned[1]
         ended_on_boundary += plain[3][-1] == BLOCK
     assert ended_on_boundary >= 1
 
 
 def test_tie_double_just_past_the_buffer_end(monkeypatch):
-    # lambda = 2 at the peak: both offspring stay, or both step to rank -1,
-    # so many generations read a tie double; in some, the two offspring take
-    # the last two doubles of a buffer and the tie the first of the next
+    # lambda = 2 at the peak: mostly both offspring stay, so many
+    # generations read a tie double; in some, the two offspring take the
+    # last two doubles of a buffer and the tie the first of the next
     n, lam = 20, 2
     obj = peak_objective(n)
     straddled = 0
     for rep in range(6):
         cfg = AlgoConfig("one-plus-lambda-fixed", n=n, lam=lam, budget=lam * 2000 + 1, seed=rep)
-        scanned, plain = scanned_and_plain(monkeypatch, cfg, obj, (1804, rep),
-                                           initial=BitString(n, (1 << n // 2) - 1))
+        scanned, plain = scanned_and_plain(monkeypatch, cfg, obj, (1804, rep))
         assert_same_runs(scanned, plain)
         reads = plain[3]
         straddled += sum(a % BLOCK == BLOCK - 2 and b - a == 3 for a, b in zip(reads, reads[1:]))
     assert straddled >= 1
 
 
-@pytest.mark.parametrize("lam", [1, 2, 3])
-@pytest.mark.parametrize("chain", ["onemax", "leadingones"])
-def test_member_below_the_parent_ends_the_run(monkeypatch, chain, lam):
+@pytest.mark.parametrize("lam", [1, 2])
+def test_member_below_the_parent_ends_the_run(monkeypatch, lam):
     # the stub's target member ranks below a parent at the peak, so it ends
-    # the run without becoming the parent; on the leading-ones chain, with
-    # its peak at 0, an improver ranks below the parent too, though it reads
-    # more doubles than its own
-    n = 20
-    peak, member = (10, 12) if chain == "onemax" else (0, 2)
-    obj = peak_objective(n, chain, peak, member)
+    # the run without becoming the parent; with the peak at 0, an improver
+    # ranks below the parent too, though it reads more doubles than its own
+    n, member = 20, 2
+    obj = peak_objective(n, member)
     below = 0
     for rep in range(8):
         cfg = AlgoConfig("one-plus-lambda-fixed", n=n, lam=lam, budget=4000, seed=rep)
-        initial = BitString(n, (1 << peak) - 1) if chain == "onemax" else None
-        scanned, plain = scanned_and_plain(monkeypatch, cfg, obj, (1805, rep), initial=initial)
+        scanned, plain = scanned_and_plain(monkeypatch, cfg, obj, (1805, rep))
         assert scanned[:3] == plain[:3] and scanned[0] == scanned[1]
-        below += plain[0].hit_target and plain[0].best_fitness > -abs(member - peak)
+        below += plain[0].hit_target and plain[0].best_fitness > -member
     assert below >= 4
 
 
 @pytest.mark.parametrize("lam", [1, 2])
 def test_offspring_as_good_as_the_parent_moves_it(monkeypatch, lam):
-    # on the plateau of min(k, 12) an offspring of another state with the
-    # parent's fitness becomes the parent, so its generation is not idle
+    # on the plateau of max(l, 12) a cut offspring with the parent's fitness
+    # becomes the parent, so its generation is not idle
     n = 20
-    onemax = make_objective("onemax", n)
-    obj = dataclasses.replace(onemax, evaluate=lambda x: min(x.count_ones(), 12))
+    leadingones = make_objective("leadingones", n)
+    state = leadingones.metadata["chain"].state
+    obj = dataclasses.replace(leadingones, evaluate=lambda x: max(state(x), 12))
     for rep in range(6):
         cfg = AlgoConfig("one-plus-lambda-fixed", n=n, lam=lam, budget=3000, seed=rep)
-        scanned, plain = scanned_and_plain(monkeypatch, cfg, obj, (1806, rep),
-                                           initial=BitString(n, (1 << 12) - 1))
+        scanned, plain = scanned_and_plain(monkeypatch, cfg, obj, (1806, rep))
         assert_same_runs(scanned, plain)
-        assert len({x.count_ones() for _, _, x, _ in plain[2]}) > 2  # the parent drifts
+        assert len({state(x) for _, _, x, _ in plain[2]}) > 2  # the parent drifts
 
 
 # ------------------------------------------------- the maps at their thresholds
@@ -247,12 +251,12 @@ def doubles_around(thresholds, steps: int = 3) -> np.ndarray:
     return u[(u >= 0.0) & (u < 1.0)]
 
 
-def scalar_state(sampler, op, n: int, s: int, v: float) -> int:
+def scalar_state(op, n: int, l: int, v: float) -> int:
     """The state the per-offspring sampler gives one offspring whose first
-    double is v, or -1 when it is a leading-ones improver."""
+    double is v, or -1 when it is an improver."""
     draws = iter([v, 0.5])
-    out = sampler(op, n, s, 1, SimpleNamespace(next_double=draws.__next__))[0]
-    return -1 if sampler is leading_ones_counts and out > s else out
+    out = leading_ones_counts(op, n, l, 1, SimpleNamespace(next_double=draws.__next__))[0]
+    return -1 if out > l else out
 
 
 @pytest.mark.parametrize("n, p", [(7, None), (7, 1 / 7), (150, None), (150, 1 / 150), (150, 0.3),
@@ -264,17 +268,5 @@ def test_leading_ones_map_at_its_thresholds(n, p):
     thresholds = [j / n if p is None else -expm1(j * log1p(-p)) for j in range(n + 1)]
     u = doubles_around(thresholds)
     for l in sorted({0, 1, n // 2, n - 1, n}):
-        expected = [scalar_state(leading_ones_counts, op, n, l, v) for v in u.tolist()]
+        expected = [scalar_state(op, n, l, v) for v in u.tolist()]
         assert leading_ones_states(op, n, l, u).tolist() == expected
-
-
-@pytest.mark.parametrize("p", [None, 1 / 30, 0.2])
-def test_ones_count_map_at_its_thresholds(p):
-    n = 30
-    op = single_bit() if p is None else standard_mutation(p)
-    for k in (0, 1, 15, 29, 30):
-        thresholds = [(n - k) / n] if p is None else _ones_count_cdf.get(n, k, p)[1]
-        u = doubles_around(thresholds)
-        expected = [scalar_state(ones_counts, op, n, k, v) for v in u.tolist()]
-        assert ones_count_states(op, n, k, u).tolist() == expected
-
