@@ -162,14 +162,14 @@ def test_scan_stops_at_the_same_budget(monkeypatch, algorithm, lam):
         assert not plain[0].hit_target and budget - lam < plain[0].evaluations_used <= budget
 
 
-def peak_objective(n: int, member=None):
-    """A stub on the leading-ones chain: the fitness is -l, so a parent at
-    l = 0 stays and every improver ranks below it; the target is the state
-    `member`, or the optimum l = n."""
+def stub_objective(n: int, sign: int = -1, member=None):
+    """A stub on the leading-ones chain with fitness sign * l: under -1 a
+    parent at l = 0 stays and every improver ranks below it.  The target is
+    the state `member`, or l = n."""
     obj = make_objective("leadingones", n)
     state = obj.metadata["chain"].state
     target = obj.target if member is None else TargetSet("stub", lambda x: state(x) == member, 1)
-    return dataclasses.replace(obj, evaluate=lambda x: -state(x), target=target)
+    return dataclasses.replace(obj, evaluate=lambda x: sign * state(x), target=target)
 
 
 @pytest.mark.parametrize("lam", [1, 2])
@@ -179,7 +179,7 @@ def test_scan_stops_at_the_same_budget_on_a_refill_boundary(monkeypatch, lam):
     # their last generation's doubles ending exactly at the end of the
     # first buffer
     n = 20
-    obj = peak_objective(n)
+    obj = stub_objective(n)
     ended_on_boundary = 0
     for budget in range(BLOCK // 2, BLOCK + 16):
         cfg = AlgoConfig("one-plus-lambda-fixed", n=n, lam=lam, budget=budget, seed=budget)
@@ -190,11 +190,11 @@ def test_scan_stops_at_the_same_budget_on_a_refill_boundary(monkeypatch, lam):
 
 
 def test_tie_double_just_past_the_buffer_end(monkeypatch):
-    # lambda = 2 at the peak: mostly both offspring stay, so many
+    # lambda = 2 at l = 0 under -l: mostly both offspring stay, so many
     # generations read a tie double; in some, the two offspring take the
     # last two doubles of a buffer and the tie the first of the next
     n, lam = 20, 2
-    obj = peak_objective(n)
+    obj = stub_objective(n)
     straddled = 0
     for rep in range(6):
         cfg = AlgoConfig("one-plus-lambda-fixed", n=n, lam=lam, budget=lam * 2000 + 1, seed=rep)
@@ -206,18 +206,19 @@ def test_tie_double_just_past_the_buffer_end(monkeypatch):
 
 
 @pytest.mark.parametrize("lam", [1, 2])
-def test_member_below_the_parent_ends_the_run(monkeypatch, lam):
-    # the stub's target member ranks below a parent at the peak, so it ends
-    # the run without becoming the parent; with the peak at 0, an improver
-    # ranks below the parent too, though it reads more doubles than its own
-    n, member = 20, 2
-    obj = peak_objective(n, member)
+@pytest.mark.parametrize("sign, member", [(-1, 2), (1, 0)])
+def test_member_below_the_parent_ends_the_run(monkeypatch, sign, member, lam):
+    # the stub's target member ranks below the parent, so it ends the run
+    # without becoming the parent: under a fitness of -l an improver to
+    # l = 2, which reads more doubles than its own, and under l a cut to 0
+    n = 20
+    obj = stub_objective(n, sign, member)
     below = 0
     for rep in range(8):
         cfg = AlgoConfig("one-plus-lambda-fixed", n=n, lam=lam, budget=4000, seed=rep)
         scanned, plain = scanned_and_plain(monkeypatch, cfg, obj, (1805, rep))
         assert scanned[:3] == plain[:3] and scanned[0] == scanned[1]
-        below += plain[0].hit_target and plain[0].best_fitness > -member
+        below += plain[0].hit_target and plain[0].best_fitness > sign * member
     assert below >= 4
 
 
