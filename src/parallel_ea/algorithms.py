@@ -25,7 +25,7 @@ from .variation import (
     STATES_OF_DOUBLES,
     UnaryOperator,
     apply,
-    mirrored,
+    mirrored,  # not called here; bench/tracing.py wraps algorithms.mirrored
     single_bit,
     standard_mutation,
 )
@@ -480,6 +480,8 @@ class HistoryView:
     parent indices raise ContractViolationError.
     """
 
+    __slots__ = ("_points", "_fitnesses", "_rounds", "_len", "_best")
+
     def __init__(self, points: list[BitString], fitnesses: list[float], rounds: int, best: int):
         self._points = points
         self._fitnesses = fitnesses
@@ -535,6 +537,24 @@ def run_generic_parallel(
     complements after the paid batch) and the archive's best point.  As in
     `run_one_plus_lambda`, rng is wrapped once with `as_stream`, and the
     policy receives the wrapped stream.
+
+    Each round is one pass: a paid offspring enters the archive as it is
+    drawn, past the length the round's view froze, and the free
+    complements follow all lambda of them, so every round, the initial
+    batch included, archives lambda paid points and then, mirrored, their
+    lambda complements in the same order.  The round's first paid member,
+    at position k = 1..lambda, is a first hit at evals + k; a free member
+    is one at evals + lambda, and only when no paid one came up.
+
+    An offspring that `apply` returns as its parent object itself (radius
+    0) is a clone.  It counts as an evaluation, is archived and is shown to
+    the hook, but it is neither evaluated nor checked against the target:
+    its fitness is the parent's archived one, and its complement is the
+    point the archive holds lambda places from the parent, in the other
+    half of the parent's round.  This rests on `Objective.evaluate` being
+    deterministic, `TargetSet.contains` pure, and the lambda-paid-then-
+    lambda-free layout: while the run goes on no archived point is a
+    member, so neither a clone nor its complement is a first hit.
     """
     _check_dimension(cfg, obj)
     rng = as_stream(rng) if rng is not None else derive_rng(cfg.seed)
@@ -545,50 +565,71 @@ def run_generic_parallel(
     fits: list[float] = []
     evals = gens = best = 0
     first_hit = None
-
-    def ingest(batch: list[BitString], free: list[BitString]) -> None:
-        nonlocal evals, first_hit, best
-        queried = batch + free
-        for k, y in enumerate(queried):
-            # free complements hit at the cost already paid for the batch
-            if first_hit is None and contains(y):
-                first_hit = evals + min(k + 1, len(batch))
-            fy = evaluate(y)
-            if fits and better(fy, fits[best]):
-                best = len(fits)
-            points.append(y)
-            fits.append(fy)
-        evals += len(batch)
-        if on_generation is not None:
-            on_generation(gens, queried, points[best], fits[best])
-
-    batch = [random_bitstring(n, rng) for _ in range(lam)]
-    ingest(batch, [y.complement() for y in batch] if mirror else [])
-
-    while first_hit is None and evals + lam <= cfg.budget:
-        view = HistoryView(points, fits, gens + 1, best)
-        choices = policy(view, rng)
-        if len(choices) != lam:
-            raise ContractViolationError(
-                f"policy must return exactly lambda={lam} choices, got {len(choices)}"
-            )
-        batch, free = [], []
-        for parent_idx, op in choices:
-            parent = view.point(parent_idx)
-            if mirror:
-                y, ybar = mirrored(op, parent, rng)
-                free.append(ybar)
+    add_point, add_fit = points.append, fits.append
+    size = 0  # the archive's length before the round
+    fb = None  # fits[best]
+    while True:  # round gens = 0 is the initial batch of uniform points
+        if gens:
+            view = HistoryView(points, fits, gens, best)
+            choices = policy(view, rng)
+            if len(choices) != lam:
+                raise ContractViolationError(
+                    f"policy must return exactly lambda={lam} choices, got {len(choices)}"
+                )
+        hit = None  # the position of the round's first member
+        if mirror:
+            free, free_fits = [], []  # a clone's complement comes with its archived fitness
+        for k in range(lam):
+            if gens:
+                i, op = choices[k]
+                x = points[i] if 0 <= i < size else view.point(i)  # view.point raises
+                y = apply(op, x, rng)
+                if y is x:
+                    add_point(y)
+                    add_fit(fits[i])
+                    if mirror:  # the parent's complement, in the other half of its round
+                        j = i + lam if i % (2 * lam) < lam else i - lam
+                        free.append(points[j])
+                        free_fits.append(fits[j])
+                    continue
             else:
-                y = apply(op, parent, rng)
-            batch.append(y)
+                y = random_bitstring(n, rng)
+            fy = evaluate(y)
+            if hit is None and contains(y):
+                hit = k + 1
+            if fb is None or better(fy, fb):
+                best, fb = len(fits), fy
+            add_point(y)
+            add_fit(fy)
+            if mirror:
+                free.append(y.complement())
+                free_fits.append(None)
+        if mirror:
+            for ybar, fbar in zip(free, free_fits):
+                if fbar is None:
+                    fbar = evaluate(ybar)
+                    # a free complement hits at the cost already paid for the round
+                    if hit is None and contains(ybar):
+                        hit = lam
+                    if better(fbar, fb):
+                        best, fb = len(fits), fbar
+                add_point(ybar)
+                add_fit(fbar)
+        if hit is not None:
+            first_hit = evals + hit
+        evals += lam
+        if on_generation is not None:
+            on_generation(gens, points[size:], points[best], fb)
+        if first_hit is not None or evals + lam > cfg.budget:
+            break
+        size = len(points)
         gens += 1
-        ingest(batch, free)
 
     return RunRecord(
         evaluations_used=evals,
         generations_used=gens,
         hit_target=first_hit is not None,
-        best_fitness=fits[best],
+        best_fitness=fb,
         first_hit_evaluation=first_hit,
         seed=cfg.seed,
     )

@@ -130,6 +130,8 @@ def apply(op: UnaryOperator, x: BitString, rng: UniformStream) -> BitString:
         r = op.r
     if r == 0:
         return x
+    if r == 1:  # `sample_distinct_positions`' first step, on the same double
+        return x.flip_mask(1 << int(rng.next_double() * n))
     mask = 0
     for pos in sample_distinct_positions(rng, n, r):
         mask |= 1 << pos

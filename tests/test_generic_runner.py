@@ -9,9 +9,13 @@ runner that evaluated every offspring and built every complement.
 import dataclasses
 import hashlib
 
+import pytest
+
+from parallel_ea import algorithms
 from parallel_ea.algorithms import AlgoConfig, make_best_so_far_policy, run_generic_parallel
-from parallel_ea.objectives import make_objective
-from parallel_ea.rng import derive_run_seed
+from parallel_ea.bitstring import BitString, random_bitstring
+from parallel_ea.objectives import GLOBAL_OPTIMA, Objective, TargetSet, make_objective
+from parallel_ea.rng import derive_rng, derive_run_seed
 from parallel_ea.variation import flip_exact, standard_mutation
 
 N = 12
@@ -21,7 +25,7 @@ OPERATORS = (standard_mutation(1 / N), standard_mutation(0.2), flip_exact(1), fl
 
 # sha256 over the grid's run records and hook calls, computed with the
 # runner that evaluated every offspring and complemented every query
-PINNED = "a8164b6d85ab54bea6d2b184030dd262992d7b0f598355c090472132c6e8e91a"
+PINNED = "2b150f9bf56982a745cd1c8dc55ade1ae070d510e82603be95a54cff4fc5b445"
 
 
 def random_index_policy(lam, op):
@@ -34,7 +38,23 @@ def random_index_policy(lam, op):
     return policy
 
 
-POLICIES = {"best": make_best_so_far_policy, "random": random_index_policy}
+def tournament_policy(lam, op):
+    """Each parent the one with the larger fitness of two uniform indices,
+    the first on a tie: the choices read the archived fitness of clones
+    and complements."""
+
+    def policy(view, rng):
+        choices = []
+        for _ in range(lam):
+            i, j = int(rng.next_double() * len(view)), int(rng.next_double() * len(view))
+            choices.append((j if view.fitness(j) > view.fitness(i) else i, op))
+        return choices
+
+    return policy
+
+
+POLICIES = {"best": make_best_so_far_policy, "random": random_index_policy,
+            "tournament": tournament_policy}
 
 
 def grid():
@@ -69,3 +89,112 @@ def grid_digest() -> str:
 
 def test_grid_matches_pinned_digest():
     assert grid_digest() == PINNED
+
+
+def test_grid_with_copied_clones_matches_pinned_digest(monkeypatch):
+    """Taking a clone as the parent itself is only a shortcut: an equal copy
+    goes the long way, evaluated and complemented, to the same runs."""
+    real_apply = algorithms.apply
+
+    def copying_apply(op, x, rng):
+        y = real_apply(op, x, rng)
+        return BitString(y.n, y.value) if y is x else y
+
+    monkeypatch.setattr(algorithms, "apply", copying_apply)
+    assert grid_digest() == PINNED
+
+
+# ------------------------------------------------------------ first hits
+
+def stub_run(lam, offspring, members, budget):
+    """A mirrored run on n = 8 whose round-1 offspring are `offspring`, in
+    order, whose target holds the values `members`, and whose fitness is
+    the ones count: its first-hit evaluation."""
+    n, seed = 8, 11
+    rng = derive_rng(seed)
+    initial = {random_bitstring(n, rng).value for _ in range(lam)}
+    initial |= {v ^ 0xFF for v in initial}
+    assert not initial & (set(offspring) | {v ^ 0xFF for v in offspring} | set(members))
+    drawn = iter(offspring)
+    target = TargetSet(GLOBAL_OPTIMA, lambda x: x.value in members, len(members))
+    obj = Objective("stub", n, BitString.count_ones, target)
+    cfg = AlgoConfig("generic-parallel", n=n, lam=lam, budget=budget, seed=seed)
+    policy = make_best_so_far_policy(lam, flip_exact(1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algorithms, "apply", lambda op, x, rng: BitString(n, next(drawn)))
+        rec = run_generic_parallel(policy, cfg, obj, mirror=True)
+    assert rec.hit_target and rec.generations_used == 1 and rec.evaluations_used == 2 * lam
+    return rec.first_hit_evaluation
+
+
+def spare_values(count):
+    """Values of n = 8 bits that are neither in stub_run's initial batch nor
+    complements of its points, with their complements equally clear."""
+    rng = derive_rng(11)
+    taken = {random_bitstring(8, rng).value for _ in range(4)}
+    taken |= {v ^ 0xFF for v in taken}
+    out = []
+    for v in range(256):
+        if v not in taken and v ^ 0xFF not in taken and v ^ 0xFF not in out:
+            out.append(v)
+    return out[:count]
+
+
+def test_paid_member_after_a_free_member_reports_its_position():
+    a, b, c, d = spare_values(4)
+    # a's complement is free and a member, b is paid at position 3 and a member
+    assert stub_run(4, [a, c, b, d], {a ^ 0xFF, b}, 100) == 4 + 3
+
+
+def test_free_member_alone_reports_the_whole_round():
+    a, b, c, d = spare_values(4)
+    assert stub_run(4, [a, b, c, d], {c ^ 0xFF}, 100) == 4 + 4
+
+
+def test_first_of_several_paid_members_wins():
+    a, b, c, d = spare_values(4)
+    assert stub_run(4, [a, b, c, d], {d, b, a ^ 0xFF}, 100) == 4 + 2
+
+
+# ---------------------------------------------------------------- clones
+
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("name", ["onemax", "partition"])
+@pytest.mark.parametrize("lam", [1, 3])
+@pytest.mark.parametrize("make_policy", POLICIES.values(), ids=POLICIES.keys())
+def test_clones_are_not_evaluated(mirror, name, lam, make_policy, monkeypatch):
+    base = make_objective(name, N, **({"seed": 3} if name == "partition" else {}))
+    evaluated, checked, clones = [], [], []
+
+    def evaluate(x):
+        evaluated.append(x)
+        return base.evaluate(x)
+
+    def contains(x):
+        checked.append(x)
+        return base.target.contains(x)
+
+    real_apply = algorithms.apply
+
+    def counting_apply(op, x, rng):
+        y = real_apply(op, x, rng)
+        clones.append(y is x)
+        return y
+
+    monkeypatch.setattr(algorithms, "apply", counting_apply)
+    t = base.target
+    obj = Objective(base.name, N, evaluate, TargetSet(t.kind, contains, t.size_bound),
+                    base.direction)
+    queried = []
+    cfg = AlgoConfig("generic-parallel", n=N, lam=lam, budget=300, seed=5)
+    rec = run_generic_parallel(make_policy(lam, standard_mutation(1 / N)), cfg, obj, mirror=mirror,
+                               on_generation=lambda g, q, x, fx: queried.extend(q))
+    slots = sum(clones) * (2 if mirror else 1)
+    assert sum(clones) > 10
+    assert len(queried) == rec.evaluations_used * (2 if mirror else 1)
+    assert len(evaluated) == len(queried) - slots
+    # every point is evaluated and checked at most once: a clone is its
+    # archived parent, and a clone's complement the archived complement
+    assert len({id(x) for x in evaluated}) == len(evaluated)
+    assert len({id(x) for x in checked}) == len(checked)
+    assert {id(x) for x in checked} <= {id(x) for x in evaluated}

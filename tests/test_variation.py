@@ -1,3 +1,4 @@
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -9,6 +10,7 @@ from parallel_ea.bitstring import BitString, hamming_distance, random_bitstring
 from parallel_ea.rng import derive_rng
 from parallel_ea.variation import (
     UnaryOperator,
+    _binomial_cdf,
     _ones_count_cdf,
     _ones_count_law,
     apply,
@@ -125,6 +127,26 @@ def test_sample_distinct_positions_uniform_over_pairs():
     assert len(counts) == comb(n, r)
     for c in counts.values():
         assert 0.9 * expected < c < 1.1 * expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 200, 1000])
+def test_apply_matches_positions_sampler_on_twin_streams(n):
+    """`apply` flips radius 1 off one double directly; every offspring is
+    still the mask of `sample_distinct_positions` on a twin stream."""
+    a, b = derive_rng(19, n), derive_rng(19, n)
+    x = random_bitstring(n, a)
+    assert random_bitstring(n, b) == x
+    radii = Counter()
+    for op in (flip_exact(1), standard_mutation(1 / n), standard_mutation(min(1.0, 3 / n))):
+        for _ in range(300):
+            r = op.r if op.p is None else bisect_right(_binomial_cdf(n, op.p), b.next_double())
+            radii[r] += 1
+            mask = sum(1 << i for i in sample_distinct_positions(b, n, r))
+            assert apply(op, x, a) == x.flip_mask(mask)
+    assert a.next_double() == b.next_double()
+    assert radii[1] >= 300
+    if n > 2:
+        assert radii[0] and len(radii) >= 4
 
 
 def test_mirrored_pairs():
