@@ -106,54 +106,52 @@ def test_grid_with_copied_clones_matches_pinned_digest(monkeypatch):
 
 # ------------------------------------------------------------ first hits
 
-def stub_run(lam, offspring, members, budget):
-    """A mirrored run on n = 8 whose round-1 offspring are `offspring`, in
-    order, whose target holds the values `members`, and whose fitness is
-    the ones count: its first-hit evaluation."""
-    n, seed = 8, 11
-    rng = derive_rng(seed)
-    initial = {random_bitstring(n, rng).value for _ in range(lam)}
-    initial |= {v ^ 0xFF for v in initial}
-    assert not initial & (set(offspring) | {v ^ 0xFF for v in offspring} | set(members))
+STUB_N, STUB_LAM, STUB_SEED = 8, 4, 11
+
+
+def stub_run(offspring, members):
+    """The first-hit evaluation of a mirrored run of STUB_LAM offspring per
+    round on n = 8 bits whose round-1 offspring are the values `offspring`,
+    in order, and whose target holds the values `members`."""
     drawn = iter(offspring)
     target = TargetSet(GLOBAL_OPTIMA, lambda x: x.value in members, len(members))
-    obj = Objective("stub", n, BitString.count_ones, target)
-    cfg = AlgoConfig("generic-parallel", n=n, lam=lam, budget=budget, seed=seed)
-    policy = make_best_so_far_policy(lam, flip_exact(1))
+    obj = Objective("stub", STUB_N, BitString.count_ones, target)
+    cfg = AlgoConfig("generic-parallel", n=STUB_N, lam=STUB_LAM, budget=100, seed=STUB_SEED)
+    policy = make_best_so_far_policy(STUB_LAM, flip_exact(1))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(algorithms, "apply", lambda op, x, rng: BitString(n, next(drawn)))
+        mp.setattr(algorithms, "apply", lambda op, x, rng: BitString(STUB_N, next(drawn)))
         rec = run_generic_parallel(policy, cfg, obj, mirror=True)
-    assert rec.hit_target and rec.generations_used == 1 and rec.evaluations_used == 2 * lam
+    assert rec.hit_target and rec.generations_used == 1
     return rec.first_hit_evaluation
 
 
-def spare_values(count):
-    """Values of n = 8 bits that are neither in stub_run's initial batch nor
-    complements of its points, with their complements equally clear."""
-    rng = derive_rng(11)
-    taken = {random_bitstring(8, rng).value for _ in range(4)}
+def spare_values():
+    """Four values of n = 8 bits that, with their complements, lie outside
+    the stub run's initial batch and its complements."""
+    rng = derive_rng(STUB_SEED)
+    taken = {random_bitstring(STUB_N, rng).value for _ in range(STUB_LAM)}
     taken |= {v ^ 0xFF for v in taken}
     out = []
     for v in range(256):
         if v not in taken and v ^ 0xFF not in taken and v ^ 0xFF not in out:
             out.append(v)
-    return out[:count]
+    return out[:4]
 
 
 def test_paid_member_after_a_free_member_reports_its_position():
-    a, b, c, d = spare_values(4)
+    a, b, c, d = spare_values()
     # a's complement is free and a member, b is paid at position 3 and a member
-    assert stub_run(4, [a, c, b, d], {a ^ 0xFF, b}, 100) == 4 + 3
+    assert stub_run([a, c, b, d], {a ^ 0xFF, b}) == STUB_LAM + 3
 
 
 def test_free_member_alone_reports_the_whole_round():
-    a, b, c, d = spare_values(4)
-    assert stub_run(4, [a, b, c, d], {c ^ 0xFF}, 100) == 4 + 4
+    a, b, c, d = spare_values()
+    assert stub_run([a, b, c, d], {c ^ 0xFF}) == STUB_LAM + STUB_LAM
 
 
 def test_first_of_several_paid_members_wins():
-    a, b, c, d = spare_values(4)
-    assert stub_run(4, [a, b, c, d], {d, b, a ^ 0xFF}, 100) == 4 + 2
+    a, b, c, d = spare_values()
+    assert stub_run([a, b, c, d], {d, b, a ^ 0xFF}) == STUB_LAM + 2
 
 
 # ---------------------------------------------------------------- clones
