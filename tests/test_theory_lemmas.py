@@ -450,6 +450,24 @@ def test_exact_grid_stdout_is_pinned(lemma):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == PINNED_STDOUT_128[lemma]
 
 
+# sha256 of `parallel-ea verify --lemma multibit --n N` stdout from the
+# per-(s, m) array verifier, so that a rewrite of the grid cannot change a byte
+PINNED_MULTIBIT_STDOUT = {
+    2**18: "a8a6d7a7cf2c883260a12da10e41cb66e17cb418722b64e7e948d632b949b48e",
+    2**19: "29081be985eaa11453e05b70cf553a54774cfa3c0290d1a35571006975be8f2f",
+    2**20: "0788ef132a4611166cf8d23be018d0e3274355bd525d2106014302b6574f5462",
+    2**22: "52509b12e2403ed9e1f773329254c558ad8391b69d1168994adde887e2c71ac4",
+}
+
+
+@pytest.mark.parametrize("n", list(PINNED_MULTIBIT_STDOUT))
+def test_multibit_stdout_is_pinned(n):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["verify", "--lemma", "multibit", "--n", str(n)]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == PINNED_MULTIBIT_STDOUT[n]
+
+
 @pytest.mark.parametrize("verify", [verify_improve_prob, verify_mgf_bound])
 def test_float_slack_grids_stop_where_binomials_overflow(verify):
     # their slacks divide by float(C(n, r)), which overflows from n = 1030 on
