@@ -7,6 +7,7 @@ verification or bound check, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -48,6 +49,7 @@ VERIFIERS = {
 _VERIFY_FLAGS = {"n": "--n", "lam": "--lambda", "trials": "--trials", "seed": "--seed", "delta": "--delta"}
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="parallel-ea",

@@ -32,6 +32,7 @@ from .pmf import (
     ProgressParams,
     _delta0_counts,
     _delta0_tail_counts,
+    _delta0_window,
     delta0_log_prob_cells,
     delta0_pmf,
     delta0_point_log_prob,  # unused here; bench/tracing.py wraps lemmas.delta0_point_log_prob
@@ -391,6 +392,7 @@ def verify_mgf_bound(n: int, lam: int | Sequence[int] = (1, 64, 4096)) -> LemmaR
 # geometric grid over the middle parents and over the radii.
 MULTIBIT_S = (0, 1, 2)
 MULTIBIT_GRID_POINTS = 64
+MULTIBIT_BLOCK = 256  # parents per block of rows, so that a block stays small at any n
 
 
 def _geometric_grid(lo: int, hi: int) -> list[int]:
@@ -406,57 +408,51 @@ def verify_multibit_progress(n: int, z_max: int = 200) -> LemmaReport:
 
     Low/high parent regimes m in [s, 2n*] u [n-2n*, n-s]:
     P(Delta_0 = z) <= (16 n*/n)^2 2^(-z); middle regime asserts the
-    Chvatal-route bound exp(-(m-s)^2/(2r)).  Each (s, m) is one array of
-    log-space cells from delta0_log_prob_cells, with one lgamma call per
-    distinct argument; radii sample a geometric grid plus the near-|m| band
-    where the progress law actually has support.
+    Chvatal-route bound exp(-(m-s)^2/(2r)).  Radii sample a geometric grid
+    plus the near-|m| band where the progress law actually has support.  The
+    (s, m, r) rows are built as arrays, MULTIBIT_BLOCK parents at a time; the
+    few with a non-empty Z window go to one delta0_log_prob_cells call.
     """
     if z_max < 1:
         raise ValueError(f"the multibit grid needs z_max >= 1, got z_max={z_max}")
     nstar = multibit_nstar(n) if n > 1 else 0.0  # n* is undefined for n <= 1
     if nstar < 2:
-        raise ValueError(
-            f"n={n} gives n* = n/(2^13 ln n) = {nstar:.3f} < 2; the sampled-grid "
-            "check needs n large enough that n* >= 2 (n >= 2^18 works)"
-        )
-    report = LemmaReport(
-        lemma="multibit",
-        grid=(
-            f"n={n}, s in {MULTIBIT_S}, m in [s,2n*] u [n-2n*,n-s] plus "
-            f"{MULTIBIT_GRID_POINTS}-point geometric middle grid, r geometric + near-support, "
-            f"z in [1,{z_max}]"
-        ),
-        details={"n_star": nstar},
-    )
-    log_low_bound = 2.0 * log(16.0 * nstar / n)
-    log2 = log(2.0)
+        raise ValueError(f"n={n} gives n* = n/(2^13 ln n) = {nstar:.3f} < 2; the sampled-grid "
+                         "check needs n large enough that n* >= 2 (n >= 2^18 works)")
+    report = LemmaReport(lemma="multibit", details={"n_star": nstar}, grid=(
+        f"n={n}, s in {MULTIBIT_S}, m in [s,2n*] u [n-2n*,n-s] plus "
+        f"{MULTIBIT_GRID_POINTS}-point geometric middle grid, r geometric + near-support, "
+        f"z in [1,{z_max}]"))
     two_nstar = int(2 * nstar)
-    radii = set(_geometric_grid(2, n - 2))
+    radii = np.array(_geometric_grid(2, n - 2))  # a band radius clipped to 2 or n - 2 is in it
     middle = _geometric_grid(two_nstar + 1, n - two_nstar - 1)
-
+    rows = []
     for s in MULTIBIT_S:  # s <= 2 <= n*
-        low = list(range(s, two_nstar + 1))
-        for m in low + [n - m for m in low] + middle:
-            regime = "middle" if two_nstar < m < n - two_nstar else "low/high"
-            near = {c + d for c in (m, n - m) for d in range(-2, 3) if 2 <= c + d <= n - 2}
-            m_radii = sorted(radii | near)
-            report.points_checked += z_max * len(m_radii)
-            # cells off the support have probability 0 and hold every bound
-            r, z, lp = delta0_log_prob_cells(n, s, m, m_radii, z_max)
-            if not lp.size:
-                continue
-            # log bound at z is base - z * slope
-            if regime == "middle":
-                m_sym, r_sym = (m, r) if m <= n / 2 else (n - m, n - r)
-                base, slope = -((m_sym - s) ** 2) / (2 * r_sym), 0.0
-            else:
-                base, slope = log_low_bound, log2
-            log_bound = base - z * slope
-            excess = lp - log_bound
-            report.observe(exp(excess.max()))  # exp is monotone
-            for i in np.nonzero(lp > log_bound + 1e-12)[0].tolist():
-                report.record({"s": s, "m": m, "r": int(r[i]), "z": int(z[i]), "regime": regime},
-                              exp(excess[i]))
+        low = np.arange(s, two_nstar + 1)
+        parents = np.concatenate([low, n - low, middle])
+        for b in range(0, parents.size, MULTIBIT_BLOCK):
+            m = parents[b:b + MULTIBIT_BLOCK, None]
+            near = np.clip(np.hstack([m, n - m])[:, :, None] + np.arange(-2, 3), 2, n - 2)
+            r = np.sort(np.hstack([np.broadcast_to(radii, (m.size, radii.size)),
+                                   near.reshape(m.size, -1)]))
+            first = np.diff(r, prepend=0) != 0  # each radius of the sorted union once
+            report.points_checked += z_max * int(first.sum())
+            _, lo, hi = _delta0_window(n, s, m, r, z_max)
+            i, j = np.nonzero(first & (lo <= hi))  # cells off the support hold every bound
+            rows.append((np.full(i.size, s), m[i, 0], r[i, j], (hi - lo + 1)[i, j]))
+    s, m, r, counts = (np.concatenate(a) for a in zip(*rows))
+    r, z, lp = delta0_log_prob_cells(n, s, m, r, z_max)
+    s, m = np.repeat(s, counts), np.repeat(m, counts)
+    regime = (two_nstar < m) & (m < n - two_nstar)  # middle, else low/high
+    m_sym, r_sym = np.where(m <= n / 2, m, n - m), np.where(m <= n / 2, r, n - r)
+    # log bound at z is base - z * slope
+    base = np.where(regime, -((m_sym - s) ** 2) / (2 * r_sym), 2.0 * log(16.0 * nstar / n))
+    log_bound = base - z * np.where(regime, 0.0, log(2.0))
+    excess = lp - log_bound
+    report.observe(exp(excess.max(initial=-inf)))  # exp is monotone
+    for i in np.nonzero(lp > log_bound + 1e-12)[0].tolist():
+        report.record({"s": int(s[i]), "m": int(m[i]), "r": int(r[i]), "z": int(z[i]),
+                       "regime": "middle" if regime[i] else "low/high"}, exp(excess[i]))
     return report
 
 

@@ -3,8 +3,8 @@
 The potential-drop law: varying a parent with m zeros at radius r turns
 Z ~ Hypergeometric(n, m, r) zero-positions into ones, so the drop of the
 zero-potential s is max{2Z - r + s - m, 0}.  The exact big-rational
-laws are authoritative for moderate n; the log-gamma point laws cover n
-up to 2^20, one point at a time or as arrays over many radii.
+laws are authoritative for moderate n; the log-gamma point laws cover huge
+n, one point at a time or as arrays over many (s, m, r) rows.
 """
 
 from __future__ import annotations
@@ -112,11 +112,7 @@ def delta0_pmf(params: ProgressParams) -> dict[int, Fraction]:
     mass at 0 is the complement.
     """
     n, s, m, r = params.n, params.s, params.m, params.r
-    pmf = {}
-    for z in range(1, s + 1):
-        p = delta0_point_prob(n, s, m, r, z)
-        if p:
-            pmf[z] = p
+    pmf = {z: p for z in range(1, s + 1) if (p := delta0_point_prob(n, s, m, r, z))}
     tail = sum(pmf.values(), Fraction(0))
     if tail < 1:
         pmf[0] = 1 - tail
@@ -134,38 +130,45 @@ def delta0_point_log_prob(n: int, s: int, m: int, r: int, z: int) -> float:
     return -inf if zh is None else hypergeom_log_pmf(n, m, r, zh)
 
 
-def delta0_log_prob_cells(
-    n: int, s: int, m: int, radii: Sequence[int], z_max: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arrays r, z, lp over the cells with r in the sorted radii, 1 <= z <= z_max
-    and P(Delta_0 = z) > 0, ordered by r, then z; lp equals
-    delta0_point_log_prob(n, s, m, r, z) bit for bit.  Every other cell is -inf
-    there.
-
-    Cell (r, z) reads Z = (z + r + m - s) / 2, so the cells of one radius are
-    the Z between its drop bounds and the hypergeometric support.  lp repeats
-    the operations of log_comb and hypergeom_log_pmf in their order, with one
-    lgamma call per distinct argument.
-    """
-    r = np.asarray(radii, dtype=np.int64)
-    if not 0 <= m <= n or (r.size and (r.min() < 0 or r.max() > n)):
-        raise ValueError(f"need 0 <= m <= n and radii in [0, n], got n={n}, m={m}")
-    k = r + m - s  # the drop of Z is 2Z - k
+def _delta0_window(n: int, s, m, r, z_max: int):
+    """k = r + m - s, the drop of Z being 2Z - k, and the bounds lo, hi of the Z
+    with a drop in [1, z_max] inside the support; lo > hi where there is none."""
+    k = r + m - s
     lo = np.maximum(np.maximum(k // 2 + 1, 0), r - (n - m))
     hi = np.minimum(np.minimum(r, m), (k + z_max) // 2)
+    return k, lo, hi
+
+
+def delta0_log_prob_cells(
+    n: int, s: int | np.ndarray, m: int | np.ndarray, radii: Sequence[int], z_max: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrays r, z, lp over the cells with r in the radii, 1 <= z <= z_max and
+    P(Delta_0 = z) > 0, in the order of the radii, then of z; lp equals
+    delta0_point_log_prob(n, s, m, r, z) bit for bit, and every other cell is
+    -inf there.  s and m are ints or arrays aligned with the radii, one row each.
+
+    The cells of row (s, m, r) are the Z = (z + r + m - s) / 2 between its drop
+    bounds and the hypergeometric support.  lp repeats the operations of
+    log_comb and hypergeom_log_pmf in their order, with one lgamma call per
+    distinct argument over all rows.
+    """
+    r, m = np.broadcast_arrays(np.asarray(radii, dtype=np.int64), m)
+    if ((m < 0) | (m > n) | (r < 0) | (r > n)).any():
+        raise ValueError(f"need 0 <= m <= n and radii in [0, n], got n={n}, m={m}")
+    k, lo, hi = _delta0_window(n, s, m, r, z_max)
     counts = np.maximum(hi - lo + 1, 0)
-    cells = int(counts.sum())
-    # Z runs from lo to hi within each radius: a running index, shifted per radius
-    zh = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(cells)
-    rc = np.repeat(r, counts)
-    args = np.concatenate([zh + 1, m - zh + 1, rc - zh + 1, n - m - rc + zh + 1,
-                           r + 1, n - r + 1, [m + 1, n - m + 1, n + 1]])
-    distinct, index = np.unique(args, return_inverse=True)
-    lg = np.array([lgamma(a) for a in distinct.tolist()])[index]
-    lg_z, lg_mz, lg_rz, lg_rest, lg_r, lg_nr, (lg_m, lg_nm, lg_n) = np.split(
-        lg, np.cumsum([cells] * 4 + [r.size] * 2))
-    log_comb_n_r = np.repeat(lg_n - lg_r - lg_nr, counts)
-    lp = (lg_m - lg_z - lg_mz) + (lg_nm - lg_rz - lg_rest) - log_comb_n_r
+    # Z runs from lo to hi within each row: a running index, shifted per row
+    zh = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+    rc, mc = np.repeat(r, counts), np.repeat(m, counts)
+    args = (zh + 1, mc - zh + 1, rc - zh + 1, n - mc - rc + zh + 1,
+            mc + 1, n - mc + 1, rc + 1, n - rc + 1, [n + 1])
+    distinct = np.concatenate(args)
+    distinct.sort()
+    distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
+    table = np.fromiter(map(lgamma, distinct), np.float64, distinct.size)
+    lg_z, lg_mz, lg_rz, lg_rest, lg_m, lg_nm, lg_r, lg_nr, lg_n = (
+        table[np.searchsorted(distinct, a)] for a in args)
+    lp = (lg_m - lg_z - lg_mz) + (lg_nm - lg_rz - lg_rest) - (lg_n - lg_r - lg_nr)
     return rc, 2 * zh - np.repeat(k, counts), lp
 
 

@@ -303,3 +303,28 @@ def test_objective_param_passthrough(capsys):
     )
     assert code == 0
     assert json.loads(out)["problem"] == "jump"
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys, monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    specs = []
+    monkeypatch.setattr(cli, "run_experiment", lambda spec: specs.append(spec) or _Summary())
+    argv = ["run", "--objective", "jump", "--n", "10", "--lambda", "1"]
+    assert main(argv + ["--bound", "lb-unique", "--param", "k=2"]) == 0
+    assert main(argv) == 0
+    capsys.readouterr()
+    first, second = specs
+    assert first.bounds == ["lb-unique"] and first.objective["k"] == 2
+    # the append options start empty again, not from the first call's lists
+    assert second.bounds == [] and "k" not in second.objective
+    # verify's --n defaults to GRID_N after a call that gave it
+    for n in ("16", None):
+        assert main(["verify", "--lemma", "chvatal"] + (["--n", n] if n else [])) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["grid"].startswith(f"n={n or cli.GRID_N},")
+    assert cli._build_parser().parse_args(["verify", "--lemma", "chvatal"]).n is None
+
+
+class _Summary:
+    def to_dict(self):
+        return {}

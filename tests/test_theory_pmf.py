@@ -195,6 +195,28 @@ def test_log_prob_cells_reach_support_cells_of_both_parities():
     assert z.size > 100 and {1, 2} <= set(z.tolist())
 
 
+@pytest.mark.parametrize("n", [10, 2**20])
+def test_log_prob_cells_rows_are_the_per_parent_calls_concatenated(n):
+    # one call over the (s, m, r) rows of several parents, of mixed s, equals
+    # one call per (s, m), concatenated in row order, bit for bit; radius 0
+    # is in every parent's radii and holds no cell
+    if n == 10:
+        parents = [(s, m, list(range(11))) for s in range(6) for m in range(s, 11)]
+    else:
+        parents = [_seeded_cells(n, seed) for seed in range(6)]
+    assert len({s for s, _, _ in parents}) > 1 and all(0 in radii for *_, radii in parents)
+    s = np.concatenate([np.full(len(radii), s) for s, _, radii in parents])
+    m = np.concatenate([np.full(len(radii), m) for _, m, radii in parents])
+    r = np.concatenate([radii for *_, radii in parents])
+    rows = delta0_log_prob_cells(n, s, m, r, 60)
+    per_parent = [delta0_log_prob_cells(n, *parent, 60) for parent in parents]
+    for got, want in zip(rows, (np.concatenate(a) for a in zip(*per_parent))):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert rows[2].size and 0 not in rows[0]
+    empty = delta0_log_prob_cells(n, np.array([], dtype=int), np.array([], dtype=int), [], 60)
+    assert [a.size for a in empty] == [0, 0, 0]
+
+
 def test_log_prob_cells_edge_cases():
     n = 64
     r, z, lp = delta0_log_prob_cells(n, 2, 2, [], 10)
