@@ -443,16 +443,16 @@ def verify_multibit_progress(n: int, z_max: int = 200) -> LemmaReport:
     s, m, r, counts = (np.concatenate(a) for a in zip(*rows))
     r, z, lp = delta0_log_prob_cells(n, s, m, r, z_max)
     s, m = np.repeat(s, counts), np.repeat(m, counts)
-    regime = (two_nstar < m) & (m < n - two_nstar)  # middle, else low/high
+    in_middle = (two_nstar < m) & (m < n - two_nstar)  # else low/high
     m_sym, r_sym = np.where(m <= n / 2, m, n - m), np.where(m <= n / 2, r, n - r)
     # log bound at z is base - z * slope
-    base = np.where(regime, -((m_sym - s) ** 2) / (2 * r_sym), 2.0 * log(16.0 * nstar / n))
-    log_bound = base - z * np.where(regime, 0.0, log(2.0))
+    base = np.where(in_middle, -((m_sym - s) ** 2) / (2 * r_sym), 2.0 * log(16.0 * nstar / n))
+    log_bound = base - z * np.where(in_middle, 0.0, log(2.0))
     excess = lp - log_bound
     report.observe(exp(excess.max(initial=-inf)))  # exp is monotone
     for i in np.nonzero(lp > log_bound + 1e-12)[0].tolist():
         report.record({"s": int(s[i]), "m": int(m[i]), "r": int(r[i]), "z": int(z[i]),
-                       "regime": "middle" if regime[i] else "low/high"}, exp(excess[i]))
+                       "regime": "middle" if in_middle[i] else "low/high"}, exp(excess[i]))
     return report
 
 

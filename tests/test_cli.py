@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -308,7 +309,7 @@ def test_objective_param_passthrough(capsys):
 def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys, monkeypatch):
     assert cli._build_parser() is cli._build_parser()
     specs = []
-    monkeypatch.setattr(cli, "run_experiment", lambda spec: specs.append(spec) or _Summary())
+    monkeypatch.setattr(cli, "run_experiment", lambda spec: specs.append(spec) or SimpleNamespace(to_dict=dict))
     argv = ["run", "--objective", "jump", "--n", "10", "--lambda", "1"]
     assert main(argv + ["--bound", "lb-unique", "--param", "k=2"]) == 0
     assert main(argv) == 0
@@ -323,8 +324,3 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys, monkeypat
         report = json.loads(capsys.readouterr().out)
         assert report["grid"].startswith(f"n={n or cli.GRID_N},")
     assert cli._build_parser().parse_args(["verify", "--lemma", "chvatal"]).n is None
-
-
-class _Summary:
-    def to_dict(self):
-        return {}

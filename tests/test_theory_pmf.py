@@ -205,8 +205,8 @@ def test_log_prob_cells_rows_are_the_per_parent_calls_concatenated(n):
     else:
         parents = [_seeded_cells(n, seed) for seed in range(6)]
     assert len({s for s, _, _ in parents}) > 1 and all(0 in radii for *_, radii in parents)
-    s = np.concatenate([np.full(len(radii), s) for s, _, radii in parents])
-    m = np.concatenate([np.full(len(radii), m) for _, m, radii in parents])
+    s = np.concatenate([np.full(len(radii), si) for si, _, radii in parents])
+    m = np.concatenate([np.full(len(radii), mi) for _, mi, radii in parents])
     r = np.concatenate([radii for *_, radii in parents])
     rows = delta0_log_prob_cells(n, s, m, r, 60)
     per_parent = [delta0_log_prob_cells(n, *parent, 60) for parent in parents]
