@@ -11,13 +11,14 @@ forms.  Every seed is fixed in advance.
 """
 
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from parallel_ea import algorithms
+from parallel_ea import algorithms, cli
 from parallel_ea.algorithms import AlgoConfig, adaptive_rate, run_one_plus_lambda
 from parallel_ea.bitstring import BitString
 from parallel_ea.objectives import CHAIN, ONES_COUNT, local_optima, make_objective, objective_names
@@ -167,6 +168,40 @@ def test_mean_evaluations_match_exact_dp(algorithm, lam):
     exact = expected_evaluations(algorithm, N, lam)
     z = (np.mean(evals) - exact) / (np.std(evals, ddof=1) / math.sqrt(runs))
     assert abs(z) < Z_LIMIT, f"mean {np.mean(evals):.1f} vs exact {exact:.1f}: z = {z:+.2f}"
+
+
+# ------------------------------------------- the stream from HISTOGRAM_LAMBDA
+
+# sha256 of the CSV that `parallel-ea sweep ARGS --reps 8 --seed 2101 --out F`
+# writes, computed while the runner still had an int-array kernel for the
+# initial batch and a crossover constant: selection by the batch's shape
+# must read the same doubles and pick the same offspring
+PINNED_HISTOGRAM_SWEEPS = {
+    # the initial batch often holds 1^n
+    "onemax-initial-hit": ("--objective onemax --n 6 --lambdas 32,64,256",
+                           "b3cb6ef8e45fb011d00f694ae0deccc2e24397c55c41fd7c5837d3a60073c624"),
+    # the tied states k and n - k, each drawn many times
+    "twomax-fixed": ("--objective twomax --n 20 --lambdas 32,64,256",
+                     "10d2992d5827a7814fdc10762c568b9beb2bc5917587847a288a9531ec05b443"),
+    "twomax-adaptive": ("--objective twomax --n 20 --lambdas 32,64,256 --algo one-plus-lambda-adaptive",
+                        "a43aecd7bc311aacb28c5abf80ba47a276457dae9f5789d041ba9cda60347283"),
+    "leadingones-fixed": ("--objective leadingones --n 8 --lambdas 32,64,256",
+                          "8dfac4decd852a406de3e09315e504077aa58efa4d5eb7a63951739c5aa8dbea"),
+    "jump-fixed": ("--objective jump --n 12 --param k=2 --lambdas 32,128",
+                   "e32bbf2d86b567887023b24fd06392776271cac37162f47204f64e007c697a41"),
+    # the benchmark's shape
+    "onemax-adaptive": ("--objective onemax --n 300 --lambdas 128,512 --algo one-plus-lambda-adaptive",
+                        "63a27714c1577d74b74b7415d5fdffbdb516133e9fa41f3765594475403541d0"),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_HISTOGRAM_SWEEPS))
+def test_histogram_sweep_csv_is_pinned(tmp_path, capsys, case):
+    args, digest = PINNED_HISTOGRAM_SWEEPS[case]
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", *args.split(), "--reps", "8", "--seed", "2101", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # ------------------------------------------- chain against the bit path
