@@ -21,7 +21,6 @@ from .bitstring import BitString, random_bitstring
 from .objectives.base import CHAIN, Objective
 from .rng import as_stream, derive_rng
 from .variation import (
-    HISTOGRAM_LAMBDA,
     STATES_OF_DOUBLES,
     UnaryOperator,
     apply,
@@ -192,22 +191,6 @@ def check_elitist_run(cfg: AlgoConfig, obj: Objective) -> None:
                          f"of objective {obj.name!r} does not contain the all-ones point")
 
 
-# The offspring count from which a chain run selects each generation with
-# numpy; below it the per-offspring loop does.  It is the chain samplers' own
-# crossover, from which they return histograms.
-ARRAY_SELECTION_LAMBDA = HISTOGRAM_LAMBDA
-
-
-def _as_list(batch):
-    """A per-offspring batch as a list, for the loop kernel; a histogram as it is."""
-    return batch if type(batch) is list or type(batch) is tuple else batch.tolist()
-
-
-def _as_array(batch):
-    """A per-offspring batch as an ndarray, for the array kernel; a histogram as it is."""
-    return batch if type(batch) is tuple else np.asarray(batch)
-
-
 def _weighted_pick(weights: list[int], u: float) -> int:
     """The index of the entry whose cumulative weight first exceeds
     floor(u T), T the total weight: with unit weights, floor(u T) itself."""
@@ -288,21 +271,21 @@ def run_one_plus_lambda(
     chain of the parent's state s: offspring are states from the chain's
     sampler, no bit string is sampled, and fitness and target membership
     are read off the objective's `state_tables`, filled once per state and
-    shared by every run on it.  A sampler returns one state per offspring,
-    or, from lambda = ARRAY_SELECTION_LAMBDA on, the generation's histogram
-    (states, counts), and both kernels read both shapes: the per-offspring
-    loop below that lambda, and numpy's best rank, ties and hits from it.
-    On a histogram a tie takes the tied entry whose cumulative count first
-    exceeds floor(u T), T the tied offspring, which with unit counts is the
-    per-offspring pick, and the first hit's position among lambda
-    exchangeable offspring, H of them members, is drawn from
+    shared by every run on it.  The batch's shape picks the selection
+    kernel.  A list holds one state per offspring, as the initial batch and
+    the samplers below HISTOGRAM_LAMBDA return it, and goes through the
+    per-offspring loop.  A tuple (states, counts) is the histogram of the
+    generation, as the samplers return it from HISTOGRAM_LAMBDA on, and
+    numpy reads its best rank, ties and hits.  A tie on a histogram takes
+    the tied entry whose cumulative count first exceeds floor(u T), T the
+    tied offspring, which on the histogram's expansion in state order is
+    the loop's pick; the first hit's position among lambda exchangeable
+    offspring, H of them members, is drawn from
     P(I > i) = C(lambda - i, H) / C(lambda, H) with one more double.  The
-    two kernels read the same doubles and pick the same offspring, so they
-    give the same run.  The hook sees the states' representatives, a
-    histogram expanded to lambda of them, built for it alone.  A chain that
-    needs a uniform start does not run from `initial`, and one whose state
-    does not hold the zero count does not run the adaptive EA: those runs
-    sample bit strings.
+    hook sees the states' representatives, a histogram expanded to lambda
+    of them, built for it alone.  A chain that needs a uniform start does
+    not run from `initial`, and one whose state does not hold the zero
+    count does not run the adaptive EA: those runs sample bit strings.
 
     Below HISTOGRAM_LAMBDA the leading-ones sampler reads one stream double
     per offspring that does not improve on the parent, so at lambda <=
@@ -328,16 +311,13 @@ def run_one_plus_lambda(
     better = obj.better
 
     chain = obj.metadata.get(CHAIN)
-    array = False
     if chain is not None and (initial is None or chain.any_start) \
             and (chain.zeros is not None or cfg.algorithm != ONE_PLUS_LAMBDA_ADAPTIVE):
         tables = obj.state_tables
         fitness, hit = tables.fitness.__getitem__, tables.hit.__getitem__
         rank, member = tables.rank, tables.member
-        array = lam >= ARRAY_SELECTION_LAMBDA
-        take = _as_array if array else _as_list
         operator_for = _operator_schedule(cfg, lambda s: chain.zeros(n, s))
-        batch = take([chain.state(initial)] if initial is not None else chain.initial(n, lam, rng))
+        batch = [chain.state(initial)] if initial is not None else chain.initial(n, lam, rng)
         sample = chain.offspring
         states_of = STATES_OF_DOUBLES.get(sample) if lam <= IDLE_SCAN_LAMBDA else None
 
@@ -363,7 +343,7 @@ def run_one_plus_lambda(
             return chain.point(n, s)
 
         def offspring(s: int):
-            return take(sample(operator_for(s), n, s, lam, rng))
+            return sample(operator_for(s), n, s, lam, rng)
     else:
         states_of = None
         fitness, hit, point = obj.evaluate, obj.target.contains, lambda y: y
@@ -377,11 +357,11 @@ def run_one_plus_lambda(
             return [apply(op, x, rng) for _ in range(lam)]
 
     # One loop selects from the initial batch (gens = 0, x not yet set) and
-    # from every generation's offspring.  A list is a per-offspring batch
-    # for the loop kernel, an int array one for the array kernel, and a
-    # tuple a histogram, which either kernel reads.  Ties are listed only
-    # when they occur, and their one stream double (uniform over the tied
-    # offspring to within 2^-52, as in `apply`) follows the batch's own draws.
+    # from every generation's offspring: a list, one state or point per
+    # offspring, in the per-offspring loop, and a (states, counts) histogram
+    # with numpy.  Ties are listed only when they occur, and their one
+    # stream double (uniform over the tied offspring to within 2^-52, as in
+    # `apply`) follows the batch's own draws.
     x = fx = first_hit = None
     evals = gens = 0
     while True:
@@ -402,54 +382,29 @@ def run_one_plus_lambda(
             if ties is not None:
                 z = ties[int(rng.next_double() * len(ties))]
             evals += len(batch)
-        elif type(batch) is tuple:  # distinct states and their counts
+        else:  # distinct states and their counts
             states, counts = batch
-            if array:
-                drawn = counts.nonzero()[0]
-                present = states[drawn]
-                ranks = rank[present]
-                tied = (ranks == ranks[ranks.argmax()]).nonzero()[0]
-                ties = present[tied].tolist()
-                if len(ties) > 1:
-                    weights = counts[drawn[tied]].tolist()
-                members = member[present].nonzero()[0]  # costs less than any()
-                hits = int(counts[drawn[members]].sum()) if len(members) else 0
-            else:
-                ties, hits = None, 0
-                for y, c in zip(states.tolist(), counts.tolist()):
-                    if c:
-                        fy = fitness(y)
-                        if hit(y):
-                            hits += c
-                        if ties is None or better(fy, fz):
-                            ties, weights, fz = [y], [c], fy
-                        elif fy == fz:
-                            ties.append(y)
-                            weights.append(c)
+            drawn = counts.nonzero()[0]
+            present = states[drawn]
+            ranks = rank[present]
+            tied = (ranks == ranks[ranks.argmax()]).nonzero()[0]  # argmax costs less than max
+            ties = present[tied].tolist()
             # a tie between entries takes each tied offspring with the same
             # chance; the first hit's position is drawn after it
-            z = ties[_weighted_pick(weights, rng.next_double())] if len(ties) > 1 else ties[0]
+            if len(ties) > 1:
+                z = ties[_weighted_pick(counts[drawn[tied]].tolist(), rng.next_double())]
+            else:
+                z = ties[0]
             fz = fitness(z)
-            if hits:
+            members = member[present].nonzero()[0]  # costs less than any()
+            if len(members):
+                hits = int(counts[drawn[members]].sum())
                 first_hit = evals + _first_position(lam, hits, rng.next_double())
             evals += lam
-        else:  # an int array of states
-            ranks = rank[batch]
-            ties = (ranks == ranks[ranks.argmax()]).nonzero()[0]  # argmax costs less than max
-            z = int(batch[ties[int(rng.next_double() * len(ties))] if len(ties) > 1 else ties[0]])
-            fz = fitness(z)
-            hits = member[batch]
-            first = int(hits.argmax())
-            if hits[first]:
-                first_hit = evals + first + 1
-            evals += len(batch)
         if x is None or not better(fx, fz):
             x, fx = z, fz
         if on_generation is not None:
-            if type(batch) is tuple:
-                queried = np.repeat(*batch).tolist()
-            else:
-                queried = batch if type(batch) is list else batch.tolist()
+            queried = batch if type(batch) is list else np.repeat(*batch).tolist()
             on_generation(gens, [point(y) for y in queried], point(x), fx)
         if first_hit is not None or evals + lam > cfg.budget:
             break

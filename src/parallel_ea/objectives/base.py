@@ -47,9 +47,11 @@ class Chain:
       from a uniform start.
 
     States run from 0 to n.  A sampler returns one state per offspring, as
-    a list of ints or a 1-d integer ndarray, or the histogram of the lam
-    offspring: a tuple (states, counts) of 1-d integer ndarrays, the states
-    distinct and the counts, zeros allowed, summing to lam.  Offspring are
+    a list of ints, or the histogram of the lam offspring: a tuple
+    (states, counts) of 1-d integer ndarrays, the states distinct and the
+    counts, zeros allowed, summing to lam.  An ndarray of states is neither;
+    the runner tells the two shapes apart by type and selects from a list
+    offspring by offspring and from a histogram with numpy.  Offspring are
     exchangeable, so the histogram holds all that the runner selects from.
     The offspring samplers here return it from `variation.HISTOGRAM_LAMBDA` on.
     """

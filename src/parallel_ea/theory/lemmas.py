@@ -31,7 +31,7 @@ from .bounds import DEFAULT_DELTA, coupon_bound, multibit_nstar
 from .pmf import (
     ProgressParams,
     _delta0_counts,
-    _delta0_tail_counts,
+    _delta0_tail_support,
     _delta0_window,
     delta0_log_prob_cells,
     delta0_pmf,
@@ -294,7 +294,7 @@ def verify_chvatal(n: int) -> LemmaReport:
         log_den = np.log(cf[n, 1:])
 
     def cell(m, s, r):
-        num = _delta0_tail_counts(ci, n, m, r)[s]
+        num = sum(ci[m][zh] * ci[n - m][r - zh] for zh in _delta0_tail_support(s, m, r))
         if num == 0:
             return (m, s, r), [], None
         log_p = log(num) - log(ci[n][r])

@@ -256,10 +256,11 @@ def ones_counts(op: UnaryOperator, n: int, k: int, size: int, rng: UniformStream
     raise ValueError(f"no ones-count sampler for {op}")
 
 
-def uniform_ones_counts(n: int, size: int, rng: UniformStream) -> np.ndarray:
+def uniform_ones_counts(n: int, size: int, rng: UniformStream) -> list[int]:
     """Ones counts of `size` uniform points: Binomial(n, 1/2), drawn off the
-    bit generator in one vector call, as an int ndarray."""
-    return rng.binomial(n, 0.5, size=size)
+    bit generator in one vector call, as a list, one state per point, which
+    the runner selects from with its per-offspring loop at every size."""
+    return rng.binomial(n, 0.5, size=size).tolist()
 
 
 _LN_HALF = log(0.5)

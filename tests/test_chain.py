@@ -18,7 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from parallel_ea import algorithms, cli
+from parallel_ea import cli
 from parallel_ea.algorithms import AlgoConfig, adaptive_rate, run_one_plus_lambda
 from parallel_ea.bitstring import BitString
 from parallel_ea.objectives import CHAIN, ONES_COUNT, local_optima, make_objective, objective_names
@@ -274,29 +274,19 @@ def test_ties_break_uniformly_with_multiplicity():
     tie_law([15, 15, 5])
 
 
-def test_ties_break_uniformly_with_multiplicity_in_the_array_kernel():
-    states = [12] + [15, 15, 5] * 21
-    assert len(states) >= algorithms.ARRAY_SELECTION_LAMBDA
-    tie_law(states)
-
-
-@pytest.mark.parametrize("crossover", [1, 10**9], ids=["array", "loop"])
 @pytest.mark.parametrize("states, counts", [([15, 5], [42, 21]), ([12, 15, 16, 5], [0, 42, 0, 21])],
                          ids=["counts", "zero-counts"])
-def test_ties_break_uniformly_with_multiplicity_in_a_histogram(monkeypatch, crossover, states,
-                                                                counts):
-    # an entry of the histogram stands for its count of offspring; a state
-    # drawn zero times (16 would beat the tie) is not there at all
-    monkeypatch.setattr(algorithms, "ARRAY_SELECTION_LAMBDA", crossover)
+def test_ties_break_uniformly_with_multiplicity_in_a_histogram(states, counts):
+    # numpy's kernel: an entry of the histogram stands for its count of
+    # offspring; a state drawn zero times (16 would beat the tie) is not
+    # there at all
     tie_law((np.array(states), np.array(counts)), lam=63)
 
 
-@pytest.mark.parametrize("crossover", [1, 10**9], ids=["array", "loop"])
-def test_first_hit_position_in_a_histogram(monkeypatch, crossover):
+def test_first_hit_position_in_a_histogram():
     # H = 3 of lambda = 64 offspring are the optimum, so the first hit's
     # position I has P(I > i) = C(lambda - i, H) / C(lambda, H)
     n, lam, hits, runs = 20, 64, 3, 4000
-    monkeypatch.setattr(algorithms, "ARRAY_SELECTION_LAMBDA", crossover)
     batch = (np.array([n - 1, n, 3]), np.array([lam - hits - 1, hits, 1]))
     stub = dataclasses.replace(ONES_COUNT, offspring=lambda op, n, s, lam, rng: batch)
     obj = dataclasses.replace(make_objective("onemax", n), metadata={CHAIN: stub})
@@ -314,17 +304,79 @@ def test_first_hit_position_in_a_histogram(monkeypatch, crossover):
 
 # ------------------------------------------------ the two selection kernels
 
-def both_kernels(monkeypatch, obj, cfg, key, initial=None):
-    """The run of cfg on obj with the per-offspring loop and with the array
-    kernel, each with the parents its hook saw, from the same stream."""
+def histogram_of(batch):
+    """A batch as a histogram, which the runner selects from with numpy."""
+    return batch if type(batch) is tuple else tuple(np.unique(batch, return_counts=True))
+
+
+def expansion_of(batch):
+    """A batch as the list of its offspring in state order, which the
+    runner selects from with the per-offspring loop."""
+    return sorted(batch) if type(batch) is list else np.repeat(*batch).tolist()
+
+
+def both_shapes(obj, cfg, key, initial=None, batch=None):
+    """The last parent and the record of cfg on obj, whose budget allows one
+    generation, run with each generation's offspring as a histogram and as
+    its expansion in state order, from the same stream.  The offspring are
+    the chain sampler's, or `batch` whatever the parent.  Both runs must
+    end on the same parent with the same record, except where each places
+    a first hit within its generation."""
+    chain = obj.metadata[CHAIN]
+    sample = chain.offspring if batch is None else lambda op, n, s, lam, rng: batch
     out = []
-    for crossover in (10**9, 1):
-        monkeypatch.setattr(algorithms, "ARRAY_SELECTION_LAMBDA", crossover)
+    for shape in (histogram_of, expansion_of):
+        stub = dataclasses.replace(chain, offspring=lambda *a, shape=shape: shape(sample(*a)))
         parents = []
-        rec = run_one_plus_lambda(cfg, obj, derive_rng(*key), initial=initial,
+        rec = run_one_plus_lambda(cfg, dataclasses.replace(obj, metadata={CHAIN: stub}),
+                                  derive_rng(*key), initial=initial,
                                   on_generation=lambda g, q, x, f: parents.append((x, f)))
-        out.append((rec, parents))
-    return out
+        assert rec.generations_used <= 1
+        if rec.hit_target:
+            assert rec.evaluations_used - cfg.lam < rec.first_hit_evaluation <= rec.evaluations_used
+        out.append((parents[-1], dataclasses.replace(rec, first_hit_evaluation=None)))
+    assert out[0] == out[1]
+    return out[0]
+
+
+def stub_objective(stub: str, n: int):
+    """onemax or twomax, or one of the two changed so that a rank taken
+    any other way than the loop's comparisons would show."""
+    if stub == "direction-min":  # the states near n/2 win, and k ties with n - k
+        return dataclasses.replace(make_objective("twomax", n), direction="min")
+    if stub == "fitness-2^60":  # states that one float64 would merge
+        assert float(2**60 + 1) == float(2**60)
+        return dataclasses.replace(make_objective("onemax", n),
+                                   evaluate=lambda x: 2**60 + x.count_ones())
+    return make_objective(stub, n)
+
+
+# objective, the fixed histogram of every generation, and the states the
+# parent in state 12 of n = 20 may move to
+SHAPE_CASES = {
+    "ties-with-multiplicity": ("twomax", [15, 5], [42, 21], {5, 15}),
+    "zero-counts": ("twomax", [12, 15, 16, 5], [0, 42, 0, 21], {5, 15}),
+    "target-member": ("onemax", [19, 20, 3], [60, 3, 1], {20}),
+    "tied-members": ("twomax", [0, 7, 20], [2, 5, 3], {0, 20}),
+    "direction-min": ("direction-min", [8, 9, 11, 12], [4, 3, 9, 4], {9, 11}),
+    "fitness-2^60": ("fitness-2^60", [18, 19, 20], [10, 5, 1], {20}),
+}
+
+
+@pytest.mark.parametrize("case", list(SHAPE_CASES))
+def test_a_histogram_and_its_expansion_select_alike(case):
+    stub, states, counts, winners = SHAPE_CASES[case]
+    n, lam = 20, sum(counts)
+    obj = stub_objective(stub, n)
+    batch = (np.array(states), np.array(counts))
+    ends = set()
+    for rep in range(100):
+        cfg = AlgoConfig("one-plus-lambda-fixed", n=n, lam=lam, budget=1 + lam, seed=rep)
+        (x, _), rec = both_shapes(obj, cfg, (917, rep), initial=BitString(n, (1 << 12) - 1),
+                                  batch=batch)
+        assert rec.generations_used == 1
+        ends.add(x.count_ones())
+    assert ends == winners
 
 
 KERNEL_CASES = [(name, params, algorithm, lam)
@@ -337,63 +389,48 @@ KERNEL_CASES = [(name, params, algorithm, lam)
 
 
 @pytest.mark.parametrize("name, params, algorithm, lam", KERNEL_CASES)
-def test_kernels_give_the_same_runs(monkeypatch, name, params, algorithm, lam):
-    # the budget stops the slow runs (jump, cliff, twomax-prime at lambda 2)
-    # part way; each kernel must reach the same record by the same parents
-    n, runs = 24, 6
+def test_kernels_give_the_same_runs(name, params, algorithm, lam):
+    # the chain's own offspring in both shapes, one generation after the
+    # best of lam uniform points, whose state varies with the seed
+    n, runs = 24, 40
     obj = make_objective(name, n, **params)
-    assert CHAIN in obj.metadata
     for rep in range(runs):
-        cfg = AlgoConfig(algorithm, n=n, lam=lam, budget=40 * lam + 3, seed=rep)
-        item, array = both_kernels(monkeypatch, obj, cfg, (912, rep))
-        assert item == array
+        both_shapes(obj, AlgoConfig(algorithm, n=n, lam=lam, budget=2 * lam, seed=rep), (912, rep))
 
 
 @pytest.mark.parametrize("algorithm, lam", [
     ("one-plus-lambda-fixed", 2), ("one-plus-lambda-fixed", 64), ("one-plus-lambda-adaptive", 64),
     ("rls", 1),
 ])
-def test_kernels_give_the_same_runs_from_initial(monkeypatch, algorithm, lam):
+def test_kernels_give_the_same_runs_from_initial(algorithm, lam):
+    # one generation from every state of twomax: both slopes, the valley
+    # between them and the two targets
     n = 40
     obj = make_objective("twomax", n)
-    for ones in (3, 20, 33):
-        cfg = AlgoConfig(algorithm, n=n, lam=lam, seed=ones)
-        item, array = both_kernels(monkeypatch, obj, cfg, (913, ones),
-                                   initial=BitString(n, (1 << ones) - 1))
-        assert item == array and item[0].hit_target
+    for ones in range(n + 1):
+        cfg = AlgoConfig(algorithm, n=n, lam=lam, budget=1 + lam, seed=ones)
+        both_shapes(obj, cfg, (913, ones), initial=BitString(n, (1 << ones) - 1))
 
 
-def test_kernels_stop_at_the_same_budget(monkeypatch):
+def test_kernels_stop_at_the_same_budget():
     # a budget between two generations' ends: both stop after the last
     # whole generation, short of the target
     n, lam = 200, 64
-    cfg = AlgoConfig("one-plus-lambda-adaptive", n=n, lam=lam, budget=10 * lam + 37, seed=0)
-    item, array = both_kernels(monkeypatch, make_objective("onemax", n), cfg, (914,))
-    assert item == array
-    assert item[0].evaluations_used == 10 * lam and not item[0].hit_target
+    cfg = AlgoConfig("one-plus-lambda-adaptive", n=n, lam=lam, budget=2 * lam + 37, seed=0)
+    _, rec = both_shapes(make_objective("onemax", n), cfg, (914,))
+    assert rec.evaluations_used == 2 * lam and not rec.hit_target
 
 
 @pytest.mark.parametrize("stub", ["direction-min", "fitness-2^60"])
 @pytest.mark.parametrize("lam", [2, 64])
-def test_kernels_agree_on_stub_objectives(monkeypatch, stub, lam):
-    # minimising twomax drives the parent to n/2, between tied states; the
-    # fitness 2^60 + k keeps states that one float64 would merge apart, so
-    # a rank taken from floats would add ties that the loop does not see
+def test_kernels_agree_on_stub_objectives(stub, lam):
+    # the chain's own offspring in both shapes, one generation from every state
     n = 30
-    obj = make_objective("twomax" if stub == "direction-min" else "onemax", n)
-    if stub == "direction-min":
-        obj = dataclasses.replace(obj, direction="min")
-    else:
-        obj = dataclasses.replace(obj, evaluate=lambda x: 2**60 + x.count_ones())
-        assert float(2**60 + 1) == float(2**60)
-    for rep in range(6):
-        cfg = AlgoConfig("one-plus-lambda-fixed", n=n, lam=lam, budget=5000, seed=rep)
-        item, array = both_kernels(monkeypatch, obj, cfg, (915, rep))
-        assert item == array
-        if stub == "fitness-2^60":
-            assert item[0].hit_target and item[0].best_fitness == 2**60 + n
-        else:
-            assert item[0].best_fitness == obj.evaluate(BitString(n, (1 << n // 2) - 1))
+    obj = stub_objective(stub, n)
+    for ones in range(n + 1):
+        cfg = AlgoConfig("one-plus-lambda-fixed", n=n, lam=lam, budget=1 + lam, seed=ones)
+        (x, fx), _ = both_shapes(obj, cfg, (915, ones), initial=BitString(n, (1 << ones) - 1))
+        assert not obj.better(obj.evaluate(BitString(n, (1 << ones) - 1)), fx)
 
 
 def test_state_tables_are_linear_in_n():
@@ -619,8 +656,8 @@ def test_hook_does_not_select_the_path_or_the_stream():
 @pytest.mark.parametrize("name, algorithm, lam", [
     ("onemax", "one-plus-lambda-adaptive", 128), ("leadingones", "one-plus-lambda-fixed", 64),
 ])
-def test_hook_does_not_select_the_array_kernel_or_the_stream(name, algorithm, lam):
-    assert lam >= algorithms.ARRAY_SELECTION_LAMBDA
+def test_hook_does_not_select_the_histogram_kernel_or_the_stream(name, algorithm, lam):
+    assert lam >= HISTOGRAM_LAMBDA
     hook_keeps_the_stream(name, algorithm, lam)
 
 
