@@ -450,6 +450,35 @@ def test_exact_grid_stdout_is_pinned(lemma):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == PINNED_STDOUT_128[lemma]
 
 
+# sha256 of `parallel-ea verify --lemma X --n N` stdout off n = 128: slices of
+# width 1 and the m = 0 row (n = 1, 2), odd n (61), the hypergeom-tail cap
+# (512) and both ends of the improve-prob and mgf grids
+PINNED_STDOUT = {
+    ("hypergeom-tail", 1): "e2f0863832931589551602912287d6dafbf431b43efb41e1ca853926d1daecc0",
+    ("hypergeom-tail", 2): "6ac309314813b7fac48d15d6da4451b6562ce9561eeaeb7392912e908e85a93c",
+    ("hypergeom-tail", 61): "7b08c80c7907af70b43d248be34ebd6aa47a9a2570f18641438e541b0181b733",
+    ("hypergeom-tail", 512): "bc846fd79bc89d234c039b6c13307e2ab7b1a617c42d87661c77919ded94524d",
+    ("chvatal", 1): "ab1385436e23e244b693f494135d0134014e28b2699b5857947345aca8420dd7",
+    ("chvatal", 2): "f3a779d2636b1704461addc828c7859486d7facbf7825ca478bc86c50fcefd80",
+    ("chvatal", 61): "3e3802c17d30c1b199e7c854e45848a280b4988a2746091f4ec0c62c800fe481",
+    ("chvatal", 512): "8ec0c786ac07a1d363997a5ef6b9445674b4c5ad8ea73d3d036cd3325d08b7d9",
+    ("improve-prob", 8): "94f40d20403cd2c19d4f71b001e8dfd266e72eb3f10fcc4abccc7f60f7258af1",
+    ("improve-prob", 61): "186e5af8f363d9cf566f6a43f1430b657d8a2d51029ebf38f993afd674696c73",
+    ("improve-prob", 300): "b232bd327783e86c3f95b82e0c6681944592b1ce13687b7a965402af3ee95329",
+    ("mgf", 8): "22ad36c9c91d44fc557a1462691cd6eb5c8d629897163f3287d46556d7c80d44",
+    ("mgf", 61): "bcc985d5f2d907fbe334cea29dc45bc5894b621832f2ab3f230cd260cf2de0c3",
+    ("mgf", 300): "fda849deb36edb2de05a081febf11a259423397496613dd9a85cd29859178994",
+}
+
+
+@pytest.mark.parametrize("lemma, n", list(PINNED_STDOUT))
+def test_exact_grid_stdout_is_pinned_off_128(lemma, n):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["verify", "--lemma", lemma, "--n", str(n)]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == PINNED_STDOUT[lemma, n]
+
+
 # sha256 of `parallel-ea verify --lemma multibit --n N` stdout from the
 # per-(s, m) array verifier, so that a rewrite of the grid cannot change a byte
 PINNED_MULTIBIT_STDOUT = {
