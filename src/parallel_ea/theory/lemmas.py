@@ -6,8 +6,15 @@ arithmetic for huge dimensions.  The checkers are the oracle; a report
 with pass=False carries every violating grid point.
 
 The exact grids (hypergeom-tail, improve-prob, chvatal, mgf) are filtered in
-float64, one slice of O(n^2) cells at a time, from a float copy of the one
-exact Pascal table.  A cell whose float slack clears its bound by
+float64, one slice of O(n^2) cells per parent zero count m, from a float
+copy of the one exact Pascal table.  hypergeom-tail and chvatal read each
+slice off the parent's count table T[r, Z] = C(m, Z) C(n - m, r - Z): the
+row C(m, .) times a reversed sliding window over a zero-padded copy of the
+table, so no cell is gathered by index.  What does not depend on m is
+computed once per call: for hypergeom-tail 1 / (C(n, r) C(r, z)) and the
+rows that break C(r, z) <= 4^z, for chvatal the bound exponent
+(m - s)^2 / (2r) less log C(n, r) and the flat index of each tail in a
+table of suffix sums.  A cell whose float slack clears its bound by
 FLOAT_MARGIN is settled there; the float products, quotients and suffix sums
 are off by a few ulp, far inside that margin.  Every other cell goes through
 the exact scalar check: each cell inside the margin, each cell with a value
@@ -22,6 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from math import exp, inf, log, nan, sqrt
+from operator import add
 from typing import Optional, Sequence
 
 import numpy as np
@@ -89,9 +97,9 @@ def _comb_table(n: int) -> list[list[int]]:
     """Pascal's triangle as rows[a][b] = C(a, b) for 0 <= a, b <= n, with
     C(a, b) = 0 for b > a."""
     rows = [[1] + [0] * n]
-    for _ in range(n):
+    for a in range(1, n + 1):
         prev = rows[-1]
-        rows.append([1] + [prev[b - 1] + prev[b] for b in range(1, n + 1)])
+        rows.append([1, *map(add, prev[:a], prev[1:a + 1]), *[0] * (n - a)])
     return rows
 
 
@@ -134,32 +142,44 @@ class _FloatFilter:
 
     def settle(self, decide, slack, observed, exact) -> bool:
         """Settle one slice of cells, given in loop order as float arrays:
-        decide > 0 where a cell breaks its bound, slack the value the check
-        observes and observed where it observes one.  exact(i) runs the
-        scalar check of cell i and returns its key, its violations as
-        (point, slack) pairs and its observed slack (or None).  Returns
-        whether the margin settled every cell with no violation."""
+        decide > 0 where a cell breaks its bound (-inf where it holds for
+        certain), slack the value the check observes (0 where it observes
+        none) and observed where it observes one.  exact(i) runs the scalar
+        check of cell i and returns its key, its violations as (point,
+        slack) pairs and its observed slack (or None).  Returns whether the
+        margin settled every cell with no violation.
+
+        Only the cells that do not clearly hold are looked at one by one.
+        The largest finite slack, settled or not, sets the floor of the
+        cells checked near the maximum: a finite float slack is within a
+        few ulp of its exact value, so the cell with the largest exact
+        value is still among them."""
         decide, slack, observed = decide.ravel(), slack.ravel(), observed.ravel()
+        top = slack.max()
         with np.errstate(invalid="ignore"):
-            settled = np.isfinite(decide) & np.isfinite(slack) & (np.abs(decide) > FLOAT_MARGIN)
-        broken = np.flatnonzero(settled & (decide > 0))
+            clear = decide < -FLOAT_MARGIN
+            if not np.isfinite(top):  # a slack that is not finite settles nothing
+                finite = np.isfinite(slack)
+                clear &= finite
+                top = slack.max(where=finite, initial=0.0)
+            hot = np.flatnonzero(~clear)
+            hot_decide = decide[hot]
+            settled = (np.isfinite(slack[hot]) & (np.abs(hot_decide) > FLOAT_MARGIN)
+                       & (hot_decide < inf))
+        broken = hot[settled & (hot_decide > 0)]
         if broken.size > MAX_VIOLATIONS_KEPT:
             self.dropped = True
             broken = broken[:MAX_VIOLATIONS_KEPT]
-        cells = ~settled
-        cells[broken] = True
-        known = settled & observed
-        if known.any():
-            floor = max(slack[known].max(), self.report.max_slack) * (1.0 - FLOAT_MARGIN)
-            cells |= known & (slack >= floor)
-        for i in np.flatnonzero(cells).tolist():
+        floor = max(top, self.report.max_slack) * (1.0 - FLOAT_MARGIN)
+        near = np.flatnonzero(slack >= floor if floor > 0 else observed)
+        for i in sorted({*hot[~settled].tolist(), *broken.tolist(), *near.tolist()}):
             key, violations, value = exact(i)
             if value is not None:
                 self.report.observe(value)
             self.found.extend((key + (j,), point, v) for j, (point, v) in enumerate(violations))
         if len(self.found) > MAX_VIOLATIONS_KEPT:
             self._trim()
-        return settled.all() and not broken.size
+        return not hot.size
 
     def _trim(self) -> None:
         self.found.sort(key=lambda v: v[0])
@@ -176,6 +196,44 @@ class _FloatFilter:
         return self.report
 
 
+def _count_tables(cf: np.ndarray):
+    """count(row, m)[r, Z] = row[Z] * C(n - m, r - Z) for 0 <= r <= n and
+    Z < row.size, 0 where r < Z or r - Z > n - m; with row = C(m, .)[:m + 1]
+    these are the hypergeometric counts C(m, Z) C(n - m, r - Z).
+
+    C(n - m, .) is copied into one zero-padded row and read through a
+    reversed sliding window over it, window[r, Z] = pad[n + r - Z], so no
+    index is gathered.  A row that is not finite (the float table passes
+    2^1024) gets its r < Z corner zeroed, where nan * 0 would stand."""
+    n = cf.shape[0] - 1
+    pad = np.zeros(2 * n + 1)
+    window = np.lib.stride_tricks.sliding_window_view(pad, n + 1)[:, ::-1]
+
+    def count(row: np.ndarray, m: int) -> np.ndarray:
+        pad[n:] = cf[n - m]
+        width = row.size
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = row * window[:, :width]
+        if not np.isfinite(row).all():
+            table[:width] = np.tril(table[:width])
+        return table
+
+    return count
+
+
+def _four_fails(ci: list[list[int]], n: int) -> np.ndarray:
+    """fails[r, z] = C(r, z) > 4^z for r/2 <= z <= r, False elsewhere.
+    Past the middle C(r, z) does not increase with z and 4^z does, so a row
+    that passes at z = ceil(r/2) passes throughout; only the rows that fail
+    there are filled entry by entry."""
+    fails = np.zeros((n + 1, n + 1), dtype=bool)
+    for r in range(n + 1):
+        half = (r + 1) // 2
+        if ci[r][half] > 4**half:
+            fails[r, half:r + 1] = [ci[r][z] > 4**z for z in range(half, r + 1)]
+    return fails
+
+
 def verify_hypergeom_tail(n: int) -> LemmaReport:
     """P(Z=z) <= C(r,z) (m/n)^z for all z, and C(r,z) <= 4^z for z >= r/2,
     over the full (m, r, z) grid.  Exact integer comparisons."""
@@ -187,14 +245,14 @@ def verify_hypergeom_tail(n: int) -> LemmaReport:
     ci = _comb_table(n)
     cf = _float_table(ci)
     grid = _FloatFilter(report)
-    radii = np.arange(n + 1)
-    lower = radii[:, None] - radii  # r - z over the (r, z) square
     # C(r, z) <= 4^z does not depend on m: a failing (r, z) is checked
     # exactly at every m
-    four_fails = np.zeros((n + 1, n + 1), dtype=bool)
-    for r in range(n + 1):
-        for z in range((r + 1) // 2, r + 1):
-            four_fails[r, z] = ci[r][z] > 4**z
+    four_fails = _four_fails(ci, n)
+    failing = four_fails.any()
+    # ratio = C(m, z) C(n - m, r - z) (m/n)^-z * q, q = 1 / (C(n, r) C(r, z))
+    q = np.zeros_like(cf)
+    np.divide(1.0, cf[n][:, None] * cf, out=q, where=cf != 0)
+    count = _count_tables(cf)
 
     def cell(m, r, z):
         den = ci[n][r]
@@ -210,16 +268,14 @@ def verify_hypergeom_tail(n: int) -> LemmaReport:
 
     for m in range(n + 1):
         width = m + 1  # z <= m
-        cut = lower[:, :width]
-        inside = cut >= 0
-        num = cf[m, :width] * cf[n - m][np.maximum(cut, 0)]
-        bound = cf[:, :width] * np.array([(m / n) ** z for z in range(width)])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(inside, num / cf[n][:, None] / bound, 0.0)
+        ratio = count(cf[m, :width] / (m / n) ** np.arange(width), m)
+        ratio *= q[:, :width]
         decide = ratio - 1.0
-        decide[inside & four_fails[:, :width]] = nan  # to the exact check
-        report.points_checked += int(np.minimum(radii, m).sum()) + n + 1
-        grid.settle(decide, ratio, inside & (num > 0),
+        if failing:
+            decide[four_fails[:, :width]] = nan  # to the exact check
+        # min(r, m) + 1 cells at each radius r
+        report.points_checked += m * (m + 1) // 2 + (n - m) * m + n + 1
+        grid.settle(decide, ratio, ratio > 0,
                     lambda i, m=m, width=width: cell(m, *divmod(i, width)))
     return grid.close()
 
@@ -288,10 +344,17 @@ def verify_chvatal(n: int) -> LemmaReport:
     ci = _comb_table(n)
     cf = _float_table(ci)
     grid = _FloatFilter(report)
-    all_radii = np.arange(n + 1)
-    radii = all_radii[1:]
-    with np.errstate(divide="ignore"):
-        log_den = np.log(cf[n, 1:])
+    half = n // 2
+    radii = np.arange(1, n + 1)
+    gap = np.arange(half + 1)[:, None]  # d = m - s
+    # log C(n, r) P(Delta_0 > 0) + bound[d, r - 1] is the log slack; the
+    # logs of the integers stay finite where the float table does not
+    bound = gap**2 / (2 * radii) - np.array([log(c) for c in ci[n][1:]])
+    # tails[Z, r] = C(n, r) P(Z' >= Z), read at Z = (r + d) // 2 + 1 through
+    # flat; the rows past m stay zero, since m only grows
+    tails = np.zeros(((n + half) // 2 + 2, n + 1))
+    flat = ((radii + gap) // 2 + 1) * (n + 1) + radii
+    count = _count_tables(cf)
 
     def cell(m, s, r):
         num = sum(ci[m][zh] * ci[n - m][r - zh] for zh in _delta0_tail_support(s, m, r))
@@ -302,21 +365,18 @@ def verify_chvatal(n: int) -> LemmaReport:
         slack = exp(log_p - log_bound)
         return (m, s, r), [({"s": s, "m": m, "r": r}, slack)] if log_p > log_bound + 1e-12 else [], slack
 
-    for m in range(n // 2 + 1):
-        cut = all_radii[:, None] - np.arange(m + 1)  # r - Z
-        terms = np.where(cut >= 0, cf[m, :m + 1] * cf[n - m][np.maximum(cut, 0)], 0.0)
-        # suffix[r, Z] = C(n, r) P(Z' >= Z), zero past Z = m
-        suffix = np.zeros((n + 1, m + 2))
-        suffix[:, m::-1] = np.cumsum(terms[:, ::-1], axis=1)
-        potentials = np.arange(m + 1)[:, None]
-        tails = suffix[radii, np.minimum((radii + m - potentials) // 2 + 1, m + 1)]
-        observed = tails != 0
+    for m in range(half + 1):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            excess = np.log(tails) - log_den + (m - potentials) ** 2 / (2 * radii)
-            decide = np.where(observed, excess - 1e-12, -1.0)
-            slack = np.where(observed, np.exp(excess), 0.0)
+            np.cumsum(count(cf[m, :m + 1], m).T[::-1], axis=0, out=tails[m::-1])
+            excess = tails.take(flat[m::-1])  # the tails over (s, r), then their log slack
+            observed = excess != 0
+            np.log(excess, out=excess)  # -inf on an empty tail
+            excess += bound[m::-1]
+            slack = np.exp(excess)
         report.points_checked += (m + 1) * n
-        grid.settle(decide, slack, observed,
+        # the exact check's 1e-12 tolerance lies inside FLOAT_MARGIN, so
+        # excess decides as it stands
+        grid.settle(excess, slack, observed,
                     lambda i, m=m: cell(m, i // n, i % n + 1))
     return grid.close()
 

@@ -3,8 +3,9 @@ import hashlib
 import io
 import json
 from fractions import Fraction
-from math import exp, inf, lgamma, log, sqrt
+from math import exp, inf, lgamma, log, nan, sqrt
 
+import numpy as np
 import pytest
 
 from parallel_ea import cli
@@ -540,3 +541,85 @@ def test_exact_grid_violations_are_the_scalar_violations(monkeypatch, lemma, doc
     assert every.to_json() == reference.to_json()
     reference.violations = reference.violations[:MAX_VIOLATIONS_KEPT]
     assert capped.to_json() == reference.to_json()
+
+
+def _gathered_counts(cf, n, m):
+    # C(m, Z) C(n - m, r - Z) over (r, Z) by fancy indexing, 0 where r < Z
+    r, z = np.arange(n + 1)[:, None], np.arange(m + 1)
+    return np.where(r >= z, cf[m, z] * cf[n - m][np.maximum(r - z, 0)], 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 33, 128])
+def test_count_table_is_the_gathered_product(n):
+    cf = lemmas._float_table(lemmas._comb_table(n))
+    count = lemmas._count_tables(cf)
+    for m in range(n + 1):
+        table = count(cf[m, :m + 1], m)
+        want = _gathered_counts(cf, n, m)
+        assert table.shape == want.shape and table.tobytes() == want.tobytes()
+
+
+def test_count_table_keeps_the_gathered_nans():
+    # NaN over the middle of one row, as _float_table leaves an entry past
+    # 2^1024: the row is read once as C(m, .) and once as C(n - m, .)
+    n = 33
+    for row in range(n + 1):
+        cf = lemmas._float_table(lemmas._comb_table(n))
+        cf[row, row // 4:row - row // 4 + 1] = nan
+        count = lemmas._count_tables(cf)
+        for m in range(n + 1):
+            table = count(cf[m, :m + 1], m)
+            want = _gathered_counts(cf, n, m)
+            assert np.isnan(want).any() == (m in (row, n - row))
+            assert table.shape == want.shape and np.array_equal(table, want, equal_nan=True)
+
+
+def _four_fails_loop(ci, n):
+    fails = np.zeros((n + 1, n + 1), dtype=bool)
+    for r in range(n + 1):
+        for z in range((r + 1) // 2, r + 1):
+            fails[r, z] = ci[r][z] > 4**z
+    return fails
+
+
+@pytest.mark.parametrize("doctoring", [None, *DOCTORED])
+def test_four_fails_is_the_double_loop(doctoring):
+    table = lemmas._comb_table if doctoring is None else _doctored_row_n(DOCTORED[doctoring])
+    failing = 0
+    for n in range(65):
+        ci = table(n)
+        fails = lemmas._four_fails(ci, n)
+        assert np.array_equal(fails, _four_fails_loop(ci, n))
+        failing += int(fails.sum())
+    # only the inflated row n breaks C(r, z) <= 4^z
+    assert (failing > 0) == (doctoring == "inflated")
+
+
+@pytest.mark.parametrize("doctoring", [None, "deflated"])
+@pytest.mark.parametrize("lemma", list(EXACT_GRIDS))
+def test_float_cells_that_are_not_finite_go_to_the_exact_check(monkeypatch, lemma, doctoring):
+    # NaN over the middle of the widest rows, as _float_table leaves the
+    # entries past 2^1024 from n = 1030 on; the references read no float table
+    verify, scalar = EXACT_GRIDS[lemma]
+    n = 33
+    floats = lemmas._float_table
+
+    def table(ci):
+        cf = floats(ci)
+        for a in range(n - 3, n + 1):
+            cf[a, a // 3:a - a // 3 + 1] = nan
+        return cf
+
+    if doctoring:
+        monkeypatch.setattr(lemmas, "_comb_table", _doctored_row_n(DOCTORED[doctoring]))
+    monkeypatch.setattr(lemmas, "_float_table", table)
+    assert verify(n).to_json() == scalar(n).to_json()
+
+
+def test_float_filter_checks_every_slack_that_is_not_finite():
+    # each decide clears the margin; cell 0 holds the largest finite slack
+    seen = []
+    grid = lemmas._FloatFilter(LemmaReport(lemma="x", grid="x"))
+    clean = grid.settle(np.full(4, -1.0), np.array([0.5, 0.25, inf, nan]), np.ones(4, dtype=bool),
+                        lambda i: (seen.append(i), ((i,), [], None))[1])
+    assert sorted(seen) == [0, 2, 3] and not clean
