@@ -619,7 +619,11 @@ def test_float_cells_that_are_not_finite_go_to_the_exact_check(monkeypatch, lemm
 def test_float_filter_checks_every_slack_that_is_not_finite():
     # each decide clears the margin; cell 0 holds the largest finite slack
     seen = []
+
+    def exact(i):
+        seen.append(i)
+        return (i,), [], None
+
     grid = lemmas._FloatFilter(LemmaReport(lemma="x", grid="x"))
-    clean = grid.settle(np.full(4, -1.0), np.array([0.5, 0.25, inf, nan]), np.ones(4, dtype=bool),
-                        lambda i: (seen.append(i), ((i,), [], None))[1])
+    clean = grid.settle(np.full(4, -1.0), np.array([0.5, 0.25, inf, nan]), np.ones(4, dtype=bool), exact)
     assert sorted(seen) == [0, 2, 3] and not clean
