@@ -452,12 +452,16 @@ def test_exact_grid_stdout_is_pinned(lemma):
 
 
 # sha256 of `parallel-ea verify --lemma X --n N` stdout off n = 128: slices of
-# width 1 and the m = 0 row (n = 1, 2), odd n (61), the hypergeom-tail cap
-# (512) and both ends of the improve-prob and mgf grids
+# width 1 and the m = 0 row (n = 1, 2), odd n (3, 61), an even middle
+# parent (200), the hypergeom-tail cap (512) and an odd n next to it (511),
+# and both ends of the improve-prob and mgf grids
 PINNED_STDOUT = {
     ("hypergeom-tail", 1): "e2f0863832931589551602912287d6dafbf431b43efb41e1ca853926d1daecc0",
     ("hypergeom-tail", 2): "6ac309314813b7fac48d15d6da4451b6562ce9561eeaeb7392912e908e85a93c",
+    ("hypergeom-tail", 3): "d65b8ed3173efdfdc47659ee18306395ed2245ba91544a2322cab053ec53ce02",
     ("hypergeom-tail", 61): "7b08c80c7907af70b43d248be34ebd6aa47a9a2570f18641438e541b0181b733",
+    ("hypergeom-tail", 200): "a858da85a66c6da7818f05615129376f0b0085bd407c28d815b69c443a932db2",
+    ("hypergeom-tail", 511): "ebcde2e4411b3af9c91dc6f756fcbfbbf573e606badf1523765d9a28f334b7e8",
     ("hypergeom-tail", 512): "bc846fd79bc89d234c039b6c13307e2ab7b1a617c42d87661c77919ded94524d",
     ("chvatal", 1): "ab1385436e23e244b693f494135d0134014e28b2699b5857947345aca8420dd7",
     ("chvatal", 2): "f3a779d2636b1704461addc828c7859486d7facbf7825ca478bc86c50fcefd80",
