@@ -12,7 +12,6 @@ import csv
 import json
 import os
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from math import log
 from typing import Optional, Sequence
@@ -53,6 +52,9 @@ CSV_COLUMNS = list(_CSV_SCHEMA)
 _ALGORITHM_KEYS = ("algorithm", "p", "budget")
 
 WORKERS_ENV = "PARALLEL_EA_WORKERS"
+# concurrent.futures.ProcessPoolExecutor, imported by the first run that
+# needs a pool, so that a serial run never loads it or multiprocessing
+ProcessPoolExecutor = None
 
 
 class ConfigError(ValueError):
@@ -287,6 +289,7 @@ def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> Sweep
     order and all values are independent of the worker count.  The pool
     holds at most one worker per run.
     """
+    global ProcessPoolExecutor
     workers = workers if workers is not None else _worker_count()
     obj, cfgs = _plan(spec)
     reps = spec.repetitions
@@ -301,6 +304,8 @@ def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> Sweep
         # about four chunks per worker: no worker idles while another holds
         # the whole sweep, and few tasks go one by one
         chunksize = max(1, len(tasks) // (4 * workers))
+        if ProcessPoolExecutor is None:
+            from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_execute_run, tasks, chunksize=chunksize))
     else:

@@ -7,27 +7,35 @@ with pass=False carries every violating grid point.
 
 The exact grids (hypergeom-tail, improve-prob, chvatal, mgf) are filtered in
 float64, one slice of O(n^2) cells per parent zero count m, from a float
-copy of the one exact Pascal table.  hypergeom-tail and chvatal read each
-slice off the parent's count table T[r, Z] = C(m, Z) C(n - m, r - Z): the
-row C(m, .) times a reversed sliding window over a zero-padded copy of the
-table, so no cell is gathered by index.  What does not depend on m is
-computed once per call: for hypergeom-tail 1 / (C(n, r) C(r, z)) and the
-rows that break C(r, z) <= 4^z, for chvatal the bound exponent
-(m - s)^2 / (2r) less log C(n, r) and the flat index of each tail in a
-table of suffix sums.  A cell whose float slack clears its bound by
-FLOAT_MARGIN is settled there; the float products, quotients and suffix sums
-are off by a few ulp, far inside that margin.  Every other cell goes through
-the exact scalar check: each cell inside the margin, each cell with a value
-that is not finite (the table passes 2^1024 from about n = 1030 on), each
-violation a report keeps, and each cell within the margin of the largest
-slack seen.  So the violations, their slacks and max_slack are those of the
-cell-by-cell exact loop, byte for byte.
+copy of the exact Pascal table.  Both are built once per n and process:
+_comb_table keeps the last table as tuples, _float_table the read-only
+float copy of the last table it converted, so the verifiers share one and
+none can write into it.  hypergeom-tail reads each slice on its support
+band only, in coordinates (Z, d = r - Z) with Z <= m and d <= n - m: the
+outer product C(m, Z) C(n - m, d) times q[Z + d, Z], read through a sheared
+view of q = 1 / (C(n, r) C(r, z)).  Off the band P = 0, and a cell there
+carries only C(r, z) <= 4^z, which goes to the exact check where it fails.
+chvatal reads each slice off the parent's count table
+T[r, Z] = C(m, Z) C(n - m, r - Z): the row C(m, .) times a reversed sliding
+window over a zero-padded copy of the table, so no cell is gathered by
+index.  What does not depend on m is computed once per call: for
+hypergeom-tail q and the rows that break C(r, z) <= 4^z, for chvatal the
+bound exponent (m - s)^2 / (2r) less log C(n, r) and the flat index of each
+tail in a table of suffix sums.  A cell whose float slack clears its bound
+by FLOAT_MARGIN is settled there; the float products, quotients and suffix
+sums are off by a few ulp, far inside that margin.  Every other cell goes
+through the exact scalar check: each cell inside the margin, each cell with
+a value that is not finite (the table passes 2^1024 from about n = 1030
+on), each violation a report keeps, and each cell within the margin of the
+largest slack seen.  So the violations, their slacks and max_slack are
+those of the cell-by-cell exact loop, byte for byte.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import exp, inf, log, nan, sqrt
 from operator import add
 from typing import Optional, Sequence
@@ -93,14 +101,16 @@ class LemmaReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _comb_table(n: int) -> list[list[int]]:
+@lru_cache(maxsize=1)
+def _comb_table(n: int) -> tuple[tuple[int, ...], ...]:
     """Pascal's triangle as rows[a][b] = C(a, b) for 0 <= a, b <= n, with
-    C(a, b) = 0 for b > a."""
-    rows = [[1] + [0] * n]
+    C(a, b) = 0 for b > a.  The last table built is kept: the verifiers
+    read the same one for the same n, and tuples cannot be written."""
+    rows = [(1,) + (0,) * n]
     for a in range(1, n + 1):
         prev = rows[-1]
-        rows.append([1, *map(add, prev[:a], prev[1:a + 1]), *[0] * (n - a)])
-    return rows
+        rows.append((1, *map(add, prev[:a], prev[1:a + 1]), *(0,) * (n - a)))
+    return tuple(rows)
 
 
 def _check_grid(lemma: str, n: int, lo: int, hi: Optional[int] = None) -> None:
@@ -119,13 +129,26 @@ FLOAT_MARGIN = 1e-9
 FLOAT_BINOMIAL_N = 1029
 
 
-def _float_table(ci: list[list[int]]) -> np.ndarray:
+_last_float = (None, None)  # the last table _float_table converted, and its copy
+
+
+def _float_table(ci: Sequence[Sequence[int]]) -> np.ndarray:
     """The Pascal table as float64, NaN where an entry passes 2^1024, so that
-    every float value read from it is not finite."""
+    every float value read from it is not finite.  The copy is read-only;
+    the copy of the last table converted is handed out again for that same
+    table object, which it keeps alive, so a table from _comb_table is
+    converted once and a doctored one never stands in for it."""
+    global _last_float
+    table, cf = _last_float
+    if table is ci:
+        return cf
     try:
-        return np.array(ci, dtype=np.float64)
+        cf = np.array(ci, dtype=np.float64)
     except OverflowError:
-        return np.array([[float(c) if c.bit_length() < 1024 else nan for c in row] for row in ci])
+        cf = np.array([[float(c) if c.bit_length() < 1024 else nan for c in row] for row in ci])
+    cf.flags.writeable = False
+    _last_float = ci, cf
+    return cf
 
 
 class _FloatFilter:
@@ -140,14 +163,18 @@ class _FloatFilter:
         self.found = []  # (key, point, slack)
         self.dropped = False  # a violation past the kept ones
 
-    def settle(self, decide, slack, observed, exact) -> bool:
-        """Settle one slice of cells, given in loop order as float arrays:
-        decide > 0 where a cell breaks its bound (-inf where it holds for
-        certain), slack the value the check observes (0 where it observes
-        none) and observed where it observes one.  exact(i) runs the scalar
-        check of cell i and returns its key, its violations as (point,
-        slack) pairs and its observed slack (or None).  Returns whether the
-        margin settled every cell with no violation.
+    def settle(self, decide, slack, observed, exact, order=None) -> bool:
+        """Settle one slice of cells, given as float arrays: decide > 0
+        where a cell breaks its bound (-inf where it holds for certain),
+        slack the value the check observes (0 where it observes none) and
+        observed where it observes one.  exact(i) runs the scalar check of
+        flat cell i; see check().  Returns whether the margin settled every
+        cell with no violation.
+
+        The cells are in loop order unless order is given: order(cells)
+        then maps flat cells to their loop-order keys.  It is called only
+        when more than MAX_VIOLATIONS_KEPT cells of the slice violate their
+        bounds for certain, to keep the first of them.
 
         Only the cells that do not clearly hold are looked at one by one.
         The largest finite slack, settled or not, sets the floor of the
@@ -169,17 +196,25 @@ class _FloatFilter:
         broken = hot[settled & (hot_decide > 0)]
         if broken.size > MAX_VIOLATIONS_KEPT:
             self.dropped = True
+            if order is not None:
+                broken = broken[np.argsort(order(broken), kind="stable")]
             broken = broken[:MAX_VIOLATIONS_KEPT]
         floor = max(top, self.report.max_slack) * (1.0 - FLOAT_MARGIN)
         near = np.flatnonzero(slack >= floor if floor > 0 else observed)
-        for i in sorted({*hot[~settled].tolist(), *broken.tolist(), *near.tolist()}):
-            key, violations, value = exact(i)
+        self.check(exact, {*hot[~settled].tolist(), *broken.tolist(), *near.tolist()})
+        return not hot.size
+
+    def check(self, exact, cells) -> None:
+        """Run exact(cell) for each cell: the scalar check, which returns the
+        cell's loop-order key, its violations as (point, slack) pairs and
+        its observed slack (or None)."""
+        for cell in sorted(cells):
+            key, violations, value = exact(cell)
             if value is not None:
                 self.report.observe(value)
             self.found.extend((key + (j,), point, v) for j, (point, v) in enumerate(violations))
         if len(self.found) > MAX_VIOLATIONS_KEPT:
             self._trim()
-        return not hot.size
 
     def _trim(self) -> None:
         self.found.sort(key=lambda v: v[0])
@@ -199,7 +234,8 @@ class _FloatFilter:
 def _count_tables(cf: np.ndarray):
     """count(row, m)[r, Z] = row[Z] * C(n - m, r - Z) for 0 <= r <= n and
     Z < row.size, 0 where r < Z or r - Z > n - m; with row = C(m, .)[:m + 1]
-    these are the hypergeometric counts C(m, Z) C(n - m, r - Z).
+    these are the hypergeometric counts C(m, Z) C(n - m, r - Z), the table
+    whose suffix sums are chvatal's tails.
 
     C(n - m, .) is copied into one zero-padded row and read through a
     reversed sliding window over it, window[r, Z] = pad[n + r - Z], so no
@@ -221,7 +257,26 @@ def _count_tables(cf: np.ndarray):
     return count
 
 
-def _four_fails(ci: list[list[int]], n: int) -> np.ndarray:
+def _sheared(a: np.ndarray, m: int) -> np.ndarray:
+    """The read-only view sheared[Z, d] = a[Z + d, Z] of an (n + 1) x (n + 1)
+    array, for Z <= m and d <= n - m; Z + d <= n, so it stays inside a."""
+    n = a.shape[0] - 1
+    s0, s1 = a.strides
+    return np.lib.stride_tricks.as_strided(a, (m + 1, n - m + 1), (s0 + s1, s0), writeable=False)
+
+
+def _band_slice(cf: np.ndarray, q: np.ndarray, row: np.ndarray, m: int) -> np.ndarray:
+    """slice[Z, d] = row[Z] * C(n - m, d) * q[Z + d, Z] for Z <= m and
+    d <= n - m: parent m's cells at radius r = Z + d, which are the cells
+    where the count C(m, Z) C(n - m, r - Z) can be nonzero."""
+    n = cf.shape[0] - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        band = np.multiply.outer(row, cf[n - m, :n - m + 1])
+        band *= _sheared(q, m)
+    return band
+
+
+def _four_fails(ci: Sequence[Sequence[int]], n: int) -> np.ndarray:
     """fails[r, z] = C(r, z) > 4^z for r/2 <= z <= r, False elsewhere.
     Past the middle C(r, z) does not increase with z and 4^z does, so a row
     that passes at z = ceil(r/2) passes throughout; only the rows that fail
@@ -246,13 +301,12 @@ def verify_hypergeom_tail(n: int) -> LemmaReport:
     cf = _float_table(ci)
     grid = _FloatFilter(report)
     # C(r, z) <= 4^z does not depend on m: a failing (r, z) is checked
-    # exactly at every m
+    # exactly at every m, on the band and off it
     four_fails = _four_fails(ci, n)
-    failing = four_fails.any()
+    fail_r, fail_z = np.nonzero(four_fails)
     # ratio = C(m, z) C(n - m, r - z) (m/n)^-z * q, q = 1 / (C(n, r) C(r, z))
     q = np.zeros_like(cf)
     np.divide(1.0, cf[n][:, None] * cf, out=q, where=cf != 0)
-    count = _count_tables(cf)
 
     def cell(m, r, z):
         den = ci[n][r]
@@ -267,16 +321,20 @@ def verify_hypergeom_tail(n: int) -> LemmaReport:
         return (m, r, z), violations, value
 
     for m in range(n + 1):
-        width = m + 1  # z <= m
-        ratio = count(cf[m, :width] / (m / n) ** np.arange(width), m)
-        ratio *= q[:, :width]
+        # the band: Z <= m and d = r - Z <= n - m
+        width, depth = m + 1, n - m + 1
+        ratio = _band_slice(cf, q, cf[m, :width] / (m / n) ** np.arange(width), m)
         decide = ratio - 1.0
-        if failing:
-            decide[four_fails[:, :width]] = nan  # to the exact check
+        if fail_r.size:
+            decide[_sheared(four_fails, m)] = nan  # to the exact check
+            # off the band P = 0, and only C(r, z) <= 4^z is checked
+            off = (fail_z <= m) & (fail_r - fail_z >= depth)
+            grid.check(lambda rz, m=m: cell(m, *rz), zip(fail_r[off].tolist(), fail_z[off].tolist()))
         # min(r, m) + 1 cells at each radius r
         report.points_checked += m * (m + 1) // 2 + (n - m) * m + n + 1
         grid.settle(decide, ratio, ratio > 0,
-                    lambda i, m=m, width=width: cell(m, *divmod(i, width)))
+                    lambda i, m=m, depth=depth: cell(m, i // depth + i % depth, i // depth),
+                    order=lambda i, width=width, depth=depth: (i // depth + i % depth) * width + i // depth)
     return grid.close()
 
 

@@ -1,9 +1,13 @@
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import parallel_ea
 from parallel_ea.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -370,3 +374,14 @@ def test_objective_params_flow_through(tmp_path):
     summary = run_experiment(spec)
     assert summary.spec_problem == "jump"
     assert summary.per_lambda[0].runs == 2
+
+
+def test_import_loads_no_process_pool():
+    # a serial run never needs concurrent.futures or multiprocessing, so
+    # importing the package must not load them; a fresh interpreter sees it
+    src = os.path.dirname(os.path.dirname(parallel_ea.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    check = ("import sys, parallel_ea; "
+             "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
