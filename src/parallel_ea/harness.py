@@ -52,9 +52,6 @@ CSV_COLUMNS = list(_CSV_SCHEMA)
 _ALGORITHM_KEYS = ("algorithm", "p", "budget")
 
 WORKERS_ENV = "PARALLEL_EA_WORKERS"
-# concurrent.futures.ProcessPoolExecutor, imported by the first run that
-# needs a pool, so that a serial run never loads it or multiprocessing
-ProcessPoolExecutor = None
 
 
 class ConfigError(ValueError):
@@ -289,7 +286,6 @@ def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> Sweep
     order and all values are independent of the worker count.  The pool
     holds at most one worker per run.
     """
-    global ProcessPoolExecutor
     workers = workers if workers is not None else _worker_count()
     obj, cfgs = _plan(spec)
     reps = spec.repetitions
@@ -304,8 +300,8 @@ def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> Sweep
         # about four chunks per worker: no worker idles while another holds
         # the whole sweep, and few tasks go one by one
         chunksize = max(1, len(tasks) // (4 * workers))
-        if ProcessPoolExecutor is None:
-            from concurrent.futures import ProcessPoolExecutor
+        # imported here: a serial run never loads the pool or multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_execute_run, tasks, chunksize=chunksize))
     else:

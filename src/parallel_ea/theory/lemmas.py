@@ -7,15 +7,12 @@ with pass=False carries every violating grid point.
 
 The exact grids (hypergeom-tail, improve-prob, chvatal, mgf) are filtered in
 float64, one slice of O(n^2) cells per parent zero count m, from a float
-copy of the exact Pascal table.  Both are built once per n and process:
-_comb_table keeps the last table as tuples, _float_table the read-only
-float copy of the last table it converted, so the verifiers share one and
-none can write into it.  hypergeom-tail reads each slice on its support
-band only, in coordinates (Z, d = r - Z) with Z <= m and d <= n - m: the
-outer product C(m, Z) C(n - m, d) times q[Z + d, Z], read through a sheared
-view of q = 1 / (C(n, r) C(r, z)).  Off the band P = 0, and a cell there
-carries only C(r, z) <= 4^z, which goes to the exact check where it fails.
-chvatal reads each slice off the parent's count table
+copy of the one exact Pascal table.  hypergeom-tail reads each slice on
+its support band only, in coordinates (Z, d = r - Z) with Z <= m and
+d <= n - m: the outer product C(m, Z) C(n - m, d) times q[Z + d, Z], read
+through a sheared view of q = 1 / (C(n, r) C(r, z)).  Off the band P = 0,
+and a cell there carries only C(r, z) <= 4^z, which goes to the exact check
+where it fails.  chvatal reads each slice off the parent's count table
 T[r, Z] = C(m, Z) C(n - m, r - Z): the row C(m, .) times a reversed sliding
 window over a zero-padded copy of the table, so no cell is gathered by
 index.  What does not depend on m is computed once per call: for
@@ -35,7 +32,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import exp, inf, log, nan, sqrt
 from operator import add
 from typing import Optional, Sequence
@@ -101,16 +97,14 @@ class LemmaReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-@lru_cache(maxsize=1)
-def _comb_table(n: int) -> tuple[tuple[int, ...], ...]:
+def _comb_table(n: int) -> list[list[int]]:
     """Pascal's triangle as rows[a][b] = C(a, b) for 0 <= a, b <= n, with
-    C(a, b) = 0 for b > a.  The last table built is kept: the verifiers
-    read the same one for the same n, and tuples cannot be written."""
-    rows = [(1,) + (0,) * n]
+    C(a, b) = 0 for b > a."""
+    rows = [[1] + [0] * n]
     for a in range(1, n + 1):
         prev = rows[-1]
-        rows.append((1, *map(add, prev[:a], prev[1:a + 1]), *(0,) * (n - a)))
-    return tuple(rows)
+        rows.append([1, *map(add, prev[:a], prev[1:a + 1]), *[0] * (n - a)])
+    return rows
 
 
 def _check_grid(lemma: str, n: int, lo: int, hi: Optional[int] = None) -> None:
@@ -129,26 +123,13 @@ FLOAT_MARGIN = 1e-9
 FLOAT_BINOMIAL_N = 1029
 
 
-_last_float = (None, None)  # the last table _float_table converted, and its copy
-
-
-def _float_table(ci: Sequence[Sequence[int]]) -> np.ndarray:
+def _float_table(ci: list[list[int]]) -> np.ndarray:
     """The Pascal table as float64, NaN where an entry passes 2^1024, so that
-    every float value read from it is not finite.  The copy is read-only;
-    the copy of the last table converted is handed out again for that same
-    table object, which it keeps alive, so a table from _comb_table is
-    converted once and a doctored one never stands in for it."""
-    global _last_float
-    table, cf = _last_float
-    if table is ci:
-        return cf
+    every float value read from it is not finite."""
     try:
-        cf = np.array(ci, dtype=np.float64)
+        return np.array(ci, dtype=np.float64)
     except OverflowError:
-        cf = np.array([[float(c) if c.bit_length() < 1024 else nan for c in row] for row in ci])
-    cf.flags.writeable = False
-    _last_float = ci, cf
-    return cf
+        return np.array([[float(c) if c.bit_length() < 1024 else nan for c in row] for row in ci])
 
 
 class _FloatFilter:
@@ -276,7 +257,7 @@ def _band_slice(cf: np.ndarray, q: np.ndarray, row: np.ndarray, m: int) -> np.nd
     return band
 
 
-def _four_fails(ci: Sequence[Sequence[int]], n: int) -> np.ndarray:
+def _four_fails(ci: list[list[int]], n: int) -> np.ndarray:
     """fails[r, z] = C(r, z) > 4^z for r/2 <= z <= r, False elsewhere.
     Past the middle C(r, z) does not increase with z and 4^z does, so a row
     that passes at z = ceil(r/2) passes throughout; only the rows that fail

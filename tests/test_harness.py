@@ -62,12 +62,10 @@ BAD_OBJECTIVES = {
 
 @pytest.mark.parametrize("case", BAD_OBJECTIVES)
 def test_bad_objective_param_fails_before_fan_out(tmp_path, monkeypatch, case):
-    from parallel_ea import harness
-
     def no_pool(*args, **kwargs):
         raise AssertionError("the worker pool was started")
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     objective, message = BAD_OBJECTIVES[case]
     spec = onemax_spec(tmp_path, "bad.csv", objective=objective)
     with pytest.raises(ConfigError, match=message):
@@ -95,12 +93,10 @@ BAD_PLANS = {
 
 @pytest.mark.parametrize("case", BAD_PLANS)
 def test_bad_algorithm_fails_before_fan_out(tmp_path, monkeypatch, case):
-    from parallel_ea import harness
-
     def no_pool(*args, **kwargs):
         raise AssertionError("the worker pool was started")
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     algorithm, lambdas, name = BAD_PLANS[case]
     spec = onemax_spec(tmp_path, "bad.csv", objective={"name": name, "n": 30},
                        algorithm=algorithm, lambdas=lambdas)
@@ -117,7 +113,7 @@ def test_unwritable_output_fails_before_any_run(tmp_path, monkeypatch, workers):
         raise AssertionError("the worker pool was started")
 
     ran = []
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(harness, "run_one_plus_lambda", lambda *args, **kwargs: ran.append(args))
     spec = onemax_spec(tmp_path, "unused.csv", output=str(tmp_path))  # a directory
     with pytest.raises(ConfigError, match="cannot append runs to"):
@@ -204,9 +200,7 @@ class RecordingPool:
     (4, [2], 1, None),         # one run needs no pool
 ])
 def test_worker_pool_is_sized_from_the_runs(tmp_path, monkeypatch, workers, lambdas, reps, sized):
-    from parallel_ea import harness
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "made", [])
     spec = functools.partial(onemax_spec, tmp_path, lambdas=lambdas, repetitions=reps)
     run_experiment(spec("pool.csv"), workers=workers)
