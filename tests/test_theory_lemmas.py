@@ -594,12 +594,6 @@ def test_band_slice_is_the_gathered_product(n):
         assert band.shape == want.shape and band.tobytes() == want.tobytes()
 
 
-def test_verifiers_in_one_process_repeat_their_reports():
-    first = verify_hypergeom_tail(33).to_json()
-    verify_chvatal(61)
-    assert verify_hypergeom_tail(33).to_json() == first
-
-
 def _four_fails_loop(ci, n):
     fails = np.zeros((n + 1, n + 1), dtype=bool)
     for r in range(n + 1):
