@@ -21,7 +21,6 @@ from .bitstring import BitString, random_bitstring
 from .objectives.base import CHAIN, Objective
 from .rng import as_stream, derive_rng
 from .variation import (
-    STATES_OF_DOUBLES,
     UnaryOperator,
     apply,
     mirrored,  # not called here; bench/tracing.py wraps algorithms.mirrored
@@ -209,46 +208,6 @@ def _first_position(lam: int, hits: int, u: float) -> int:
     return i
 
 
-# The largest lambda whose idle generations the runner scans.  A scan's
-# numpy calls cost as much as tens of drawn generations, and as lambda
-# grows the idle stretches shorten: leadingones runs at n = 40 were slower
-# with the scan from lambda = 8 on, at n = 150 from 16 (CHANGES.md).  Up to
-# 2 the scan paid on every run timed, and a tie is one comparison.
-IDLE_SCAN_LAMBDA = 2
-
-
-def _idle_generations(ranks: np.ndarray, harmless: np.ndarray, lam: int,
-                      limit: int) -> tuple[list[int], int]:
-    """(starts, used): where the leading idle generations of lam = 1 or 2
-    offspring begin among the offspring read off pending doubles, with
-    these ranks, at most `limit` of them, and how many doubles they read.
-
-    harmless[i] says that offspring i neither leaves the parent's state for
-    one as good nor is a target member, so a generation of harmless
-    offspring keeps the parent and ends nothing.  It reads lam doubles, and
-    one more to break a tie when its two offspring share a rank, as
-    selection does.  The scan stops before the first offspring that is not
-    harmless and before a generation whose doubles run past the end of
-    `ranks`; the caller draws that generation."""
-    m = len(ranks)
-    first = int(harmless.argmin())  # the first offspring that is not harmless
-    if harmless[first]:
-        first = m
-    if lam == 1:
-        return list(range(min(limit, first))), min(limit, first)
-    windows = first - 1  # the generations from each start before `first`
-    if windows < 1:
-        return [], 0
-    steps = ((ranks[:windows] == ranks[1:first]) + 2).tolist()
-    starts, i = [], 0
-    for _ in range(limit):
-        if i >= windows or i + steps[i] > m:
-            break
-        starts.append(i)
-        i += steps[i]
-    return starts, i
-
-
 def run_one_plus_lambda(
     cfg: AlgoConfig,
     obj: Objective,
@@ -287,15 +246,14 @@ def run_one_plus_lambda(
     not run from `initial`, and one whose state does not hold the zero
     count does not run the adaptive EA: those runs sample bit strings.
 
-    Below HISTOGRAM_LAMBDA the leading-ones sampler reads one stream double
-    per offspring that does not improve on the parent, so at lambda <=
-    IDLE_SCAN_LAMBDA, before each generation, the run maps the doubles
-    pending in the stream's buffer to offspring states
-    (`variation.STATES_OF_DOUBLES`) and consumes every leading idle
-    generation at once: its offspring all stay in the parent's state or
-    rank below it, and none is a target member.  Each one adds lambda
-    evaluations, its tie double and its hook call, so the run is the one
-    drawn generation by generation.
+    Most generations of a leading-ones run change nothing: about one
+    offspring in e n improves.  So at lambda <= 2 with no hook, a run on a
+    chain that declares an `idle` loop hands each stretch of idle
+    generations to it.  The loop reads the doubles those generations read,
+    counts them, and returns the generation that ends the stretch, which
+    the run selects from as usual; each idle generation adds lambda
+    evaluations.  With a hook the run draws every generation, reading the
+    same doubles in the same order.
 
     rng may be any Generator: the run wraps it once, with `as_stream`, in a
     UniformStream on the same bit generator, whose buffered doubles feed
@@ -318,43 +276,30 @@ def run_one_plus_lambda(
         rank, member = tables.rank, tables.member
         operator_for = _operator_schedule(cfg, lambda s: chain.zeros(n, s))
         batch = [chain.state(initial)] if initial is not None else chain.initial(n, lam, rng)
-        sample = chain.offspring
-        states_of = STATES_OF_DOUBLES.get(sample) if lam <= IDLE_SCAN_LAMBDA else None
-
-        def skip_idle(s: int, fs, gens: int, limit: int) -> int:
-            """Consume the leading idle generations, at most limit, that the
-            pending doubles hold for a parent in state s, report each to the
-            hook as generation gens + 1, gens + 2, ..., and return how many
-            there were."""
-            u = rng.pending()
-            if limit < 1 or len(u) < lam:
-                return 0
-            states = states_of(operator_for(s), n, s, u)
-            ranks = rank[states]
-            harmless = ((ranks < rank[s]) | (states == s)) & ~member[states] & (states >= 0)
-            starts, used = _idle_generations(ranks, harmless, lam, limit)
-            rng.consume(used)
-            if on_generation is not None:
-                for g, i in enumerate(starts, gens + 1):
-                    on_generation(g, [point(y) for y in states[i:i + lam].tolist()], point(s), fs)
-            return len(starts)
+        sample, idle_loop = chain.offspring, chain.idle
 
         def point(s: int) -> BitString:
             return chain.point(n, s)
 
-        def offspring(s: int):
-            return sample(operator_for(s), n, s, lam, rng)
+        if idle_loop is not None and lam <= 2 and on_generation is None:
+            # a target member is never idle; floats, which compare fastest
+            ranks = np.where(member, n + 1.0, rank).tolist()
+
+            def offspring(s: int, limit: int):
+                return idle_loop(operator_for(s), n, s, lam, rng, ranks, limit)
+        else:
+            def offspring(s: int, limit: int):
+                return 0, sample(operator_for(s), n, s, lam, rng)
     else:
-        states_of = None
         fitness, hit, point = obj.evaluate, obj.target.contains, lambda y: y
         operator_for = _operator_schedule(cfg, BitString.count_zeros)
         batch = [initial] if initial is not None else [random_bitstring(n, rng) for _ in range(lam)]
 
-        def offspring(x: BitString) -> list[BitString]:
+        def offspring(x: BitString, limit: int) -> tuple[int, list[BitString]]:
             op = operator_for(x)
             if lam == 1:  # the comprehension would double this call's cost
-                return [apply(op, x, rng)]
-            return [apply(op, x, rng) for _ in range(lam)]
+                return 0, [apply(op, x, rng)]
+            return 0, [apply(op, x, rng) for _ in range(lam)]
 
     # One loop selects from the initial batch (gens = 0, x not yet set) and
     # from every generation's offspring: a list, one state or point per
@@ -408,12 +353,11 @@ def run_one_plus_lambda(
             on_generation(gens, [point(y) for y in queried], point(x), fx)
         if first_hit is not None or evals + lam > cfg.budget:
             break
-        if states_of is not None:  # the last generation the budget allows is drawn below
-            idle = skip_idle(x, fx, gens, (cfg.budget - evals) // lam - 1)
-            gens += idle
-            evals += idle * lam
-        batch = offspring(x)
-        gens += 1
+        # the idle generations before the next batch, and never the last
+        # one the budget allows
+        idle, batch = offspring(x, (cfg.budget - evals) // lam - 1)
+        gens += idle + 1
+        evals += idle * lam
 
     return RunRecord(
         evaluations_used=evals,

@@ -13,6 +13,7 @@ import numpy as np
 from ..bitstring import BitString, hamming_ball_size, hamming_distance
 from ..variation import (
     leading_ones_counts,
+    leading_ones_idle,
     ones_counts,
     uniform_leading_ones_counts,
     uniform_ones_counts,
@@ -43,6 +44,12 @@ class Chain:
       offspring of a parent in state s;
     - zeros(n, s): the zero count of state s, or None when the state does
       not hold it (the adaptive EA, which reads it, then samples bit strings);
+    - idle(op, n, s, lam, rng, rank, limit), or None: at lam <= 2, how
+      many generations in a row leave a parent in state s where it is, at
+      most `limit`, and the states of the generation after them, read off
+      the stream as `offspring` and selection read it; rank lists the
+      states' ranks, a target member's above every state's
+      (`variation.leading_ones_idle`);
     - any_start: whether the chain is exact from any given point, or only
       from a uniform start.
 
@@ -62,6 +69,7 @@ class Chain:
     offspring: Callable
     zeros: Optional[Callable[[int, int], int]] = None
     any_start: bool = False
+    idle: Optional[Callable] = None
 
 
 def _prefix_ones(n: int, s: int) -> BitString:
@@ -74,10 +82,10 @@ ONES_COUNT = Chain(BitString.count_ones, _prefix_ones, uniform_ones_counts, ones
 # the leading-ones count l: the bits after the first zero stay uniform, and
 # nothing reads them, so the chain needs a uniform start; 1^l 0^(n-l)
 LEADING_ONES = Chain(BitString.leading_ones, _prefix_ones, uniform_leading_ones_counts,
-                     leading_ones_counts)
+                     leading_ones_counts, idle=leading_ones_idle)
 # its mirror image, the leading-zeros count, on 0^l 1^(n-l)
 LEADING_ZEROS = Chain(BitString.leading_zeros, lambda n, s: _prefix_ones(n, s).complement(),
-                      uniform_leading_ones_counts, leading_ones_counts)
+                      uniform_leading_ones_counts, leading_ones_counts, idle=leading_ones_idle)
 
 
 class StateTables:

@@ -119,7 +119,8 @@ def _check_grid(lemma: str, n: int, lo: int, hi: Optional[int] = None) -> None:
 # module docstring.
 FLOAT_MARGIN = 1e-9
 # The largest n whose C(n, r) all convert to float: the improve-prob and mgf
-# slacks divide by float(C(n, r)).
+# slacks divide by float(C(n, r)), and past it chvatal's float table holds
+# NaN, which would send its cells to the exact big-integer check.
 FLOAT_BINOMIAL_N = 1029
 
 
@@ -375,7 +376,7 @@ def verify_improve_prob(n: int) -> LemmaReport:
 def verify_chvatal(n: int) -> LemmaReport:
     """Exact P(Delta_0 > 0) <= exp(-(m-s)^2 / (2r)) for s <= m <= n/2,
     r in [1, n].  Compared in log space to dodge underflow."""
-    _check_grid("chvatal", n, 1)
+    _check_grid("chvatal", n, 1, FLOAT_BINOMIAL_N)
     report = LemmaReport(
         lemma="chvatal",
         grid=f"n={n}, s<=m<={n // 2}, r in [1,{n}]",

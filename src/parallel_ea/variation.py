@@ -326,53 +326,23 @@ def _free_rider_counts(live: int, cap: int, p: float, rng: UniformStream) -> lis
     return out
 
 
-def leading_ones_counts(op: UnaryOperator, n: int, l: int, size: int, rng: UniformStream):
-    """Leading-ones counts of `size` independent offspring of a point with
-    l leading ones whose bits after its first zero are uniform.
-
-    Below HISTOGRAM_LAMBDA each offspring reads its first flipped position f
-    off one stream double u: f = floor(ln(1-u) / ln(1-p)) under standard
-    mutation, floor(u n) under flip-exact radius 1 (RLS).  f < l cuts the
-    prefix at f; f > l (or no flip) leaves l; f = l makes an improver with
-    l + 1 + R leading ones, R the run of free riders after position l.
-    Those bits are the parent's uniform suffix under an independent mask,
-    so one improver's R has P(R >= k) = 2^-k, capped at n - l - 1, from one
-    more double.  Several improvers share the parent's suffix: the walk
-    draws the parent's bit once per position and each live improver's mask
-    bit apart, and an improver stops where the two are equal.  Under RLS
-    the mask is empty, so its improvers share one run.  The counts are a list.
-
-    From HISTOGRAM_LAMBDA on, one multinomial draw over the categories of
-    f (`_first_flip_law`) gives the cuts, the number of improvers and the
-    unchanged offspring, and `_free_rider_counts` spreads the improvers over
-    their runs: the histogram (states, counts) over the states 0, 1, ...
-    """
+def _first_flip_rate(op: UnaryOperator) -> Optional[float]:
+    """The per-bit rate p of the leading-ones samplers' first-flip law, or
+    None for RLS's one uniform flip."""
     if op.kind == STANDARD_MUTATION:
-        p = op.p
-    elif op.kind == FLIP_EXACT and op.r == 1:
-        p = None
-    else:
-        raise ValueError(f"no leading-ones sampler for {op}")
-    if size >= HISTOGRAM_LAMBDA:
-        counts = rng.multinomial(size, _first_flip_law(n, p)[:l + 2])
-        improvers = int(counts[l])
-        counts[l] = counts[l + 1]  # the unchanged offspring keep state l
-        counts = counts[:l + 1]
-        if improvers:
-            runs = _free_rider_counts(improvers, n - l - 1, p or 0.0, rng)
-            counts = np.concatenate((counts, runs))
-        return np.arange(len(counts)), counts
-    u = rng.next_double
-    if p is not None:
-        if p == 0.0:
-            return [l] * size
-        lq = log1p(-p)
-        firsts = [log1p(-u()) / lq for _ in range(size)] if size > 1 else [log1p(-u()) / lq]
-    else:
-        firsts = [u() * n for _ in range(size)] if size > 1 else [u() * n]
+        return op.p
+    if op.kind == FLIP_EXACT and op.r == 1:
+        return None
+    raise ValueError(f"no leading-ones sampler for {op}")
+
+
+def _states_of_firsts(firsts: list[float], n: int, l: int, p: Optional[float], u) -> list[int]:
+    """The leading-ones counts of offspring, with first-flip values
+    `firsts`, of a point with l leading ones: the list that
+    `leading_ones_counts` returns, an improver's free riders read off u."""
     # floor(f) < l exactly when f < l, and f in [l, top) flips bit l first
     top = l + 1 if l < n else l
-    if size == 1:  # the loop below would double this call's cost
+    if len(firsts) == 1:  # the loop below would double this call's cost
         f = firsts[0]
         return [int(f) if f < l else l if f >= top else l + 1 + _halving_run(u(), n - l - 1)]
     out, improvers = [], []
@@ -399,45 +369,91 @@ def leading_ones_counts(op: UnaryOperator, n: int, l: int, size: int, rng: Unifo
     return out
 
 
-# numpy's log1p and math.log1p may differ in the last place, which moves a
-# first-flip value f across an integer only when f lies this close to one
-_FIRST_FLIP_MARGIN = 1e-9
+def leading_ones_counts(op: UnaryOperator, n: int, l: int, size: int, rng: UniformStream):
+    """Leading-ones counts of `size` independent offspring of a point with
+    l leading ones whose bits after its first zero are uniform.
 
+    Below HISTOGRAM_LAMBDA each offspring reads its first flipped position f
+    off one stream double u: f = floor(ln(1-u) / ln(1-p)) under standard
+    mutation, floor(u n) under flip-exact radius 1 (RLS).  f < l cuts the
+    prefix at f; f > l (or no flip) leaves l; f = l makes an improver with
+    l + 1 + R leading ones, R the run of free riders after position l.
+    Those bits are the parent's uniform suffix under an independent mask,
+    so one improver's R has P(R >= k) = 2^-k, capped at n - l - 1, from one
+    more double.  Several improvers share the parent's suffix: the walk
+    draws the parent's bit once per position and each live improver's mask
+    bit apart, and an improver stops where the two are equal.  Under RLS
+    the mask is empty, so its improvers share one run.  The counts are a list.
 
-def leading_ones_states(op: UnaryOperator, n: int, l: int, u: np.ndarray) -> np.ndarray:
-    """The leading-ones counts that `leading_ones_counts` gives, below
-    HISTOGRAM_LAMBDA, to offspring of a point with l leading ones whose
-    first-flip doubles are u, one each, with -1 for an improver: it reads
-    more doubles than its own, so its state is not read off u alone.
-
-    The first-flip values f are those of the scalar sampler: u n for RLS,
-    and log1p(-u) / ln(1-p) under standard mutation, each f within
-    _FIRST_FLIP_MARGIN (relative to 1 + f) of an integer taken again from
-    math.log1p, so that every cut int(f) and every comparison with l is the
-    sampler's own."""
-    if op.kind == STANDARD_MUTATION and 0.0 < op.p:
-        lq = log1p(-op.p)
-        f = np.log1p(-u) / lq
-        near = np.abs(f - np.rint(f)) <= _FIRST_FLIP_MARGIN * (1.0 + f)
-        if near.any():
-            f[near] = [log1p(-v) / lq for v in u[near].tolist()]
-    elif op.kind == FLIP_EXACT and op.r == 1:
-        f = u * n
+    From HISTOGRAM_LAMBDA on, one multinomial draw over the categories of
+    f (`_first_flip_law`) gives the cuts, the number of improvers and the
+    unchanged offspring, and `_free_rider_counts` spreads the improvers over
+    their runs: the histogram (states, counts) over the states 0, 1, ...
+    """
+    p = _first_flip_rate(op)
+    if size >= HISTOGRAM_LAMBDA:
+        counts = rng.multinomial(size, _first_flip_law(n, p)[:l + 2])
+        improvers = int(counts[l])
+        counts[l] = counts[l + 1]  # the unchanged offspring keep state l
+        counts = counts[:l + 1]
+        if improvers:
+            runs = _free_rider_counts(improvers, n - l - 1, p or 0.0, rng)
+            counts = np.concatenate((counts, runs))
+        return np.arange(len(counts)), counts
+    u = rng.next_double
+    if p is not None:
+        if p == 0.0:
+            return [l] * size
+        lq = log1p(-p)
+        firsts = [log1p(-u()) / lq for _ in range(size)] if size > 1 else [log1p(-u()) / lq]
     else:
-        raise ValueError(f"no per-double leading-ones map for {op}")
-    states = np.minimum(f, l).astype(np.intp)  # int(f) below l, else l
-    if l < n:
-        states[(f >= l) & (f < l + 1)] = -1
-    return states
+        firsts = [u() * n for _ in range(size)] if size > 1 else [u() * n]
+    return _states_of_firsts(firsts, n, l, p, u)
 
 
-# The per-offspring samplers whose idle generations the runner scans, and
-# the map of their doubles to the offspring's states.  A leading-ones run
-# improves about n / 2 times in its e n^2 / 2 evaluations, so its idle
-# stretches are long.  The ones-count chain is left out: onemax improves
-# about n times in e n ln n, and under RLS or at lambda = 2 a scan's numpy
-# calls cost more than the short stretches they skip (CHANGES.md).
-STATES_OF_DOUBLES = {leading_ones_counts: leading_ones_states}
+def leading_ones_idle(op: UnaryOperator, n: int, l: int, lam: int, rng: UniformStream,
+                      rank: list[float], limit: int) -> tuple[int, list[int]]:
+    """(idle, states): how many idle generations of lam = 1 or 2 offspring
+    of a point with l leading ones come first, at most `limit`, and the
+    states of the generation after them, as `leading_ones_counts` gives it.
+
+    rank[s] is the rank of state s, a target member's above every state's;
+    the parent is no member.  A generation is idle when each offspring is
+    unchanged or cut to a state that ranks below the parent.  The loop reads
+    each first-flip value off one double by the sampler's arithmetic, and
+    the tie double that selection reads when an idle generation's two
+    offspring share a rank.  A generation with an improver or a cut ranked
+    at or above the parent ends it, and the sampler's code builds its
+    states; after `limit` idle generations the sampler draws the next one.
+    """
+    p = _first_flip_rate(op)
+    if p == 0.0 or lam not in (1, 2):
+        raise ValueError(f"no idle loop for {op} at lambda = {lam}")
+    lq = log1p(-p) if p else 0.0
+    u = rng.next_double
+    # as in `_states_of_firsts`; floats compare faster with f and the ranks
+    cut, top = float(l), float(l + 1 if l < n else l)
+    # an unchanged offspring ranks between the parent and every state below
+    # it, so two tie exactly when both are unchanged; an improver ranks with
+    # the parent, and so ends the loop as a cut that ranks there does
+    parent = rank[l]
+    stays = parent - 0.5
+    if lam == 1:
+        for idle in range(limit):
+            f = log1p(-u()) / lq if lq else u() * n
+            if (rank[int(f)] if f < cut else stays if f >= top else parent) >= parent:
+                return idle, _states_of_firsts([f], n, l, p, u)
+        return limit, leading_ones_counts(op, n, l, 1, rng)
+    for idle in range(limit):
+        f = log1p(-u()) / lq if lq else u() * n
+        g = log1p(-u()) / lq if lq else u() * n
+        a = rank[int(f)] if f < cut else stays if f >= top else parent
+        b = rank[int(g)] if g < cut else stays if g >= top else parent
+        if a >= parent or b >= parent:
+            return idle, _states_of_firsts([f, g], n, l, p, u)
+        if a == b:
+            u()  # the tie double
+    return limit, leading_ones_counts(op, n, l, 2, rng)
 
 
 def mirrored(op: UnaryOperator, x: BitString, rng: UniformStream) -> tuple[BitString, BitString]:

@@ -123,8 +123,9 @@ def test_verify_multibit_domain_error(capsys):
     ["verify", "--lemma", "mgf-max", "--trials", "0"],
     ["verify", "--lemma", "multibit", "--n", "1"],
     ["check", "--csv", "EMPTY", "--bound", "lb-unique"],
+    ["verify", "--lemma", "chvatal", "--n", "1030"],
 ], ids=["chvatal-n-negative", "improve-prob-n-0", "mgf-n-0", "mgf-lambda-0", "mgf-max-trials-0",
-        "multibit-n-1", "check-no-rows"])
+        "multibit-n-1", "check-no-rows", "chvatal-n-1030"])
 def test_check_over_nothing_exits_2(tmp_path, capsys, argv):
     empty = tmp_path / "empty.csv"
     empty.write_text("")

@@ -502,9 +502,10 @@ def test_multibit_stdout_is_pinned(n):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == PINNED_MULTIBIT_STDOUT[n]
 
 
-@pytest.mark.parametrize("verify", [verify_improve_prob, verify_mgf_bound])
+@pytest.mark.parametrize("verify", [verify_improve_prob, verify_mgf_bound, verify_chvatal])
 def test_float_slack_grids_stop_where_binomials_overflow(verify):
-    # their slacks divide by float(C(n, r)), which overflows from n = 1030 on
+    # their slacks divide by float(C(n, r)), which overflows from n = 1030 on,
+    # and chvatal's cells past it would all fall through to the exact check
     with pytest.raises(ValueError, match="n <= 1029"):
         verify(1030)
 
