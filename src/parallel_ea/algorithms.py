@@ -276,30 +276,28 @@ def run_one_plus_lambda(
         rank, member = tables.rank, tables.member
         operator_for = _operator_schedule(cfg, lambda s: chain.zeros(n, s))
         batch = [chain.state(initial)] if initial is not None else chain.initial(n, lam, rng)
-        sample, idle_loop = chain.offspring, chain.idle
+        sample = chain.offspring
+        idle_loop = chain.idle if lam <= 2 and on_generation is None else None
+        if idle_loop is not None:
+            # a target member is never idle; floats, which compare fastest
+            ranks = np.where(member, n + 1.0, rank).tolist()
 
         def point(s: int) -> BitString:
             return chain.point(n, s)
 
-        if idle_loop is not None and lam <= 2 and on_generation is None:
-            # a target member is never idle; floats, which compare fastest
-            ranks = np.where(member, n + 1.0, rank).tolist()
-
-            def offspring(s: int, limit: int):
-                return idle_loop(operator_for(s), n, s, lam, rng, ranks, limit)
-        else:
-            def offspring(s: int, limit: int):
-                return 0, sample(operator_for(s), n, s, lam, rng)
+        def offspring(s: int):
+            return sample(operator_for(s), n, s, lam, rng)
     else:
+        idle_loop = None
         fitness, hit, point = obj.evaluate, obj.target.contains, lambda y: y
         operator_for = _operator_schedule(cfg, BitString.count_zeros)
         batch = [initial] if initial is not None else [random_bitstring(n, rng) for _ in range(lam)]
 
-        def offspring(x: BitString, limit: int) -> tuple[int, list[BitString]]:
+        def offspring(x: BitString) -> list[BitString]:
             op = operator_for(x)
             if lam == 1:  # the comprehension would double this call's cost
-                return 0, [apply(op, x, rng)]
-            return 0, [apply(op, x, rng) for _ in range(lam)]
+                return [apply(op, x, rng)]
+            return [apply(op, x, rng) for _ in range(lam)]
 
     # One loop selects from the initial batch (gens = 0, x not yet set) and
     # from every generation's offspring: a list, one state or point per
@@ -353,11 +351,14 @@ def run_one_plus_lambda(
             on_generation(gens, [point(y) for y in queried], point(x), fx)
         if first_hit is not None or evals + lam > cfg.budget:
             break
-        # the idle generations before the next batch, and never the last
-        # one the budget allows
-        idle, batch = offspring(x, (cfg.budget - evals) // lam - 1)
-        gens += idle + 1
-        evals += idle * lam
+        if idle_loop is not None:  # the last generation the budget allows is not idle
+            idle, batch = idle_loop(operator_for(x), n, x, lam, rng, ranks,
+                                    (cfg.budget - evals) // lam - 1)
+            gens += idle
+            evals += idle * lam
+        else:
+            batch = offspring(x)
+        gens += 1
 
     return RunRecord(
         evaluations_used=evals,
