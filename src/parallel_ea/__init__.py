@@ -43,7 +43,6 @@ from .rng import UniformStream, as_stream, derive_rng, derive_run_seed
 from .variation import (
     UnaryOperator,
     apply,
-    exact_distribution,
     flip_exact,
     mirrored,
     ones_counts,
@@ -52,7 +51,6 @@ from .variation import (
     sample_distinct_positions,
     single_bit,
     standard_mutation,
-    transition_prob,
 )
 
 from . import objectives, theory

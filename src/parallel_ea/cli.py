@@ -41,6 +41,7 @@ VERIFIERS = {
     "improve-prob": (("n",), lambda args: lemmas.verify_improve_prob(args.n)),
     "chvatal": (("n",), lambda args: lemmas.verify_chvatal(args.n)),
     "multibit": (("n",), lambda args: lemmas.verify_multibit_progress(args.n)),
+    "delta-symmetry": (("n",), lambda args: lemmas.verify_delta_symmetry(args.n)),
     "mgf": (("n", "lam"), lambda args: lemmas.verify_mgf_bound(args.n, **_given(lam=args.lam or None))),
     "mgf-max": (("lam", "trials", "seed"), lambda args: lemmas.verify_max_geometric(**_given(
         lam=_one_lambda(args), trials=args.trials, seed=args.seed))),

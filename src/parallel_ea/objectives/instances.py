@@ -220,24 +220,6 @@ def maxsat_hard_count(x: BitString) -> int:
     return n * comb(n - 1, 2) - zeros * comb(ones, 2) + ones
 
 
-def maxsat_hard_enum_count(x: BitString) -> int:
-    """Oracle twin of maxsat_hard_count by explicit clause enumeration, O(n^3)."""
-    n = x.n
-    bits = list(x)
-    sat = 0
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            for k in range(j + 1, n):
-                if k == i:
-                    continue
-                if bits[i] or not bits[j] or not bits[k]:
-                    sat += 1
-    sat += sum(bits)
-    return sat
-
-
 def maxsat_hard(n: int) -> Objective:
     check_int("hard MaxSat instance n", n, 3)
     return Objective(
@@ -326,10 +308,6 @@ def gen_planted_3sat(
             clause.append(v + 1 if agrees else -(v + 1))
         clauses.append(tuple(clause))
     return SatInstance(n=n, clauses=tuple(clauses), planted=planted)
-
-
-def matching_literals(clause: Sequence[int], planted: BitString) -> int:
-    return sum(1 for lit in clause if (lit > 0) == (planted[abs(lit) - 1] == 1))
 
 
 def planted_3sat_objective(inst: SatInstance, name: str = "planted-3sat") -> Objective:

@@ -7,16 +7,12 @@ across workers.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from itertools import chain, repeat
+from typing import Callable
 
 import numpy as np
 
 BLOCK = 256  # doubles drawn per refill of a UniformStream's buffer
-
-
-def _doubles(random: Callable[[int], np.ndarray]) -> Iterator[float]:
-    while True:
-        yield from random(BLOCK).tolist()
 
 
 class UniformStream(np.random.Generator):
@@ -33,9 +29,11 @@ class UniformStream(np.random.Generator):
     def __init__(self, bit_generator: np.random.BitGenerator):
         super().__init__(bit_generator)
         # a plain Generator on the same bit generator fills the buffer, so
-        # the stream holds no reference cycle through itself
-        self.next_double: Callable[[], float] = _doubles(
-            np.random.Generator(bit_generator).random).__next__
+        # the stream holds no reference cycle through itself; the chain asks
+        # for the next block only when the last one is used up
+        blocks = map(np.random.Generator(bit_generator).random, repeat(BLOCK))
+        self.next_double: Callable[[], float] = chain.from_iterable(
+            map(np.ndarray.tolist, blocks)).__next__
 
 
 def as_stream(rng: np.random.Generator) -> UniformStream:

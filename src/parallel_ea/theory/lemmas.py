@@ -22,10 +22,12 @@ tail in a table of suffix sums.  A cell whose float slack clears its bound
 by FLOAT_MARGIN is settled there; the float products, quotients and suffix
 sums are off by a few ulp, far inside that margin.  Every other cell goes
 through the exact scalar check: each cell inside the margin, each cell with
-a value that is not finite (the table passes 2^1024 from about n = 1030
-on), each violation a report keeps, and each cell within the margin of the
-largest slack seen.  So the violations, their slacks and max_slack are
-those of the cell-by-cell exact loop, byte for byte.
+a value that is not finite (hypergeom-tail sets NaN where C(r, z) <= 4^z
+fails), each violation a report keeps, and each cell within the margin of
+the largest slack seen.  So the violations, their slacks and max_slack are
+those of the cell-by-cell exact loop, byte for byte.  Every grid that reads
+the float table caps n at FLOAT_BINOMIAL_N or below, so the table itself
+is finite.
 """
 
 from __future__ import annotations
@@ -118,19 +120,15 @@ def _check_grid(lemma: str, n: int, lo: int, hi: Optional[int] = None) -> None:
 # A float slack this far (relative) from its bound settles a cell; see the
 # module docstring.
 FLOAT_MARGIN = 1e-9
-# The largest n whose C(n, r) all convert to float: the improve-prob and mgf
-# slacks divide by float(C(n, r)), and past it chvatal's float table holds
-# NaN, which would send its cells to the exact big-integer check.
+# The largest n whose C(n, r) all convert to float: the grids that read the
+# float table, and the improve-prob and mgf slacks that divide by
+# float(C(n, r)), cap n here or below.
 FLOAT_BINOMIAL_N = 1029
 
 
 def _float_table(ci: list[list[int]]) -> np.ndarray:
-    """The Pascal table as float64, NaN where an entry passes 2^1024, so that
-    every float value read from it is not finite."""
-    try:
-        return np.array(ci, dtype=np.float64)
-    except OverflowError:
-        return np.array([[float(c) if c.bit_length() < 1024 else nan for c in row] for row in ci])
+    """The Pascal table as float64; finite, since n <= FLOAT_BINOMIAL_N."""
+    return np.array(ci, dtype=np.float64)
 
 
 class _FloatFilter:
@@ -221,20 +219,14 @@ def _count_tables(cf: np.ndarray):
 
     C(n - m, .) is copied into one zero-padded row and read through a
     reversed sliding window over it, window[r, Z] = pad[n + r - Z], so no
-    index is gathered.  A row that is not finite (the float table passes
-    2^1024) gets its r < Z corner zeroed, where nan * 0 would stand."""
+    index is gathered."""
     n = cf.shape[0] - 1
     pad = np.zeros(2 * n + 1)
     window = np.lib.stride_tricks.sliding_window_view(pad, n + 1)[:, ::-1]
 
     def count(row: np.ndarray, m: int) -> np.ndarray:
         pad[n:] = cf[n - m]
-        width = row.size
-        with np.errstate(over="ignore", invalid="ignore"):
-            table = row * window[:, :width]
-        if not np.isfinite(row).all():
-            table[:width] = np.tril(table[:width])
-        return table
+        return row * window[:, :row.size]
 
     return count
 
@@ -573,18 +565,6 @@ def verify_delta_symmetry(n: int) -> LemmaReport:
                     report.record({"s": s, "m": m, "r": r}, inf)
     report.max_slack = 1.0
     return report
-
-
-def drop_chain_series(rel_tol: float = 1e-15) -> float:
-    """sum_z 2^(-z/2) (4/3)^z, the mgf of the per-step drop chain at
-    eta = ln(4/3); closes to 9 + 6 sqrt(2)."""
-    return _geometric_sum(1.0, (4.0 / 3.0) / sqrt(2.0), rel_tol)
-
-
-def expected_max_drop(lam: int) -> float:
-    """Explicit-constant expected max drop over lam parallel trials:
-    (ln((9 + 6 sqrt 2) lam) + 1) / ln(4/3)."""
-    return expected_max_bound(ETA_DROP_CHAIN, D_DROP_CHAIN, lam)
 
 
 def expected_max_bound(eta: float, d_const: float, lam: int) -> float:

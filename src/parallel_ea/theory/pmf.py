@@ -85,15 +85,6 @@ def _delta0_tail_support(s: int, m: int, r: int) -> range:
     return range((r + m - s) // 2 + 1, min(m, r) + 1)
 
 
-def _delta0_tail_counts(rows: Sequence[Sequence], n: int, m: int, r: int) -> list:
-    """tails[s] = C(n, r) P(Delta_0 > 0) for 0 <= s <= m, read off suffix sums of
-    C(m, Z) C(n-m, r-Z) in a zero-padded binomial table rows[a][b] = C(a, b)."""
-    suffix = [0] * (n + 2)  # suffix[Z] = C(n, r) P(Z' >= Z)
-    for zh in range(min(m, r), -1, -1):
-        suffix[zh] = suffix[zh + 1] + rows[m][zh] * rows[n - m][r - zh]
-    return [suffix[_delta0_tail_support(s, m, r).start] for s in range(m + 1)]
-
-
 def _delta0_counts(rows: Sequence[Sequence], n: int, s: int, m: int, r: int) -> list:
     """counts[z] = C(m, Z) C(n-m, r-Z) = C(n, r) P(Delta_0 = z) for 1 <= z <= s
     (counts[0] is 0), looked up in a zero-padded binomial table
@@ -170,9 +161,3 @@ def delta0_log_prob_cells(
         table[np.searchsorted(distinct, a)] for a in args)
     lp = (lg_m - lg_z - lg_mz) + (lg_nm - lg_rz - lg_rest) - (lg_n - lg_r - lg_nr)
     return rc, 2 * zh - np.repeat(k, counts), lp
-
-
-def delta0_tail_prob(n: int, s: int, m: int, r: int) -> Fraction:
-    """Exact P(Delta_0 > 0) = P(Z > (r + m - s) / 2)."""
-    num = sum(comb(m, zh) * comb(n - m, r - zh) for zh in _delta0_tail_support(s, m, r))
-    return Fraction(num, comb(n, r))

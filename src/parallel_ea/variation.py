@@ -12,12 +12,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, exp, lgamma, log, log1p
+from math import exp, lgamma, log, log1p
 from typing import Optional
 
 import numpy as np
 
-from .bitstring import BitString, hamming_distance
+from .bitstring import BitString
 from .rng import UniformStream
 
 FLIP_EXACT = "flip-exact-r"
@@ -84,47 +84,19 @@ def sample_distinct_positions(rng: UniformStream, n: int, r: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=1024)
-def _binomial_cdf(n: int, p: float) -> tuple[float, ...]:
-    """Inverse-CDF table of Binomial(n, p): entry r is P(R <= r).
-
-    The terms are exponentiated from log space, so none underflows as a
-    whole-table recurrence from (1-p)^n would at large n.  The table ends
-    where the sum reaches 1.0 in floating point, and its last entry is set
-    to 1.0: a u past the sum takes the last radius, not n.
-    """
-    if p == 0.0:
-        return (1.0,)
-    if p == 1.0:
-        return (0.0,) * n + (1.0,)
-    log_p, log_q, head = log(p), log1p(-p), lgamma(n + 1)
-    mean = n * p
-    cdf: list[float] = []
-    total = 0.0
-    for r in range(n + 1):
-        term = exp(head - lgamma(r + 1) - lgamma(n - r + 1) + r * log_p + (n - r) * log_q)
-        if r > mean and total + term == total:  # the terms left cannot move the sum
-            break
-        total += term
-        cdf.append(total)
-        if total >= 1.0:
-            break
-    cdf[-1] = 1.0
-    return tuple(cdf)  # shared by every caller of the cache, so immutable
-
-
 def apply(op: UnaryOperator, x: BitString, rng: UniformStream) -> BitString:
     """Draw one offspring of x under op, from the stream's uniform doubles.
 
     flip-exact-r is uniform on the radius-r sphere around x; r is checked
-    against n here.  standard-mutation reads r ~ Binomial(n, p) off the
-    inverse-CDF table of (n, p), p being checked when op was built, and then
-    flips a uniform r-subset, which is exactly the iid per-bit flip
-    distribution.
+    against n here.  standard-mutation reads r ~ Binomial(n, p), the ones
+    count of an offspring of 0^n, off that law's CDF (p being checked when
+    op was built), and then flips a uniform r-subset, which is exactly the
+    iid per-bit flip distribution.
     """
     n = x.n
     if op.kind == STANDARD_MUTATION:
-        r = bisect_right(_binomial_cdf(n, op.p), rng.next_double())
+        lo, cdf = _ones_count_cdf.get(n, 0, op.p)
+        r = lo + bisect_right(cdf, rng.next_double())
     else:
         op.validate_for(n)
         r = op.r
@@ -151,8 +123,8 @@ def _binomial_terms(n: int, p: float) -> tuple[int, list[float]]:
     """(lo, terms): terms[i] = P(B = lo + i) for B ~ Binomial(n, p), tails cut.
 
     The terms recur from the mode, which is exponentiated from log space, so
-    the start does not underflow as (1-p)^n does at large n.  Each side ends,
-    as in `_binomial_cdf`, at the first term that can no longer move the sum.
+    the start does not underflow as (1-p)^n does at large n.  Each side ends
+    at the first term that can no longer move the sum.
     """
     if p == 0.0 or n == 0:
         return 0, [1.0]
@@ -197,7 +169,7 @@ def _ones_count_pmf(n: int, k: int, p: float) -> tuple[int, np.ndarray]:
 
 def _ones_count_cdf_of(n: int, k: int, p: float) -> tuple[int, list[float]]:
     """(lo, cdf) of `_ones_count_pmf`, for the per-offspring draw; the last
-    entry is set to 1.0, as in `_binomial_cdf`."""
+    entry is set to 1.0, so a u past the sum takes the last state."""
     lo, probs = _ones_count_pmf(n, k, p)
     cdf = probs.cumsum().tolist()
     cdf[-1] = 1.0
@@ -479,27 +451,6 @@ def radius_pmf(op: UnaryOperator, n: int) -> dict[int, Fraction]:
         pmf[r] = term
         term = term * odds * Fraction(n - r, r + 1)
     return pmf
-
-
-def transition_prob(op: UnaryOperator, x: BitString, y: BitString) -> Fraction:
-    """Exact P(y | x); depends on (x, y) only through their Hamming distance."""
-    n = x.n
-    d = hamming_distance(x, y)
-    pmf = radius_pmf(op, n)
-    return pmf.get(d, Fraction(0)) / comb(n, d)
-
-
-def exact_distribution(op: UnaryOperator, x: BitString) -> dict[int, Fraction]:
-    """Full offspring distribution {packed value: probability}; small n only."""
-    n = x.n
-    if n > 14:
-        raise ValueError("exact distribution is exponential in n; use n <= 14")
-    out = {}
-    for v in range(1 << n):
-        pr = transition_prob(op, x, BitString(n, v))
-        if pr:
-            out[v] = pr
-    return out
 
 
 _P_FRACTION = re.compile(r"^\s*([0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)\s*/\s*n\s*$")

@@ -7,6 +7,7 @@ import pytest
 from parallel_ea import cli
 from parallel_ea.cli import main
 from parallel_ea.harness import CSV_COLUMNS
+from parallel_ea.theory import lemmas
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +73,7 @@ LEMMA_ARGS = {
     "chvatal": ["--n", "16"],
     "mgf": ["--n", "16"],
     "multibit": ["--n", str(2**18)],
+    "delta-symmetry": ["--n", "12"],
     "mgf-max": ["--trials", "200"],
     "coupon": [],
 }
@@ -84,6 +86,12 @@ def test_every_lemma_id_runs_its_verifier(capsys, lemma):
     payload = json.loads(out)
     assert payload["lemma"] == lemma and payload["pass"] is True
     assert payload["points_checked"] >= 1
+
+
+def test_delta_symmetry_prints_the_verifier_report(capsys):
+    code, out = run_cli(capsys, "verify", "--lemma", "delta-symmetry", "--n", "12")
+    assert code == 0
+    assert out == lemmas.verify_delta_symmetry(12).to_json() + "\n"
 
 
 def test_lemma_choices_are_the_lemma_ids():
@@ -124,8 +132,9 @@ def test_verify_multibit_domain_error(capsys):
     ["verify", "--lemma", "multibit", "--n", "1"],
     ["check", "--csv", "EMPTY", "--bound", "lb-unique"],
     ["verify", "--lemma", "chvatal", "--n", "1030"],
+    ["verify", "--lemma", "delta-symmetry", "--n", "-1"],
 ], ids=["chvatal-n-negative", "improve-prob-n-0", "mgf-n-0", "mgf-lambda-0", "mgf-max-trials-0",
-        "multibit-n-1", "check-no-rows", "chvatal-n-1030"])
+        "multibit-n-1", "check-no-rows", "chvatal-n-1030", "delta-symmetry-n-negative"])
 def test_check_over_nothing_exits_2(tmp_path, capsys, argv):
     empty = tmp_path / "empty.csv"
     empty.write_text("")

@@ -16,9 +16,7 @@ from parallel_ea.objectives import (
     leadingones,
     leadingzeros,
     make_objective,
-    matching_literals,
     maxsat_hard_count,
-    maxsat_hard_enum_count,
     onemax,
     partition_makespan,
     planted_3sat_objective,
@@ -27,6 +25,8 @@ from parallel_ea.objectives import (
     twomax_prime,
     two_cliques_cut,
 )
+
+from references import matching_literals, maxsat_hard_enum_count
 
 
 def bs(s):

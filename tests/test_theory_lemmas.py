@@ -21,9 +21,7 @@ from parallel_ea.theory.lemmas import (
     MULTIBIT_GRID_POINTS,
     MULTIBIT_S,
     _geometric_grid,
-    drop_chain_series,
     expected_max_bound,
-    expected_max_drop,
     mgf_series_value,
     multibit_nstar,
     verify_chvatal,
@@ -38,13 +36,13 @@ from parallel_ea.theory.lemmas import (
 from parallel_ea.theory.pmf import (
     ProgressParams,
     _delta0_counts,
-    _delta0_tail_counts,
     delta0_pmf,
     delta0_point_log_prob,
     delta0_point_prob,
-    delta0_tail_prob,
     hypergeom_pmf,
 )
+
+from references import _delta0_tail_counts, delta0_tail_prob, drop_chain_series
 
 
 def test_hypergeom_tail_small_grid():
@@ -257,10 +255,11 @@ def test_drop_chain_constants():
     assert D_DROP_CHAIN == pytest.approx(9.0 + 6.0 * sqrt(2.0))
     assert drop_chain_series() == pytest.approx(D_DROP_CHAIN, rel=1e-12)
     # explicit O(log lambda) expected-max curve built from those constants
-    assert expected_max_drop(64) == pytest.approx(
+    assert expected_max_bound(ETA_DROP_CHAIN, D_DROP_CHAIN, 64) == pytest.approx(
         (log(D_DROP_CHAIN * 64) + 1) / log(4.0 / 3.0)
     )
-    gap = expected_max_drop(2048) - expected_max_drop(1024)
+    gap = (expected_max_bound(ETA_DROP_CHAIN, D_DROP_CHAIN, 2048)
+           - expected_max_bound(ETA_DROP_CHAIN, D_DROP_CHAIN, 1024))
     assert gap == pytest.approx(log(2.0) / log(4.0 / 3.0))
 
 
@@ -562,21 +561,6 @@ def test_count_table_is_the_gathered_product(n):
         table = count(cf[m, :m + 1], m)
         want = _gathered_counts(cf, n, m)
         assert table.shape == want.shape and table.tobytes() == want.tobytes()
-
-
-def test_count_table_keeps_the_gathered_nans():
-    # NaN over the middle of one row, as _float_table leaves an entry past
-    # 2^1024: the row is read once as C(m, .) and once as C(n - m, .)
-    n = 33
-    for row in range(n + 1):
-        cf = lemmas._float_table(lemmas._comb_table(n))
-        cf[row, row // 4:row - row // 4 + 1] = nan
-        count = lemmas._count_tables(cf)
-        for m in range(n + 1):
-            table = count(cf[m, :m + 1], m)
-            want = _gathered_counts(cf, n, m)
-            assert np.isnan(want).any() == (m in (row, n - row))
-            assert table.shape == want.shape and np.array_equal(table, want, equal_nan=True)
 
 
 def _gathered_band(cf, q, n, m):

@@ -11,11 +11,11 @@ from parallel_ea.theory.pmf import (
     delta0_pmf,
     delta0_point_log_prob,
     delta0_point_prob,
-    delta0_tail_prob,
     hypergeom_pmf,
     hypergeom_support,
 )
-from parallel_ea.theory.pmf import _delta0_tail_counts
+
+from references import _delta0_tail_counts, delta0_tail_prob
 
 
 def test_hypergeom_examples():

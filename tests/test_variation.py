@@ -10,11 +10,9 @@ from parallel_ea.bitstring import BitString, hamming_distance, random_bitstring
 from parallel_ea.rng import derive_rng
 from parallel_ea.variation import (
     UnaryOperator,
-    _binomial_cdf,
     _ones_count_cdf,
     _ones_count_law,
     apply,
-    exact_distribution,
     flip_exact,
     mirrored,
     radius_pmf,
@@ -22,8 +20,9 @@ from parallel_ea.variation import (
     sample_distinct_positions,
     single_bit,
     standard_mutation,
-    transition_prob,
 )
+
+from references import exact_distribution, transition_prob
 
 
 def test_flip_exact_radius_is_exact():
@@ -139,7 +138,11 @@ def test_apply_matches_positions_sampler_on_twin_streams(n):
     radii = Counter()
     for op in (flip_exact(1), standard_mutation(1 / n), standard_mutation(min(1.0, 3 / n))):
         for _ in range(300):
-            r = op.r if op.p is None else bisect_right(_binomial_cdf(n, op.p), b.next_double())
+            if op.p is None:
+                r = op.r
+            else:
+                lo, cdf = _ones_count_cdf.get(n, 0, op.p)
+                r = lo + bisect_right(cdf, b.next_double())
             radii[r] += 1
             mask = sum(1 << i for i in sample_distinct_positions(b, n, r))
             assert apply(op, x, a) == x.flip_mask(mask)
