@@ -233,18 +233,23 @@ def run_one_plus_lambda(
     shared by every run on it.  The batch's shape picks the selection
     kernel.  A list holds one state per offspring, as the initial batch and
     the samplers below HISTOGRAM_LAMBDA return it, and goes through the
-    per-offspring loop.  A tuple (states, counts) is the histogram of the
-    generation, as the samplers return it from HISTOGRAM_LAMBDA on, and
-    numpy reads its best rank, ties and hits.  A tie on a histogram takes
-    the tied entry whose cumulative count first exceeds floor(u T), T the
-    tied offspring, which on the histogram's expansion in state order is
-    the loop's pick; the first hit's position among lambda exchangeable
-    offspring, H of them members, is drawn from
-    P(I > i) = C(lambda - i, H) / C(lambda, H) with one more double.  The
-    hook sees the states' representatives, a histogram expanded to lambda
-    of them, built for it alone.  A chain that needs a uniform start does
-    not run from `initial`, and one whose state does not hold the zero
-    count does not run the adaptive EA: those runs sample bit strings.
+    per-offspring loop.  A tuple (lo, counts) is the histogram of the
+    generation, counts[i] offspring in state lo + i, as the samplers return
+    it from HISTOGRAM_LAMBDA on, and one scan of its counts selects: over
+    the span of states drawn, the tables' rise and fall say when the ranks
+    only rise or only fall, and then the last or the first state drawn is
+    the best; otherwise one pass finds the best rank and its ties in state
+    order.  A tie on a histogram takes the tied state whose cumulative
+    count first exceeds floor(u T), T the tied offspring, which on the
+    histogram's expansion in state order is the loop's pick.  Hits are
+    summed only when members_below says the span holds a member, and the
+    first hit's position among lambda exchangeable offspring, H of them
+    members, is drawn from P(I > i) = C(lambda - i, H) / C(lambda, H) with
+    one more double.  The hook sees the states' representatives, a
+    histogram expanded to lambda of them, built for it alone.  A chain that
+    needs a uniform start does not run from `initial`, and one whose state
+    does not hold the zero count does not run the adaptive EA: those runs
+    sample bit strings.
 
     Most generations of a leading-ones run change nothing: about one
     offspring in e n improves.  So at lambda <= 2 with no hook, a run on a
@@ -273,14 +278,14 @@ def run_one_plus_lambda(
             and (chain.zeros is not None or cfg.algorithm != ONE_PLUS_LAMBDA_ADAPTIVE):
         tables = obj.state_tables
         fitness, hit = tables.fitness.__getitem__, tables.hit.__getitem__
-        rank, member = tables.rank, tables.member
+        rank, rise, fall, members_below = tables.rank, tables.rise, tables.fall, tables.members_below
         operator_for = _operator_schedule(cfg, lambda s: chain.zeros(n, s))
         batch = [chain.state(initial)] if initial is not None else chain.initial(n, lam, rng)
         sample = chain.offspring
         idle_loop = chain.idle if lam <= 2 and on_generation is None else None
         if idle_loop is not None:
             # a target member is never idle; floats, which compare fastest
-            ranks = np.where(member, n + 1.0, rank).tolist()
+            ranks = [n + 1.0 if h else float(r) for r, h in zip(rank, tables.hit)]
 
         def point(s: int) -> BitString:
             return chain.point(n, s)
@@ -301,10 +306,10 @@ def run_one_plus_lambda(
 
     # One loop selects from the initial batch (gens = 0, x not yet set) and
     # from every generation's offspring: a list, one state or point per
-    # offspring, in the per-offspring loop, and a (states, counts) histogram
-    # with numpy.  Ties are listed only when they occur, and their one
-    # stream double (uniform over the tied offspring to within 2^-52, as in
-    # `apply`) follows the batch's own draws.
+    # offspring, in the per-offspring loop, and a (lo, counts) histogram by
+    # a scan of its counts.  Ties are listed only when they occur, and their
+    # one stream double (uniform over the tied offspring to within 2^-52, as
+    # in `apply`) follows the batch's own draws.
     x = fx = first_hit = None
     evals = gens = 0
     while True:
@@ -325,29 +330,45 @@ def run_one_plus_lambda(
             if ties is not None:
                 z = ties[int(rng.next_double() * len(ties))]
             evals += len(batch)
-        else:  # distinct states and their counts
-            states, counts = batch
-            drawn = counts.nonzero()[0]
-            present = states[drawn]
-            ranks = rank[present]
-            tied = (ranks == ranks[ranks.argmax()]).nonzero()[0]  # argmax costs less than max
-            ties = present[tied].tolist()
-            # a tie between entries takes each tied offspring with the same
-            # chance; the first hit's position is drawn after it
-            if len(ties) > 1:
-                z = ties[_weighted_pick(counts[drawn[tied]].tolist(), rng.next_double())]
+        else:  # counts[i] offspring in state lo + i
+            lo, counts = batch
+            counts = counts.tolist()
+            last = len(counts) - 1
+            while not counts[last]:
+                last -= 1
+            first = 0
+            while not counts[first]:
+                first += 1
+            top, low = lo + last, lo + first  # the drawn states' span
+            if rise[top] <= low:  # the ranks rise over it
+                z = top
+            elif fall[top] <= low:  # they fall
+                z = low
             else:
-                z = ties[0]
+                ties, best = None, -1
+                for s in range(low, top + 1):
+                    if counts[s - lo] and rank[s] >= best:
+                        if rank[s] > best:
+                            z, best, ties = s, rank[s], None
+                        elif ties is None:
+                            ties = [z, s]
+                        else:
+                            ties.append(s)
+                # a tie between entries takes each tied offspring with the
+                # same chance; the first hit's position is drawn after it
+                if ties is not None:
+                    z = ties[_weighted_pick([counts[s - lo] for s in ties], rng.next_double())]
             fz = fitness(z)
-            members = member[present].nonzero()[0]  # costs less than any()
-            if len(members):
-                hits = int(counts[drawn[members]].sum())
-                first_hit = evals + _first_position(lam, hits, rng.next_double())
+            if members_below[top + 1] > members_below[low]:
+                hits = sum(counts[s - lo] for s in range(low, top + 1) if hit(s))
+                if hits:
+                    first_hit = evals + _first_position(lam, hits, rng.next_double())
             evals += lam
         if x is None or not better(fx, fz):
             x, fx = z, fz
         if on_generation is not None:
-            queried = batch if type(batch) is list else np.repeat(*batch).tolist()
+            queried = batch if type(batch) is list else \
+                [s for s, c in enumerate(counts, lo) for _ in range(c)]
             on_generation(gens, [point(y) for y in queried], point(x), fx)
         if first_hit is not None or evals + lam > cfg.budget:
             break

@@ -5,10 +5,9 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from numbers import Integral
 from typing import Callable, Iterable, Optional
-
-import numpy as np
 
 from ..bitstring import BitString, hamming_ball_size, hamming_distance
 from ..variation import (
@@ -55,12 +54,13 @@ class Chain:
 
     States run from 0 to n.  A sampler returns one state per offspring, as
     a list of ints, or the histogram of the lam offspring: a tuple
-    (states, counts) of 1-d integer ndarrays, the states distinct and the
-    counts, zeros allowed, summing to lam.  An ndarray of states is neither;
-    the runner tells the two shapes apart by type and selects from a list
-    offspring by offspring and from a histogram with numpy.  Offspring are
-    exchangeable, so the histogram holds all that the runner selects from.
-    The offspring samplers here return it from `variation.HISTOGRAM_LAMBDA` on.
+    (lo, counts), counts a 1-d integer ndarray whose entry i, zero allowed,
+    is the number of offspring in state lo + i, the entries summing to lam.
+    The runner tells the two shapes apart by type and selects from a list
+    offspring by offspring and from a histogram with one scan of its
+    counts.  Offspring are exchangeable, so the histogram holds all that
+    the runner selects from.  The offspring samplers here return it from
+    `variation.HISTOGRAM_LAMBDA` on.
     """
 
     state: Callable[[BitString], int]
@@ -96,10 +96,14 @@ class StateTables:
 
     - fitness[s] and hit[s]: the values evaluate and target.contains return;
     - rank[s]: the index of fitness[s] among the distinct fitness values,
-      worst first in the objective's direction, as an intp array.  Ranks
-      come from Python's own comparisons, so values that one float64 would
-      merge (2^60 and 2^60 + 1) keep distinct ranks;
-    - member[s]: hit[s] as a bool array.
+      worst first in the objective's direction.  Ranks come from Python's
+      own comparisons, so values that one float64 would merge (2^60 and
+      2^60 + 1) keep distinct ranks;
+    - rise[s] and fall[s]: the first state of the run of strictly rising,
+      or strictly falling, ranks that ends at s, so the ranks rise over the
+      states lo..s exactly when rise[s] <= lo;
+    - members_below[s], s = 0..n + 1: the number of target members among
+      the states below s.
     """
 
     def __init__(self, obj: "Objective", chain: Chain):
@@ -111,11 +115,14 @@ class StateTables:
             self.fitness.append(obj.evaluate(x))
             self.hit.append(bool(obj.target.contains(x)))
         order = sorted(range(n + 1), key=self.fitness.__getitem__, reverse=obj.direction == "min")
-        ranks = [0] * (n + 1)
+        rank = self.rank = [0] * (n + 1)
         for prev, s in zip(order, order[1:]):
-            ranks[s] = ranks[prev] + (self.fitness[s] != self.fitness[prev])
-        self.rank = np.array(ranks, dtype=np.intp)
-        self.member = np.array(self.hit, dtype=bool)
+            rank[s] = rank[prev] + (self.fitness[s] != self.fitness[prev])
+        self.rise, self.fall = [0], [0]
+        for s in range(1, n + 1):
+            self.rise.append(self.rise[-1] if rank[s] > rank[s - 1] else s)
+            self.fall.append(self.fall[-1] if rank[s] < rank[s - 1] else s)
+        self.members_below = list(accumulate(self.hit, initial=0))
 
 
 def is_int(value) -> bool:

@@ -43,12 +43,10 @@ import numpy as np
 from ..rng import derive_rng
 from .bounds import DEFAULT_DELTA, coupon_bound, multibit_nstar
 from .pmf import (
-    ProgressParams,
     _delta0_counts,
     _delta0_tail_support,
     _delta0_window,
     delta0_log_prob_cells,
-    delta0_pmf,
     delta0_point_log_prob,  # unused here; bench/tracing.py wraps lemmas.delta0_point_log_prob
 )
 
@@ -549,19 +547,24 @@ def verify_multibit_progress(n: int, z_max: int = 200) -> LemmaReport:
 
 
 def verify_delta_symmetry(n: int) -> LemmaReport:
-    """Exact pmf identity Delta_0(s,m,r) ~ Delta_0(s,n-m,n-r), all (s,m,r)."""
+    """Exact pmf identity Delta_0(s,m,r) ~ Delta_0(s,n-m,n-r), all (s,m,r).
+
+    The two laws put C(n, r) P(Delta_0 = z) = counts[z] on each drop
+    z >= 1, read off one Pascal table, over the denominators C(n, r) and
+    C(n, n - r), which are equal; the mass at 0 is the rest.  So the laws
+    are equal exactly when their count lists are, and no Fraction is built.
+    """
     _check_grid("delta-symmetry", n, 0)
     report = LemmaReport(
         lemma="delta-symmetry",
         grid=f"n={n}, 0<=s<=n/2, s<=m<=n-s, 0<=r<=n",
     )
+    ci = _comb_table(n)
     for s in range(n // 2 + 1):
         for m in range(s, n - s + 1):
             for r in range(n + 1):
-                a = delta0_pmf(ProgressParams(n, s, m, r))
-                b = delta0_pmf(ProgressParams(n, s, n - m, n - r))
                 report.points_checked += 1
-                if a != b:
+                if _delta0_counts(ci, n, s, m, r) != _delta0_counts(ci, n, s, n - m, n - r):
                     report.record({"s": s, "m": m, "r": r}, inf)
     report.max_slack = 1.0
     return report

@@ -111,9 +111,9 @@ def apply(op: UnaryOperator, x: BitString, rng: UniformStream) -> BitString:
 
 
 # From this offspring count on, the chain samplers return a generation as a
-# histogram, a pair of int arrays (states, counts) whose counts sum to the
-# offspring count, and the runner selects with numpy; below it they return
-# one state per offspring, and a per-offspring loop selects.  Timing both
+# histogram (lo, counts), counts[i] offspring in state lo + i, and the
+# runner selects with one scan of the counts; below it they return one
+# state per offspring, and a per-offspring loop selects.  Timing both
 # shapes on onemax, twomax and leadingones put the crossover between 16 and
 # 24 (CHANGES.md).
 HISTOGRAM_LAMBDA = 32
@@ -193,8 +193,6 @@ class _Laws:
         return self.law(n, k, p)
 
 
-# The histogram draw's laws make their states with np.arange on each call:
-# cached state arrays would add about 40% to a law's memory.
 _ones_count_law = _Laws(_ones_count_pmf)
 _ones_count_cdf = _Laws(_ones_count_cdf_of)
 
@@ -208,15 +206,16 @@ def ones_counts(op: UnaryOperator, n: int, k: int, size: int, rng: UniformStream
     per (n, k, p).  Below HISTOGRAM_LAMBDA each offspring reads its count
     off the law's CDF with one stream double, and the counts are a list;
     from it one multinomial draw off the bit generator gives the histogram
-    (states, counts) of the whole generation.  flip-exact at radius 1 (RLS)
-    gains a one exactly when its position is one of the n - k zeros, with
-    probability (n - k)/n, read off the stream's next double (to within
-    2^-52, as in `apply`), and its counts are a list.
+    (lo, counts) of the whole generation over the law's states lo, lo + 1,
+    ...  flip-exact at radius 1 (RLS) gains a one exactly when its position
+    is one of the n - k zeros, with probability (n - k)/n, read off the
+    stream's next double (to within 2^-52, as in `apply`), and its counts
+    are a list.
     """
     if op.kind == STANDARD_MUTATION:
         if size >= HISTOGRAM_LAMBDA:
             lo, probs = _ones_count_law.get(n, k, op.p)
-            return np.arange(lo, lo + len(probs)), rng.multinomial(size, probs)
+            return lo, rng.multinomial(size, probs)
         lo, cdf = _ones_count_cdf.get(n, k, op.p)
         u = rng.next_double
         if size == 1:  # the comprehension would double this call's cost
@@ -360,7 +359,7 @@ def leading_ones_counts(op: UnaryOperator, n: int, l: int, size: int, rng: Unifo
     From HISTOGRAM_LAMBDA on, one multinomial draw over the categories of
     f (`_first_flip_law`) gives the cuts, the number of improvers and the
     unchanged offspring, and `_free_rider_counts` spreads the improvers over
-    their runs: the histogram (states, counts) over the states 0, 1, ...
+    their runs: the histogram (0, counts) over the states 0, 1, ...
     """
     p = _first_flip_rate(op)
     if size >= HISTOGRAM_LAMBDA:
@@ -371,7 +370,7 @@ def leading_ones_counts(op: UnaryOperator, n: int, l: int, size: int, rng: Unifo
         if improvers:
             runs = _free_rider_counts(improvers, n - l - 1, p or 0.0, rng)
             counts = np.concatenate((counts, runs))
-        return np.arange(len(counts)), counts
+        return 0, counts
     u = rng.next_double
     if p is not None:
         if p == 0.0:

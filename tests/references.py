@@ -2,7 +2,8 @@
 
 Each is a slow, literal form of a law or count that the package computes
 another way: the full offspring distribution by enumeration, the tail of
-the potential drop by summing its hypergeometric terms, the drop chain's
+the potential drop by summing its hypergeometric terms, the complement
+symmetry of its law by comparing Fraction pmfs, the drop chain's
 geometric series, and the hard MaxSat and planted 3-SAT counts by walking
 every clause.  None of them is reached by the CLI, the harness or the
 benchmark, so they live with the tests.
@@ -11,12 +12,12 @@ benchmark, so they live with the tests.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, sqrt
+from math import comb, inf, sqrt
 from typing import Sequence
 
 from parallel_ea.bitstring import BitString, hamming_distance
-from parallel_ea.theory.lemmas import _geometric_sum
-from parallel_ea.theory.pmf import _delta0_tail_support
+from parallel_ea.theory.lemmas import LemmaReport, _geometric_sum
+from parallel_ea.theory.pmf import ProgressParams, _delta0_tail_support, delta0_pmf
 from parallel_ea.variation import UnaryOperator, radius_pmf
 
 
@@ -54,6 +55,21 @@ def delta0_tail_prob(n: int, s: int, m: int, r: int) -> Fraction:
     """Exact P(Delta_0 > 0) = P(Z > (r + m - s) / 2)."""
     num = sum(comb(m, zh) * comb(n - m, r - zh) for zh in _delta0_tail_support(s, m, r))
     return Fraction(num, comb(n, r))
+
+
+def delta_symmetry_report(n: int) -> LemmaReport:
+    """`verify_delta_symmetry` by comparing the two Fraction pmfs at each cell."""
+    report = LemmaReport(lemma="delta-symmetry", grid=f"n={n}, 0<=s<=n/2, s<=m<=n-s, 0<=r<=n")
+    for s in range(n // 2 + 1):
+        for m in range(s, n - s + 1):
+            for r in range(n + 1):
+                a = delta0_pmf(ProgressParams(n, s, m, r))
+                b = delta0_pmf(ProgressParams(n, s, n - m, n - r))
+                report.points_checked += 1
+                if a != b:
+                    report.record({"s": s, "m": m, "r": r}, inf)
+    report.max_slack = 1.0
+    return report
 
 
 def drop_chain_series(rel_tol: float = 1e-15) -> float:

@@ -277,17 +277,17 @@ def test_ties_break_uniformly_with_multiplicity():
 @pytest.mark.parametrize("states, counts", [([15, 5], [42, 21]), ([12, 15, 16, 5], [0, 42, 0, 21])],
                          ids=["counts", "zero-counts"])
 def test_ties_break_uniformly_with_multiplicity_in_a_histogram(states, counts):
-    # numpy's kernel: an entry of the histogram stands for its count of
-    # offspring; a state drawn zero times (16 would beat the tie) is not
+    # the histogram's scan: an entry of the histogram stands for its count
+    # of offspring; a state drawn zero times (16 would beat the tie) is not
     # there at all
-    tie_law((np.array(states), np.array(counts)), lam=63)
+    tie_law(histogram(states, counts), lam=63)
 
 
 def test_first_hit_position_in_a_histogram():
     # H = 3 of lambda = 64 offspring are the optimum, so the first hit's
     # position I has P(I > i) = C(lambda - i, H) / C(lambda, H)
     n, lam, hits, runs = 20, 64, 3, 4000
-    batch = (np.array([n - 1, n, 3]), np.array([lam - hits - 1, hits, 1]))
+    batch = histogram([n - 1, n, 3], [lam - hits - 1, hits, 1])
     stub = dataclasses.replace(ONES_COUNT, offspring=lambda op, n, s, lam, rng: batch)
     obj = dataclasses.replace(make_objective("onemax", n), metadata={CHAIN: stub})
     cfg = AlgoConfig("one-plus-lambda-fixed", n=n, lam=lam, budget=1 + lam)
@@ -304,15 +304,31 @@ def test_first_hit_position_in_a_histogram():
 
 # ------------------------------------------------ the two selection kernels
 
+def histogram(states, counts):
+    """The histogram (lo, counts) of counts[i] offspring in the distinct
+    states[i], over the states from the least of them to the greatest."""
+    lo = min(states)
+    out = np.zeros(max(states) - lo + 1, dtype=np.int64)
+    out[np.array(states) - lo] = counts
+    return lo, out
+
+
 def histogram_of(batch):
-    """A batch as a histogram, which the runner selects from with numpy."""
-    return batch if type(batch) is tuple else tuple(np.unique(batch, return_counts=True))
+    """A batch as a histogram (lo, counts), which the runner selects from
+    with a scan of its counts."""
+    if type(batch) is tuple:
+        return batch
+    lo = min(batch)
+    return lo, np.bincount([s - lo for s in batch])
 
 
 def expansion_of(batch):
     """A batch as the list of its offspring in state order, which the
     runner selects from with the per-offspring loop."""
-    return sorted(batch) if type(batch) is list else np.repeat(*batch).tolist()
+    if type(batch) is list:
+        return sorted(batch)
+    lo, counts = batch
+    return np.repeat(np.arange(lo, lo + len(counts)), counts).tolist()
 
 
 def both_shapes(obj, cfg, key, initial=None, batch=None):
@@ -363,12 +379,12 @@ SHAPE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", list(SHAPE_CASES))
-def test_a_histogram_and_its_expansion_select_alike(case):
-    stub, states, counts, winners = SHAPE_CASES[case]
+def select_alike(stub, states, counts, winners):
+    """The fixed histogram and its expansion move a parent in state 12 of
+    n = 20 alike, and to each of the winning states in some run."""
     n, lam = 20, sum(counts)
     obj = stub_objective(stub, n)
-    batch = (np.array(states), np.array(counts))
+    batch = histogram(states, counts)
     ends = set()
     for rep in range(100):
         cfg = AlgoConfig("one-plus-lambda-fixed", n=n, lam=lam, budget=1 + lam, seed=rep)
@@ -377,6 +393,53 @@ def test_a_histogram_and_its_expansion_select_alike(case):
         assert rec.generations_used == 1
         ends.add(x.count_ones())
     assert ends == winners
+
+
+@pytest.mark.parametrize("case", list(SHAPE_CASES))
+def test_a_histogram_and_its_expansion_select_alike(case):
+    select_alike(*SHAPE_CASES[case])
+
+
+# a histogram for each branch of the scan, each with a zero count at both
+# ends of its window: the scan's verdict, then a SHAPE_CASES entry
+SCAN_CASES = {
+    "rising": ("rising", "onemax", [10, 11, 12, 14, 15, 16], [0, 3, 5, 2, 1, 0], {15}),
+    "falling": ("falling", "twomax", [2, 3, 5, 6, 7, 8], [0, 4, 3, 2, 6, 0], {3}),
+    "mixed-tie": ("mixed", "twomax", [4, 6, 10, 14, 17], [0, 5, 7, 10, 0], {6, 14}),
+    "mixed-min": ("mixed", "direction-min", [6, 8, 10, 12, 13, 15], [0, 4, 1, 6, 2, 0], {10}),
+}
+
+
+@pytest.mark.parametrize("case", list(SCAN_CASES))
+def test_each_branch_of_the_scan_selects_as_the_expansion(case):
+    branch, stub, states, counts, winners = SCAN_CASES[case]
+    tables = stub_objective(stub, 20).state_tables
+    lo, window = histogram(states, counts)
+    assert window[0] == window[-1] == 0
+    drawn = (lo + window.nonzero()[0]).tolist()
+    low, top = drawn[0], drawn[-1]
+    rising, falling = tables.rise[top] <= low, tables.fall[top] <= low
+    assert branch == ("rising" if rising else "falling" if falling else "mixed")
+    select_alike(stub, states, counts, winners)
+
+
+def brute_run_start(rank, s, step):
+    """The least l <= s with step(rank[i], rank[i + 1]) for every l <= i < s."""
+    return min(l for l in range(s + 1) if all(step(rank[i], rank[i + 1]) for i in range(l, s)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 11, 24])
+@pytest.mark.parametrize("name", sorted(DECLARED) + ["direction-min", "fitness-2^60"])
+def test_rank_runs_and_members_below_match_their_definitions(name, n):
+    obj = build(name, n) if name in DECLARED else stub_objective(name, n)
+    chain, tables = obj.metadata[CHAIN], obj.state_tables
+    fits = [obj.evaluate(chain.point(n, s)) for s in range(n + 1)]
+    members = [obj.target.contains(chain.point(n, s)) for s in range(n + 1)]
+    rank = [len({g for g in fits if obj.better(f, g)}) for f in fits]
+    assert tables.rank == rank
+    assert tables.rise == [brute_run_start(rank, s, lambda a, b: a < b) for s in range(n + 1)]
+    assert tables.fall == [brute_run_start(rank, s, lambda a, b: a > b) for s in range(n + 1)]
+    assert tables.members_below == [sum(members[:s]) for s in range(n + 2)]
 
 
 KERNEL_CASES = [(name, params, algorithm, lam)
@@ -444,7 +507,7 @@ def test_state_tables_are_linear_in_n():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
-    assert tables.fitness == list(range(n + 1)) and tables.rank.tolist() == tables.fitness
+    assert tables.fitness == list(range(n + 1)) and tables.rank == tables.fitness
     assert tables.hit == [False] * n + [True] and obj.state_tables is tables
 
 
@@ -543,9 +606,9 @@ def test_leading_ones_one_generation_law(p, lam, l):
         pooled = np.zeros(n + 1)  # offspring by state over every generation
         for _ in range(calls):
             states = leading_ones_counts(op, n, l, lam, rng)
-            if lam >= HISTOGRAM_LAMBDA:  # (states, counts) of the whole generation
+            if lam >= HISTOGRAM_LAMBDA:  # (lo, counts) of the whole generation
                 assert states[1].sum() == lam
-                states = np.repeat(*states).tolist()
+                states = expansion_of(states)
             pooled += np.bincount(states, minlength=n + 1)
             counts[sum(s > l for s in states), max(l, *states)] += 1
         counts, pmf = counts.ravel(), lo_step_joint(p, n, l, lam).ravel()

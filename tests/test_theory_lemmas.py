@@ -42,7 +42,7 @@ from parallel_ea.theory.pmf import (
     hypergeom_pmf,
 )
 
-from references import _delta0_tail_counts, delta0_tail_prob, drop_chain_series
+from references import _delta0_tail_counts, delta0_tail_prob, delta_symmetry_report, drop_chain_series
 
 
 def test_hypergeom_tail_small_grid():
@@ -212,6 +212,11 @@ def test_delta_symmetry_report():
     report = verify_delta_symmetry(12)
     assert report.passed
     assert report.points_checked > 0
+
+
+def test_delta_symmetry_counts_decide_as_the_fraction_pmfs():
+    for n in range(21):
+        assert verify_delta_symmetry(n).to_json() == delta_symmetry_report(n).to_json()
 
 
 def test_expected_max_bound_examples():
@@ -472,6 +477,8 @@ PINNED_STDOUT = {
     ("mgf", 8): "22ad36c9c91d44fc557a1462691cd6eb5c8d629897163f3287d46556d7c80d44",
     ("mgf", 61): "bcc985d5f2d907fbe334cea29dc45bc5894b621832f2ab3f230cd260cf2de0c3",
     ("mgf", 300): "fda849deb36edb2de05a081febf11a259423397496613dd9a85cd29859178994",
+    # taken from the Fraction pmfs' verifier, before the count comparison
+    ("delta-symmetry", 32): "1efc0567283af9d152d2a91e4db849cd6fbff4304e533a02be61e29eb8f6aa36",
 }
 
 
