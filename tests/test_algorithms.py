@@ -1,10 +1,11 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from parallel_ea import algorithms
+from parallel_ea import algorithms, cli
 from parallel_ea.algorithms import (
     AlgoConfig,
     ContractViolationError,
@@ -241,6 +242,31 @@ def test_run_record_rejects_first_hit_after_budget():
     with pytest.raises(ValueError):
         RunRecord(5, 4, True, 1.0, 9, 0)
     assert RunRecord(9, 8, True, 1.0, 9, 0).first_hit_evaluation == 9
+
+
+# --------------------------------------------------- the elitist bit path
+
+# sha256 of the CSV that `parallel-ea sweep ARGS --reps 4 --seed 1808 --out F`
+# writes for objectives that declare no chain, computed while `apply` still
+# looked its radius law up in an LRU cache and the runner evaluated every
+# offspring: the runs must read the same doubles and keep the same parents
+PINNED_BIT_SWEEPS = {
+    "hiff": ("--objective hiff --n 16 --lambdas 1,4 --budget 20000",
+             "4cd6289681912f0f9ab80de26df093f0292f7846760c1cba711a220f62d76f6c"),
+    "partition": ("--objective partition --n 12 --param seed=3 --lambdas 1,4 --budget 20000",
+                  "cfd0c08ac0897bb41240750e4d80259d39ec74d0ed32163daa1e9b30c877f750"),
+    "planted-3sat": ("--objective planted-3sat --n 20 --param m=60 --lambdas 1,4 --budget 20000",
+                     "d7dadf42cec0329415c337a803bcfb93e55694a7306c091c1600fd4484010de8"),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_BIT_SWEEPS))
+def test_bit_path_sweep_csv_is_pinned(tmp_path, capsys, case):
+    args, digest = PINNED_BIT_SWEEPS[case]
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", *args.split(), "--reps", "4", "--seed", "1808", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # -------------------------------------------------------------------- RLS

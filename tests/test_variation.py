@@ -131,12 +131,15 @@ def test_sample_distinct_positions_uniform_over_pairs():
 @pytest.mark.parametrize("n", [1, 2, 200, 1000])
 def test_apply_matches_positions_sampler_on_twin_streams(n):
     """`apply` flips radius 1 off one double directly; every offspring is
-    still the mask of `sample_distinct_positions` on a twin stream."""
+    still the mask of `sample_distinct_positions` on a twin stream.  Standard
+    mutation reads its radius double even at p = 0 and p = 1, where the
+    radius is certain, and flip-exact reads none, at radius 0 either."""
     a, b = derive_rng(19, n), derive_rng(19, n)
     x = random_bitstring(n, a)
     assert random_bitstring(n, b) == x
     radii = Counter()
-    for op in (flip_exact(1), standard_mutation(1 / n), standard_mutation(min(1.0, 3 / n))):
+    for op in (flip_exact(1), standard_mutation(1 / n), standard_mutation(min(1.0, 3 / n)),
+               flip_exact(0), flip_exact(min(3, n)), standard_mutation(0.0), standard_mutation(1.0)):
         for _ in range(300):
             if op.p is None:
                 r = op.r
