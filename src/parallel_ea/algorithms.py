@@ -11,13 +11,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bitstring import BitString, random_bitstring
+from .bitstring import BitString, _unchecked, random_bitstring
 from .objectives.base import CHAIN, Objective
 from .rng import as_stream, derive_rng
 from .variation import (
@@ -150,25 +149,33 @@ def adaptive_rate(i: int, n: int, lam: int) -> float:
     return max(math.log(lam) / (n * math.log(math.e * n / i)), 1.0 / n)
 
 
-@lru_cache(maxsize=None)
-def _adaptive_operator(n: int, lam: int, zeros: int) -> UnaryOperator:
-    """The adaptive EA's operator at a zero count, built once per process."""
-    return standard_mutation(adaptive_rate(zeros, n, lam))
+class _AdaptiveOperators(dict):
+    """The adaptive EA's operators of one run, by the parent's key: each is
+    built on first use, from the key's zero count zeros(key), taken as at
+    least 1 so that the rate stays defined at the all-ones point."""
+
+    def __init__(self, n: int, lam: int, zeros: Callable):
+        super().__init__()
+        self.n, self.lam, self.zeros = n, lam, zeros
+
+    def __missing__(self, key) -> UnaryOperator:
+        op = self[key] = standard_mutation(adaptive_rate(max(1, self.zeros(key)), self.n, self.lam))
+        return op
 
 
 def _operator_schedule(cfg: AlgoConfig, zeros: Callable) -> Callable:
-    """Map the parent to the operator of its next generation.
+    """Map the parent's key to the operator of its next generation.
 
     RLS reuses one single-bit operator and the fixed-rate EA one standard
-    mutation; the adaptive EA sets p from the parent's zero count zeros(x),
-    taken as at least 1 so that the rate stays defined at the all-ones point,
-    and each (n, lambda, zero count) gets its operator once.
+    mutation; the adaptive EA sets p from the key's zero count zeros(key),
+    and each key of the run gets its operator once, so a generation pays one
+    dict lookup.  The key is the state on a chain and the zero count on the
+    bit path.
     """
     if cfg.algorithm == ONE_PLUS_LAMBDA_ADAPTIVE:
-        n, lam = cfg.n, cfg.lam
-        return lambda x: _adaptive_operator(n, lam, max(1, zeros(x)))
+        return _AdaptiveOperators(cfg.n, cfg.lam, zeros).__getitem__
     op = single_bit() if cfg.algorithm == RLS else standard_mutation(cfg.rate)
-    return lambda x: op
+    return lambda key: op
 
 
 def _check_dimension(cfg: AlgoConfig, obj: Objective) -> None:
@@ -295,11 +302,11 @@ def run_one_plus_lambda(
     else:
         idle_loop = None
         fitness, hit, point = obj.evaluate, obj.target.contains, lambda y: y
-        operator_for = _operator_schedule(cfg, BitString.count_zeros)
+        operator_for = _operator_schedule(cfg, lambda zeros: zeros)
         batch = [initial] if initial is not None else [random_bitstring(n, rng) for _ in range(lam)]
 
         def offspring(x: BitString) -> list[BitString]:
-            op = operator_for(x)
+            op = operator_for(x.count_zeros())
             if lam == 1:  # the comprehension would double this call's cost
                 return [apply(op, x, rng)]
             return [apply(op, x, rng) for _ in range(lam)]
@@ -316,11 +323,14 @@ def run_one_plus_lambda(
         if type(batch) is list:
             z = ties = None
             for y in batch:
-                fy = fitness(y)
-                if first_hit is None and hit(y):
-                    # membership depends on the value alone, so no member
-                    # equal to y comes before it: index finds y's position
-                    first_hit = evals + batch.index(y) + 1
+                if y is x:  # a clone: the parent, which is no member
+                    fy = fx
+                else:
+                    fy = fitness(y)
+                    if first_hit is None and hit(y):
+                        # membership depends on the value alone, so no member
+                        # equal to y comes before it: index finds y's position
+                        first_hit = evals + batch.index(y) + 1
                 if z is None or better(fy, fz):
                     z, fz, ties = y, fy, None
                 elif fy == fz:
@@ -480,7 +490,14 @@ def run_generic_parallel(
     _check_dimension(cfg, obj)
     rng = as_stream(rng) if rng is not None else derive_rng(cfg.seed)
     n, lam = cfg.n, cfg.lam
-    evaluate, contains, better = obj.evaluate, obj.target.contains, obj.better
+    better = obj.better
+    chain = obj.metadata.get(CHAIN)
+    if chain is not None:  # a point is scored by its state, off the tables
+        tables = obj.state_tables
+        state, fitness, member = chain.state, tables.fitness.__getitem__, tables.hit.__getitem__
+    else:
+        state, fitness, member = None, obj.evaluate, obj.target.contains
+    ones = (1 << n) - 1  # a complement flips every bit
 
     points: list[BitString] = []  # append-only: every view is a prefix
     fits: list[float] = []
@@ -515,22 +532,24 @@ def run_generic_parallel(
                     continue
             else:
                 y = random_bitstring(n, rng)
-            fy = evaluate(y)
-            if hit is None and contains(y):
+            key = y if state is None else state(y)
+            fy = fitness(key)
+            if hit is None and member(key):
                 hit = k + 1
             if fb is None or better(fy, fb):
                 best, fb = len(fits), fy
             add_point(y)
             add_fit(fy)
             if mirror:
-                free.append(y.complement())
+                free.append(_unchecked(n, y.value ^ ones))
                 free_fits.append(None)
         if mirror:
             for ybar, fbar in zip(free, free_fits):
                 if fbar is None:
-                    fbar = evaluate(ybar)
+                    key = ybar if state is None else state(ybar)
+                    fbar = fitness(key)
                     # a free complement hits at the cost already paid for the round
-                    if hit is None and contains(ybar):
+                    if hit is None and member(key):
                         hit = lam
                     if better(fbar, fb):
                         best, fb = len(fits), fbar

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import exp, lgamma, log, log1p
@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bitstring import BitString
+from .bitstring import BitString, _unchecked
 from .rng import UniformStream
 
 FLIP_EXACT = "flip-exact-r"
@@ -29,12 +29,14 @@ class UnaryOperator:
     """Descriptor of a unary unbiased variation kernel.
 
     kind: one of flip-exact-r (radius r) and standard-mutation (per-bit
-    probability p, radius Binomial(n, p)).
+    probability p, radius Binomial(n, p)).  radius_law is `apply`'s copy of
+    standard mutation's radius law at the last n it drew at, (n, lo, cdf).
     """
 
     kind: str
     r: Optional[int] = None
     p: Optional[float] = None
+    radius_law: tuple = field(default=(0, 0, ()), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind == FLIP_EXACT:
@@ -91,11 +93,15 @@ def apply(op: UnaryOperator, x: BitString, rng: UniformStream) -> BitString:
     against n here.  standard-mutation reads r ~ Binomial(n, p), the ones
     count of an offspring of 0^n, off that law's CDF (p being checked when
     op was built), and then flips a uniform r-subset, which is exactly the
-    iid per-bit flip distribution.
+    iid per-bit flip distribution.  The CDF comes from the law cache once
+    per operator and n, and then from `op.radius_law`.
     """
     n = x.n
     if op.kind == STANDARD_MUTATION:
-        lo, cdf = _ones_count_cdf.get(n, 0, op.p)
+        m, lo, cdf = op.radius_law
+        if m != n:
+            lo, cdf = _ones_count_cdf.get(n, 0, op.p)
+            object.__setattr__(op, "radius_law", (n, lo, cdf))
         r = lo + bisect_right(cdf, rng.next_double())
     else:
         op.validate_for(n)
@@ -103,11 +109,11 @@ def apply(op: UnaryOperator, x: BitString, rng: UniformStream) -> BitString:
     if r == 0:
         return x
     if r == 1:  # `sample_distinct_positions`' first step, on the same double
-        return x.flip_mask(1 << int(rng.next_double() * n))
+        return _unchecked(n, x.value ^ (1 << int(rng.next_double() * n)))
     mask = 0
     for pos in sample_distinct_positions(rng, n, r):
         mask |= 1 << pos
-    return x.flip_mask(mask)
+    return _unchecked(n, x.value ^ mask)
 
 
 # From this offspring count on, the chain samplers return a generation as a
