@@ -514,9 +514,9 @@ def run_generic_parallel(
                 raise ContractViolationError(
                     f"policy must return exactly lambda={lam} choices, got {len(choices)}"
                 )
-        hit = None  # the position of the round's first member
+        hit = free_hit = None  # the position of the round's first paid, or free, member
         if mirror:
-            free, free_fits = [], []  # a clone's complement comes with its archived fitness
+            free, free_fits = [], []
         for k in range(lam):
             if gens:
                 i, op = choices[k]
@@ -541,22 +541,21 @@ def run_generic_parallel(
             add_point(y)
             add_fit(fy)
             if mirror:
-                free.append(_unchecked(n, y.value ^ ones))
-                free_fits.append(None)
-        if mirror:
-            for ybar, fbar in zip(free, free_fits):
-                if fbar is None:
-                    key = ybar if state is None else state(ybar)
-                    fbar = fitness(key)
-                    # a free complement hits at the cost already paid for the round
-                    if hit is None and member(key):
-                        hit = lam
-                    if better(fbar, fb):
-                        best, fb = len(fits), fbar
-                add_point(ybar)
-                add_fit(fbar)
-        if hit is not None:
-            first_hit = evals + hit
+                ybar = _unchecked(n, y.value ^ ones)
+                key = ybar if state is None else state(ybar)
+                free.append(ybar)
+                free_fits.append(fitness(key))
+                # a free complement hits at the cost already paid for the round
+                if free_hit is None and member(key):
+                    free_hit = lam
+        if mirror:  # the complements follow the paid points
+            for j, fbar in enumerate(free_fits, len(fits)):
+                if better(fbar, fb):
+                    best, fb = j, fbar
+            points.extend(free)
+            fits.extend(free_fits)
+        if hit is not None or free_hit is not None:
+            first_hit = evals + (hit or free_hit)
         evals += lam
         if on_generation is not None:
             on_generation(gens, points[size:], points[best], fb)

@@ -18,7 +18,14 @@ from parallel_ea.algorithms import (
     run_rls,
 )
 from parallel_ea.bitstring import BitString, random_bitstring
-from parallel_ea.objectives import CHAIN, ONES_COUNT, make_objective, onemax_objective
+from parallel_ea.objectives import (
+    CHAIN,
+    ONES_COUNT,
+    Objective,
+    TargetSet,
+    make_objective,
+    onemax_objective,
+)
 from parallel_ea.rng import derive_rng, derive_run_seed
 from parallel_ea.variation import ones_counts, standard_mutation
 
@@ -267,6 +274,50 @@ def test_bit_path_sweep_csv_is_pinned(tmp_path, capsys, case):
     assert cli.main(["sweep", *args.split(), "--reps", "4", "--seed", "1808", "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("lam", [1, 4])
+@pytest.mark.parametrize("name, n, params", [("partition", 12, {"seed": 3}), ("hiff", 16, {})],
+                         ids=["partition", "hiff"])
+def test_elitist_clones_are_not_evaluated(name, n, params, lam, monkeypatch):
+    """A clone, the parent object that `apply` returns at radius 0, takes
+    the parent's fitness: every other point is evaluated once, and a run
+    whose clones are equal copies, evaluated the long way, is the same."""
+    base = make_objective(name, n, **params)
+    assert CHAIN not in base.metadata
+    evaluated, checked, clones = [], [], []
+
+    def evaluate(x):
+        evaluated.append(x)
+        return base.evaluate(x)
+
+    def contains(x):
+        checked.append(x)
+        return base.target.contains(x)
+
+    real_apply = algorithms.apply
+
+    def counting_apply(op, x, rng):
+        y = real_apply(op, x, rng)
+        clones.append(y is x)
+        return y
+
+    def copying_apply(op, x, rng):
+        y = real_apply(op, x, rng)
+        return BitString(y.n, y.value) if y is x else y
+
+    t = base.target
+    obj = Objective(base.name, n, evaluate, TargetSet(t.kind, contains, t.size_bound),
+                    base.direction)
+    cfg = fixed_cfg(n, lam, budget=3000, seed=5)
+    monkeypatch.setattr(algorithms, "apply", counting_apply)
+    rec = run_one_plus_lambda(cfg, obj, derive_rng(5))
+    assert sum(clones) > 10
+    assert len(evaluated) == rec.evaluations_used - sum(clones)  # the initial batch has no clone
+    assert len({id(x) for x in evaluated}) == len(evaluated)
+    assert {id(x) for x in checked} <= {id(x) for x in evaluated}
+    monkeypatch.setattr(algorithms, "apply", copying_apply)
+    assert run_one_plus_lambda(cfg, base, derive_rng(5)) == rec
 
 
 # -------------------------------------------------------------------- RLS

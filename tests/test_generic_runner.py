@@ -14,7 +14,7 @@ import pytest
 from parallel_ea import algorithms
 from parallel_ea.algorithms import AlgoConfig, make_best_so_far_policy, run_generic_parallel
 from parallel_ea.bitstring import BitString, random_bitstring
-from parallel_ea.objectives import GLOBAL_OPTIMA, Objective, TargetSet, make_objective
+from parallel_ea.objectives import CHAIN, GLOBAL_OPTIMA, Objective, TargetSet, make_objective
 from parallel_ea.rng import derive_rng, derive_run_seed
 from parallel_ea.variation import flip_exact, standard_mutation
 
@@ -196,3 +196,48 @@ def test_clones_are_not_evaluated(mirror, name, lam, make_policy, monkeypatch):
     assert len({id(x) for x in evaluated}) == len(evaluated)
     assert len({id(x) for x in checked}) == len(checked)
     assert {id(x) for x in checked} <= {id(x) for x in evaluated}
+
+
+# ------------------------------------------------------- chain-table scoring
+
+# every objective that declares a chain, with its parameters
+CHAINS = {"onemax": {}, "twomax": {}, "twomax-prime": {}, "leadingones": {}, "leadingzeros": {},
+          "jump": {"k": 2}, "cliff": {"d": 2}}
+
+
+def recorded_runs(obj, mirror):
+    """The record and hook calls of a run for each policy and lambda."""
+    runs = []
+    for lam in (1, 5):
+        for k, make_policy in enumerate(POLICIES.values()):
+            calls = []
+            cfg = AlgoConfig("generic-parallel", n=N, lam=lam, budget=100 * lam + 3,
+                             seed=derive_run_seed(2808, lam, k))
+            rec = run_generic_parallel(
+                make_policy(lam, standard_mutation(1 / N)), cfg, obj, mirror=mirror,
+                on_generation=lambda g, q, x, fx: calls.append((g, [y.value for y in q], x.value, fx)))
+            runs.append((rec, calls))
+    return runs
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("name", list(CHAINS))
+def test_chain_tables_score_as_evaluate(name, mirror):
+    """On an objective that declares a chain, the runner reads each point's
+    fitness and membership off the state tables, built with n + 1 calls of
+    evaluate; `with_target` drops the declaration, and the runs that
+    evaluate every point are the same."""
+    base = make_objective(name, N, **CHAINS[name])
+    calls = []
+
+    def evaluate(x):
+        calls.append(x)
+        return base.evaluate(x)
+
+    chained = dataclasses.replace(base, evaluate=evaluate)
+    plain = chained.with_target(chained.target)
+    assert CHAIN in chained.metadata and CHAIN not in plain.metadata
+    runs = recorded_runs(chained, mirror)
+    assert len(calls) == N + 1
+    assert any(rec.hit_target for rec, _ in runs) and not all(rec.hit_target for rec, _ in runs)
+    assert recorded_runs(plain, mirror) == runs
