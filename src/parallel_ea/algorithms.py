@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bitstring import BitString, _unchecked, random_bitstring
+from .bitstring import BitString, random_bitstring
 from .objectives.base import CHAIN, Objective
 from .rng import as_stream, derive_rng
 from .variation import (
@@ -231,7 +231,10 @@ def run_one_plus_lambda(
     batch of lambda points, counted against the budget; `initial` forces a
     single-point start (1 evaluation) for tests.  `on_generation` sees the
     initial batch, then each generation's lambda offspring, with the parent
-    that follows them.
+    that follows them.  An offspring that `apply` returns as its parent
+    object itself (radius 0) is a clone: it counts as an evaluation and
+    takes the parent's fitness, and neither evaluate nor the target sees
+    it, since the parent is no member while the run goes on.
 
     On an objective whose metadata declares a `Chain` the run is the exact
     chain of the parent's state s: offspring are states from the chain's
@@ -323,7 +326,7 @@ def run_one_plus_lambda(
         if type(batch) is list:
             z = ties = None
             for y in batch:
-                if y is x:  # a clone: the parent, which is no member
+                if y is x:  # a clone (on a chain, the parent's state): no member
                     fy = fx
                 else:
                     fy = fitness(y)
@@ -470,12 +473,19 @@ def run_generic_parallel(
     policy receives the wrapped stream.
 
     Each round is one pass: a paid offspring enters the archive as it is
-    drawn, past the length the round's view froze, and the free
-    complements follow all lambda of them, so every round, the initial
-    batch included, archives lambda paid points and then, mirrored, their
-    lambda complements in the same order.  The round's first paid member,
-    at position k = 1..lambda, is a first hit at evals + k; a free member
-    is one at evals + lambda, and only when no paid one came up.
+    drawn, past the length the round's view froze, and its complement, built
+    from one all-ones mask per run, is scored with it; the free complements
+    enter after all lambda paid points, so every round, the initial batch
+    included, archives lambda paid points and then, mirrored, their lambda
+    complements in the same order.  The round's first paid member, at
+    position k = 1..lambda, is a first hit at evals + k; a free member is
+    one at evals + lambda, and only when no paid one came up.
+
+    A point is scored by `evaluate` and `target.contains`, or, when the
+    objective declares a `Chain`, by its state's entries in the objective's
+    `state_tables`, as in `run_one_plus_lambda`: fitness and membership
+    depend on the point through its state alone, so the runs are the same,
+    and evaluate runs n + 1 times per objective instance, for the tables.
 
     An offspring that `apply` returns as its parent object itself (radius
     0) is a clone.  It counts as an evaluation, is archived and is shown to
@@ -514,7 +524,8 @@ def run_generic_parallel(
                 raise ContractViolationError(
                     f"policy must return exactly lambda={lam} choices, got {len(choices)}"
                 )
-        hit = free_hit = None  # the position of the round's first paid, or free, member
+        hit = None  # the position of the round's first paid member
+        free_member = False
         if mirror:
             free, free_fits = [], []
         for k in range(lam):
@@ -541,21 +552,21 @@ def run_generic_parallel(
             add_point(y)
             add_fit(fy)
             if mirror:
-                ybar = _unchecked(n, y.value ^ ones)
+                ybar = y.flip_mask(ones)
                 key = ybar if state is None else state(ybar)
                 free.append(ybar)
                 free_fits.append(fitness(key))
-                # a free complement hits at the cost already paid for the round
-                if free_hit is None and member(key):
-                    free_hit = lam
+                free_member = free_member or member(key)
         if mirror:  # the complements follow the paid points
             for j, fbar in enumerate(free_fits, len(fits)):
                 if better(fbar, fb):
                     best, fb = j, fbar
             points.extend(free)
             fits.extend(free_fits)
-        if hit is not None or free_hit is not None:
-            first_hit = evals + (hit or free_hit)
+        if hit is None and free_member:  # a free member hits at the cost already paid
+            hit = lam
+        if hit is not None:
+            first_hit = evals + hit
         evals += lam
         if on_generation is not None:
             on_generation(gens, points[size:], points[best], fb)

@@ -71,7 +71,7 @@ class BitString:
         return self.n - self.value.bit_count()
 
     def complement(self) -> "BitString":
-        return _unchecked(self.n, self.value ^ ((1 << self.n) - 1))
+        return self.flip_mask((1 << self.n) - 1)
 
     def flip(self, positions: Iterable[int]) -> "BitString":
         mask = 0
@@ -82,8 +82,12 @@ class BitString:
         return BitString(self.n, self.value ^ mask)
 
     def flip_mask(self, mask: int) -> "BitString":
-        """x XOR mask; mask must lie in [0, 2^n), which is not checked."""
-        return _unchecked(self.n, self.value ^ mask)
+        """x XOR mask; mask must lie in [0, 2^n), which is not checked: the
+        offspring skips the constructor, which would cost about twice as much."""
+        y = _new(BitString)
+        _set_n(y, self.n)
+        _set_value(y, self.value ^ mask)
+        return y
 
     def leading_ones(self) -> int:
         # run of ones starting at position 0 == trailing ones of the packed int
@@ -96,15 +100,6 @@ class BitString:
 _new = object.__new__
 _set_n = BitString.n.__set__
 _set_value = BitString.value.__set__
-
-
-def _unchecked(n: int, value: int) -> BitString:
-    """BitString(n, value) without the range check, for values built from a
-    valid point: about half the cost of the checked constructor."""
-    x = _new(BitString)
-    _set_n(x, n)
-    _set_value(x, value)
-    return x
 
 
 def hamming_distance(x: BitString, y: BitString) -> int:

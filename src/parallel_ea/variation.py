@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bitstring import BitString, _unchecked
+from .bitstring import BitString
 from .rng import UniformStream
 
 FLIP_EXACT = "flip-exact-r"
@@ -109,11 +109,11 @@ def apply(op: UnaryOperator, x: BitString, rng: UniformStream) -> BitString:
     if r == 0:
         return x
     if r == 1:  # `sample_distinct_positions`' first step, on the same double
-        return _unchecked(n, x.value ^ (1 << int(rng.next_double() * n)))
+        return x.flip_mask(1 << int(rng.next_double() * n))
     mask = 0
     for pos in sample_distinct_positions(rng, n, r):
         mask |= 1 << pos
-    return _unchecked(n, x.value ^ mask)
+    return x.flip_mask(mask)
 
 
 # From this offspring count on, the chain samplers return a generation as a
