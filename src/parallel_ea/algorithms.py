@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
@@ -150,30 +151,43 @@ def adaptive_rate(i: int, n: int, lam: int) -> float:
 
 
 class _AdaptiveOperators(dict):
-    """The adaptive EA's operators of one run, by the parent's key: each is
-    built on first use, from the key's zero count zeros(key), taken as at
-    least 1 so that the rate stays defined at the all-ones point."""
+    """The adaptive EA's operators at n and lambda, by the parent's key: each
+    is built on first use, from the key's zero count zeros(n, key), taken as
+    at least 1 so that the rate stays defined at the all-ones point."""
 
     def __init__(self, n: int, lam: int, zeros: Callable):
         super().__init__()
         self.n, self.lam, self.zeros = n, lam, zeros
 
     def __missing__(self, key) -> UnaryOperator:
-        op = self[key] = standard_mutation(adaptive_rate(max(1, self.zeros(key)), self.n, self.lam))
+        n = self.n
+        op = self[key] = standard_mutation(adaptive_rate(max(1, self.zeros(n, key)), n, self.lam))
         return op
+
+
+# The runs of one process at the same n and lambda share their operators: an
+# adaptive run at lambda = 512 moves to a new state in most generations, so
+# operators built per run cost more than they save (CHANGES.md).  Each table
+# holds at most n + 1 operators.
+_adaptive_operators = lru_cache(maxsize=16)(_AdaptiveOperators)
+
+
+def _zero_count(n: int, zeros: int) -> int:
+    """The bit path's key: the parent's zero count itself."""
+    return zeros
 
 
 def _operator_schedule(cfg: AlgoConfig, zeros: Callable) -> Callable:
     """Map the parent's key to the operator of its next generation.
 
     RLS reuses one single-bit operator and the fixed-rate EA one standard
-    mutation; the adaptive EA sets p from the key's zero count zeros(key),
-    and each key of the run gets its operator once, so a generation pays one
-    dict lookup.  The key is the state on a chain and the zero count on the
-    bit path.
+    mutation; the adaptive EA sets p from the key's zero count zeros(n, key)
+    and reads each key's operator off a table shared by the process's runs
+    at the same n and lambda, so a generation pays one dict lookup.  The key
+    is the state on a chain and the zero count on the bit path.
     """
     if cfg.algorithm == ONE_PLUS_LAMBDA_ADAPTIVE:
-        return _AdaptiveOperators(cfg.n, cfg.lam, zeros).__getitem__
+        return _adaptive_operators(cfg.n, cfg.lam, zeros).__getitem__
     op = single_bit() if cfg.algorithm == RLS else standard_mutation(cfg.rate)
     return lambda key: op
 
@@ -289,7 +303,7 @@ def run_one_plus_lambda(
         tables = obj.state_tables
         fitness, hit = tables.fitness.__getitem__, tables.hit.__getitem__
         rank, rise, fall, members_below = tables.rank, tables.rise, tables.fall, tables.members_below
-        operator_for = _operator_schedule(cfg, lambda s: chain.zeros(n, s))
+        operator_for = _operator_schedule(cfg, chain.zeros)
         batch = [chain.state(initial)] if initial is not None else chain.initial(n, lam, rng)
         sample = chain.offspring
         idle_loop = chain.idle if lam <= 2 and on_generation is None else None
@@ -305,7 +319,7 @@ def run_one_plus_lambda(
     else:
         idle_loop = None
         fitness, hit, point = obj.evaluate, obj.target.contains, lambda y: y
-        operator_for = _operator_schedule(cfg, lambda zeros: zeros)
+        operator_for = _operator_schedule(cfg, _zero_count)
         batch = [initial] if initial is not None else [random_bitstring(n, rng) for _ in range(lam)]
 
         def offspring(x: BitString) -> list[BitString]:

@@ -1,9 +1,12 @@
-"""The generic lambda-parallel runner: pinned runs, first hits and clones.
+"""The generic lambda-parallel runner: pinned runs, first hits, clones and
+chain-table scoring.
 
 `run_generic_parallel` reads a clone's fitness, and under mirroring its
-complement, off the archive.  The digest below was taken before that
-shortcut existed, so the records and hook calls of the grid are those of a
-runner that evaluated every offspring and built every complement.
+complement, off the archive, and scores the points of an objective that
+declares a chain (onemax, twomax and leadingones here) off its state
+tables.  The digest below was taken before either shortcut existed, so the
+records and hook calls of the grid are those of a runner that evaluated
+every offspring and built every complement.
 """
 
 import dataclasses
