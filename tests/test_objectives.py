@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from parallel_ea.bitstring import BitString, hamming_ball_size
@@ -17,6 +20,7 @@ from parallel_ea.objectives import (
     leadingzeros,
     make_objective,
     maxsat_hard_count,
+    objective_names,
     onemax,
     partition_makespan,
     planted_3sat_objective,
@@ -347,3 +351,65 @@ def test_objective_registry_and_errors():
         make_objective("nope", 8)
     with pytest.raises(ValueError):
         make_objective("onemax", 8, target="weird")
+
+
+# ------------------------------------------------------------ value pins
+
+# Per registry objective: (n, params) for the exhaustive scan of {0,1}^n and
+# (n, params) for 64 seeded points near n = 200, and the sha256 of their
+# values.  The hash covers the name, direction, target kind, size bound and
+# description and the metadata keys of both builds, then
+# repr((evaluate(x), target.contains(x))) per point, so an int that becomes
+# a float, or a float that moves by one ulp, changes it.
+VALUE_PINS = {
+    "cliff": ((12, {"d": 3}), (200, {"d": 3}),
+              "4627b0c585e9f030bc3556c1c877548e769a5bd80ca9f5c9ecf964e3dbd7516b"),
+    "hiff": ((8, {}), (256, {}),
+             "ed846eb2cbd9d4d853a2f4a574a142017413ca5fa6e99b35d6392deec1cdaa61"),
+    "jump": ((12, {"k": 2}), (200, {"k": 2}),
+             "844d0593145b195807e100ad69811d8df0e771183f36a22225facb799b33f6d0"),
+    "knapsack-hard": ((11, {}), (201, {}),
+                      "cb518745a8631c195b192ef49e9f21396639e2fe0251cd6f8a476110ad3cba7f"),
+    "leadingones": ((12, {}), (200, {}),
+                    "e103eb6b36fded7be37f4cb654d94f9353114687fb1d4712746475c62ae0714f"),
+    "leadingzeros": ((12, {}), (200, {}),
+                     "1b2dd8568d14b300825987410b4e3ba89f804f2dd4e263719a439044d979c501"),
+    "maxsat-hard": ((12, {}), (200, {}),
+                    "c795ef45219a0fceb81fb5f63ce778d0034316fd7fce2109f4a4bfb4e16ee950"),
+    "onemax": ((12, {}), (200, {}),
+               "28faf925245c5e291e0073186fa01fa1d7924195c6eed96eb122b313c6285c34"),
+    # the optimum scan is capped at n <= 20
+    "partition": ((12, {"seed": 3}), (20, {"seed": 3}),
+                  "1fc3c5bc87fd960481ad9b76f128c32ed4f8000287a356a1832424fd789df43a"),
+    "planted-3sat": ((12, {"m": 40}), (200, {"m": 800}),
+                     "ae178e9040b6c0becfe660aa0d80a9dc263493d592bc8490497fcc4f84f46e50"),
+    "two-cliques-mincut": ((12, {}), (200, {}),
+                           "261b70012fc52ce3b945259d27b4c4f01a4072bbe922a63ff20ab645d1a5d394"),
+    "twomax": ((12, {}), (200, {}),
+               "24cb2e26aff9aed1c8f104e1b305fce99b210345a6932d489c611e2c36f792a8"),
+    "twomax-prime": ((12, {}), (200, {}),
+                     "113e5d2c31d3dc578d571d052bc253065b62ffb966dc363710aaa9f1bad643ee"),
+}
+
+
+def test_value_pins_cover_the_registry():
+    assert sorted(VALUE_PINS) == objective_names()
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_PINS))
+def test_objective_values_pinned(name):
+    (n, params), (big, big_params), expected = VALUE_PINS[name]
+    h = hashlib.sha256()
+
+    def feed(obj, points):
+        t = obj.target
+        h.update(repr((obj.name, obj.direction, t.kind, t.size_bound, t.description,
+                       sorted(obj.metadata))).encode())
+        for x in points:
+            h.update(repr((obj.evaluate(x), t.contains(x))).encode())
+
+    feed(make_objective(name, n, **params), all_points(n))
+    rnd = random.Random(2024)
+    feed(make_objective(name, big, **big_params),
+         (BitString(big, rnd.getrandbits(big)) for _ in range(64)))
+    assert h.hexdigest() == expected
