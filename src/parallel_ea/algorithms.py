@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .bitstring import BitString, random_bitstring
-from .objectives.base import CHAIN, Objective
+from .objectives.base import Objective
 from .rng import as_stream, derive_rng
 from .variation import (
     UnaryOperator,
@@ -250,7 +250,7 @@ def run_one_plus_lambda(
     takes the parent's fitness, and neither evaluate nor the target sees
     it, since the parent is no member while the run goes on.
 
-    On an objective whose metadata declares a `Chain` the run is the exact
+    On an objective that declares a `Chain` (`obj.chain`) the run is the exact
     chain of the parent's state s: offspring are states from the chain's
     sampler, no bit string is sampled, and fitness and target membership
     are read off the objective's `state_tables`, filled once per state and
@@ -297,7 +297,7 @@ def run_one_plus_lambda(
     n, lam = cfg.n, cfg.lam
     better = obj.better
 
-    chain = obj.metadata.get(CHAIN)
+    chain = obj.chain
     if chain is not None and (initial is None or chain.any_start) \
             and (chain.zeros is not None or cfg.algorithm != ONE_PLUS_LAMBDA_ADAPTIVE):
         tables = obj.state_tables
@@ -515,7 +515,7 @@ def run_generic_parallel(
     rng = as_stream(rng) if rng is not None else derive_rng(cfg.seed)
     n, lam = cfg.n, cfg.lam
     better = obj.better
-    chain = obj.metadata.get(CHAIN)
+    chain = obj.chain
     if chain is not None:  # a point is scored by its state, off the tables
         tables = obj.state_tables
         state, fitness, member = chain.state, tables.fitness.__getitem__, tables.hit.__getitem__

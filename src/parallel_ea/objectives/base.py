@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate
 from numbers import Integral
@@ -214,20 +214,31 @@ class Objective:
         """better(a, b) is true when fitness a strictly improves on b."""
         return operator.gt if self.direction == "max" else operator.lt
 
+    @classmethod
+    def from_optima(cls, name: str, n: int, evaluate: Callable[[BitString], float],
+                    optima: Iterable[BitString], description: str, direction: str = "max",
+                    chain: Optional[Chain] = None) -> "Objective":
+        """An objective whose target is its global optima, given as points,
+        and which declares chain, when given, for the elitist runners."""
+        target = TargetSet.from_points(optima, GLOBAL_OPTIMA, description)
+        return cls(name=name, n=n, evaluate=evaluate, target=target, direction=direction,
+                   metadata={} if chain is None else {CHAIN: chain})
+
+    @property
+    def chain(self) -> Optional[Chain]:
+        """The declared chain, or None."""
+        return self.metadata.get(CHAIN)
+
     @cached_property
     def state_tables(self) -> StateTables:
         """The tables of the declared chain, built on first use and shared
-        by every run on this instance; a KeyError without a declaration."""
-        return StateTables(self, self.metadata[CHAIN])
+        by every run on this instance; a ValueError without a declaration."""
+        if self.chain is None:
+            raise ValueError(f"objective {self.name!r} declares no chain")
+        return StateTables(self, self.chain)
 
     def with_target(self, target: TargetSet) -> "Objective":
         """The same function with another target.  The chain declaration is
         dropped, since the new target need not depend on the state alone."""
-        return Objective(
-            name=self.name,
-            n=self.n,
-            evaluate=self.evaluate,
-            target=target,
-            direction=self.direction,
-            metadata={k: v for k, v in self.metadata.items() if k != CHAIN},
-        )
+        return replace(self, target=target,
+                       metadata={k: v for k, v in self.metadata.items() if k != CHAIN})

@@ -3,16 +3,7 @@
 from __future__ import annotations
 
 from ..bitstring import BitString
-from .base import (
-    CHAIN,
-    GLOBAL_OPTIMA,
-    LEADING_ONES,
-    LEADING_ZEROS,
-    ONES_COUNT,
-    Objective,
-    TargetSet,
-    check_int,
-)
+from .base import LEADING_ONES, LEADING_ZEROS, ONES_COUNT, Objective, check_int
 
 
 def onemax(x: BitString) -> int:
@@ -86,87 +77,43 @@ def cliff_d(x: BitString, d: int) -> float:
 
 
 def onemax_objective(n: int) -> Objective:
-    return Objective(
-        name="onemax",
-        n=n,
-        evaluate=onemax,
-        target=TargetSet.from_points([BitString.ones(n)], GLOBAL_OPTIMA, "1^n"),
-        metadata={CHAIN: ONES_COUNT},
-    )
+    return Objective.from_optima("onemax", n, onemax, [BitString.ones(n)], "1^n", chain=ONES_COUNT)
 
 
 def leadingones_objective(n: int) -> Objective:
-    return Objective(
-        name="leadingones",
-        n=n,
-        evaluate=leadingones,
-        target=TargetSet.from_points([BitString.ones(n)], GLOBAL_OPTIMA, "1^n"),
-        metadata={CHAIN: LEADING_ONES},
-    )
+    return Objective.from_optima("leadingones", n, leadingones, [BitString.ones(n)], "1^n",
+                                 chain=LEADING_ONES)
 
 
 def leadingzeros_objective(n: int) -> Objective:
-    return Objective(
-        name="leadingzeros",
-        n=n,
-        evaluate=leadingzeros,
-        target=TargetSet.from_points([BitString.zeros(n)], GLOBAL_OPTIMA, "0^n"),
-        metadata={CHAIN: LEADING_ZEROS},
-    )
+    return Objective.from_optima("leadingzeros", n, leadingzeros, [BitString.zeros(n)], "0^n",
+                                 chain=LEADING_ZEROS)
 
 
 def twomax_objective(n: int) -> Objective:
-    return Objective(
-        name="twomax",
-        n=n,
-        evaluate=twomax,
-        target=TargetSet.from_points(
-            [BitString.zeros(n), BitString.ones(n)], GLOBAL_OPTIMA, "0^n and 1^n"
-        ),
-        metadata={CHAIN: ONES_COUNT},
-    )
+    return Objective.from_optima("twomax", n, twomax, [BitString.zeros(n), BitString.ones(n)],
+                                 "0^n and 1^n", chain=ONES_COUNT)
 
 
 def twomax_prime_objective(n: int) -> Objective:
-    return Objective(
-        name="twomax-prime",
-        n=n,
-        evaluate=twomax_prime,
-        target=TargetSet.from_points([BitString.ones(n)], GLOBAL_OPTIMA, "1^n"),
-        metadata={CHAIN: ONES_COUNT},
-    )
+    return Objective.from_optima("twomax-prime", n, twomax_prime, [BitString.ones(n)], "1^n",
+                                 chain=ONES_COUNT)
 
 
 def hiff_objective(n: int) -> Objective:
     if n & (n - 1):
         raise ValueError(f"hiff needs n to be a power of two, got {n}")
-    return Objective(
-        name="hiff",
-        n=n,
-        evaluate=hiff,
-        target=TargetSet.from_points(
-            [BitString.zeros(n), BitString.ones(n)], GLOBAL_OPTIMA, "0^n and 1^n"
-        ),
-    )
+    return Objective.from_optima("hiff", n, hiff, [BitString.zeros(n), BitString.ones(n)],
+                                 "0^n and 1^n")
 
 
 def jump_objective(n: int, k: int) -> Objective:
     check_int("jump gap k", k, 1, n)
-    return Objective(
-        name=f"jump-{k}",
-        n=n,
-        evaluate=lambda x, _k=k: jump_k(x, _k),
-        target=TargetSet.from_points([BitString.ones(n)], GLOBAL_OPTIMA, "1^n"),
-        metadata={CHAIN: ONES_COUNT},
-    )
+    return Objective.from_optima(f"jump-{k}", n, lambda x, _k=k: jump_k(x, _k),
+                                 [BitString.ones(n)], "1^n", chain=ONES_COUNT)
 
 
 def cliff_objective(n: int, d: int) -> Objective:
     check_int("cliff depth d", d, 1, n)
-    return Objective(
-        name=f"cliff-{d}",
-        n=n,
-        evaluate=lambda x, _d=d: cliff_d(x, _d),
-        target=TargetSet.from_points([BitString.ones(n)], GLOBAL_OPTIMA, "1^n"),
-        metadata={CHAIN: ONES_COUNT},
-    )
+    return Objective.from_optima(f"cliff-{d}", n, lambda x, _d=d: cliff_d(x, _d),
+                                 [BitString.ones(n)], "1^n", chain=ONES_COUNT)

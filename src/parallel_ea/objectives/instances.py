@@ -71,15 +71,9 @@ def two_cliques_objective(n: int) -> Objective:
     g = gen_two_cliques(n)
     half = n // 2
     aligned = BitString(n, ((1 << half) - 1) << half)
-    return Objective(
-        name="two-cliques-mincut",
-        n=n,
-        evaluate=lambda x, _g=g: two_cliques_cut(_g, x),
-        direction="min",
-        target=TargetSet.from_points(
-            [aligned, aligned.complement()], GLOBAL_OPTIMA, "the two clique-aligned bipartitions"
-        ),
-    )
+    return Objective.from_optima("two-cliques-mincut", n, lambda x, _g=g: two_cliques_cut(_g, x),
+                                 [aligned, aligned.complement()],
+                                 "the two clique-aligned bipartitions", "min")
 
 
 # ------------------------------------------------------------- partition
@@ -105,10 +99,9 @@ def partition_makespan(inst: PartitionInstance, x: BitString) -> float:
     """
     if x.n != inst.n:
         raise ValueError("dimension mismatch")
-    load0 = 0.0
-    load1 = 0.0
-    for i, s in enumerate(inst.sizes):
-        if x[i]:
+    load0 = load1 = 0.0
+    for s, bit in zip(inst.sizes, x):
+        if bit:
             load1 += s
         else:
             load0 += s
@@ -130,7 +123,7 @@ def gen_partition_random(n: int, distribution: str, seed: int) -> PartitionInsta
     return PartitionInstance(sizes=tuple(float(s) for s in sizes))
 
 
-def partition_objective(inst: PartitionInstance, name: str = "partition") -> Objective:
+def partition_objective(inst: PartitionInstance) -> Objective:
     """Minimise the makespan; optima found by exhaustive subset-sum scan (n <= 20)."""
     n = inst.n
     if n > 20:
@@ -142,13 +135,8 @@ def partition_objective(inst: PartitionInstance, name: str = "partition") -> Obj
     makespans = np.maximum(sums, total - sums)
     best = float(makespans.min())
     pts = [BitString(n, int(v)) for v in np.flatnonzero(makespans == best)]
-    return Objective(
-        name=name,
-        n=n,
-        evaluate=lambda x, _i=inst: partition_makespan(_i, x),
-        direction="min",
-        target=TargetSet.from_points(pts, GLOBAL_OPTIMA, f"optimal makespan {best:.6g}"),
-    )
+    return Objective.from_optima("partition", n, lambda x, _i=inst: partition_makespan(_i, x),
+                                 pts, f"optimal makespan {best:.6g}", "min")
 
 
 # -------------------------------------------------------------- knapsack
@@ -176,10 +164,12 @@ def knapsack_fitness(inst: KnapsackInstance, x: BitString) -> int:
     """Total value if feasible, else capacity - weight (negative, monotone in excess)."""
     if x.n != inst.n:
         raise ValueError("dimension mismatch")
-    weight = sum(w for i, w in enumerate(inst.weights) if x[i])
-    if weight <= inst.capacity:
-        return sum(v for i, v in enumerate(inst.values) if x[i])
-    return inst.capacity - weight
+    weight = value = 0
+    for w, v, bit in zip(inst.weights, inst.values, x):
+        if bit:
+            weight += w
+            value += v
+    return value if weight <= inst.capacity else inst.capacity - weight
 
 
 def knapsack_hard(n: int) -> Objective:
@@ -196,12 +186,8 @@ def knapsack_hard(n: int) -> Objective:
         capacity=small * n,
     )
     optimum = BitString(n, (1 << small) - 1)
-    return Objective(
-        name="knapsack-hard",
-        n=n,
-        evaluate=lambda x, _i=inst: knapsack_fitness(_i, x),
-        target=TargetSet.from_points([optimum], GLOBAL_OPTIMA, "all small objects"),
-    )
+    return Objective.from_optima("knapsack-hard", n, lambda x, _i=inst: knapsack_fitness(_i, x),
+                                 [optimum], "all small objects")
 
 
 # ---------------------------------------------------------------- maxsat
@@ -222,12 +208,7 @@ def maxsat_hard_count(x: BitString) -> int:
 
 def maxsat_hard(n: int) -> Objective:
     check_int("hard MaxSat instance n", n, 3)
-    return Objective(
-        name="maxsat-hard",
-        n=n,
-        evaluate=maxsat_hard_count,
-        target=TargetSet.from_points([BitString.ones(n)], GLOBAL_OPTIMA, "1^n"),
-    )
+    return Objective.from_optima("maxsat-hard", n, maxsat_hard_count, [BitString.ones(n)], "1^n")
 
 
 # ------------------------------------------------------------ planted sat
@@ -310,7 +291,7 @@ def gen_planted_3sat(
     return SatInstance(n=n, clauses=tuple(clauses), planted=planted)
 
 
-def planted_3sat_objective(inst: SatInstance, name: str = "planted-3sat") -> Objective:
+def planted_3sat_objective(inst: SatInstance) -> Objective:
     target = TargetSet(
         kind=GLOBAL_OPTIMA,
         contains=lambda x, _i=inst: _satisfies_all(_i, x),
@@ -318,7 +299,7 @@ def planted_3sat_objective(inst: SatInstance, name: str = "planted-3sat") -> Obj
         description="assignments satisfying every clause",
     )
     return Objective(
-        name=name,
+        name="planted-3sat",
         n=inst.n,
         evaluate=lambda x, _i=inst: sat_count(_i, x),
         target=target,

@@ -54,8 +54,6 @@ from .pmf import (
 GAMMA_POTENTIAL = log(0.75 * sqrt(2.0))  # mgf exponent of the potential drop
 ETA_FREE_RIDERS = log(1.5)  # geometric free-rider chain
 D_FREE_RIDERS = 2.0
-ETA_DROP_CHAIN = log(4.0 / 3.0)  # expected-max chain for the potential drop
-D_DROP_CHAIN = 9.0 + 6.0 * sqrt(2.0)
 
 MAX_VIOLATIONS_KEPT = 25
 

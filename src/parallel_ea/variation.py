@@ -40,11 +40,11 @@ class UnaryOperator:
 
     def __post_init__(self) -> None:
         if self.kind == FLIP_EXACT:
-            if self.r is None or self.r < 0:
-                raise ValueError("flip-exact-r needs a radius r >= 0")
+            if self.r is None or self.r < 0 or self.p is not None:
+                raise ValueError(f"flip-exact-r needs a radius r >= 0 and no rate p, got {self!r}")
         elif self.kind == STANDARD_MUTATION:
-            if self.p is None or not 0.0 <= self.p <= 1.0:
-                raise ValueError("standard-mutation needs p in [0, 1]")
+            if self.p is None or not 0.0 <= self.p <= 1.0 or self.r is not None:
+                raise ValueError(f"standard-mutation needs p in [0, 1] and no radius r, got {self!r}")
         else:
             raise ValueError(f"unknown operator kind {self.kind!r}")
 

@@ -4,15 +4,15 @@ Each is a slow, literal form of a law or count that the package computes
 another way: the full offspring distribution by enumeration, the tail of
 the potential drop by summing its hypergeometric terms, the complement
 symmetry of its law by comparing Fraction pmfs, the drop chain's
-geometric series, and the hard MaxSat and planted 3-SAT counts by walking
-every clause.  None of them is reached by the CLI, the harness or the
+constants and geometric series, and the hard MaxSat and planted 3-SAT
+counts by walking every clause.  None of them is reached by the CLI, the harness or the
 benchmark, so they live with the tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, inf, sqrt
+from math import comb, inf, log, sqrt
 from typing import Sequence
 
 from parallel_ea.bitstring import BitString, hamming_distance
@@ -70,6 +70,12 @@ def delta_symmetry_report(n: int) -> LemmaReport:
                     report.record({"s": s, "m": m, "r": r}, inf)
     report.max_slack = 1.0
     return report
+
+
+# the expected-max chain of the potential drop: its mgf exponent eta and
+# the constant D its series closes to, which no verifier reads
+ETA_DROP_CHAIN = log(4.0 / 3.0)
+D_DROP_CHAIN = 9.0 + 6.0 * sqrt(2.0)
 
 
 def drop_chain_series(rel_tol: float = 1e-15) -> float:

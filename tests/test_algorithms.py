@@ -78,6 +78,15 @@ def test_config_validation():
             AlgoConfig(algorithm, n=10, p=0.1)
 
 
+def test_runners_refuse_a_config_of_another_dimension():
+    obj = onemax_objective(10)
+    with pytest.raises(ValueError, match="dimension"):
+        run_one_plus_lambda(fixed_cfg(12, 1), obj)
+    with pytest.raises(ValueError, match="dimension"):
+        run_generic_parallel(make_best_so_far_policy(1, standard_mutation(0.1)),
+                             AlgoConfig("generic-parallel", n=12, lam=1), obj)
+
+
 # ---------------------------------------------------------- (1+lambda) EA
 
 def test_forced_start_at_optimum():

@@ -364,6 +364,9 @@ def stub_objective(stub: str, n: int):
         assert float(2**60 + 1) == float(2**60)
         return dataclasses.replace(make_objective("onemax", n),
                                    evaluate=lambda x: 2**60 + x.count_ones())
+    if stub == "mod-5":  # states 4, 9, 14 and 19 share the best fitness
+        return dataclasses.replace(make_objective("onemax", n),
+                                   evaluate=lambda x: x.count_ones() % 5)
     return make_objective(stub, n)
 
 
@@ -421,6 +424,30 @@ def test_each_branch_of_the_scan_selects_as_the_expansion(case):
     rising, falling = tables.rise[top] <= low, tables.fall[top] <= low
     assert branch == ("rising" if rising else "falling" if falling else "mixed")
     select_alike(stub, states, counts, winners)
+
+
+def test_a_three_way_tie_in_a_histogram():
+    # the ranks rise and fall over states 4..14, so the scan lists the three
+    # tied states; each tied offspring wins alike, a state with its count / 6
+    n, states, counts, runs = 20, [4, 9, 14], [1, 2, 3], 1200
+    select_alike("mod-5", states, counts, set(states))
+    obj = stub_objective("mod-5", n)
+    tables = obj.state_tables
+    assert tables.rank[4] == tables.rank[9] == tables.rank[14] == max(tables.rank)
+    assert tables.rise[14] > 4 and tables.fall[14] > 4
+    batch = histogram(states, counts)
+    stub = dataclasses.replace(ONES_COUNT, offspring=lambda op, n, s, lam, rng: batch)
+    obj = dataclasses.replace(obj, metadata={CHAIN: stub})
+    cfg = AlgoConfig("one-plus-lambda-fixed", n=n, lam=sum(counts), budget=1 + sum(counts))
+    rng = derive_rng(918)
+    parents = []
+    for _ in range(runs):
+        run_one_plus_lambda(cfg, obj, rng, initial=BitString(n, (1 << 12) - 1),
+                            on_generation=lambda g, q, x, f: parents.append(x.count_ones()))
+    ends = parents[1::2]
+    wins = [ends.count(s) for s in states]
+    assert sum(wins) == runs
+    assert stats.chisquare(wins, [runs * c / 6 for c in counts]).pvalue > ALPHA
 
 
 def brute_run_start(rank, s, step):
@@ -621,6 +648,17 @@ def test_leading_ones_one_generation_law(p, lam, l):
     assert chi_square_p(counts, pmf) > ALPHA
 
 
+def test_leading_ones_counts_at_rate_zero():
+    # p = 0 flips nothing: every offspring keeps the parent's state, and
+    # below HISTOGRAM_LAMBDA no double is read
+    n, l, op = 40, 12, standard_mutation(0.0)
+    rng = derive_rng(919)
+    assert leading_ones_counts(op, n, l, 5, rng) == [l] * 5
+    assert rng.next_double() == derive_rng(919).next_double()
+    lo, counts = leading_ones_counts(op, n, l, HISTOGRAM_LAMBDA, rng)
+    assert (lo + counts.nonzero()[0]).tolist() == [l] and counts.sum() == HISTOGRAM_LAMBDA
+
+
 def test_uniform_leading_ones_counts_law():
     # P(LO = k) = 2^-(k+1) below n and 2^-n at n, n small enough to see the cap
     n, calls = 6, 20_000
@@ -762,7 +800,10 @@ def test_declared_objectives_are_constant_on_each_layer():
 @pytest.mark.parametrize("name", sorted(DECLARED))
 def test_new_target_drops_the_declaration(name):
     obj = build(name, 10)
-    assert CHAIN not in obj.with_target(local_optima(obj)).metadata
+    dropped = obj.with_target(local_optima(obj))
+    assert CHAIN not in dropped.metadata and dropped.chain is None
+    with pytest.raises(ValueError, match="declares no chain"):
+        dropped.state_tables
     assert CHAIN not in build(name, 10, target="local").metadata
     assert {k: v for k, v in obj.metadata.items() if k != CHAIN} \
         == obj.with_target(obj.target).metadata

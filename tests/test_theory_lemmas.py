@@ -11,9 +11,7 @@ import pytest
 from parallel_ea import cli
 from parallel_ea.theory import lemmas, pmf
 from parallel_ea.theory.lemmas import (
-    D_DROP_CHAIN,
     D_FREE_RIDERS,
-    ETA_DROP_CHAIN,
     ETA_FREE_RIDERS,
     GAMMA_POTENTIAL,
     LemmaReport,
@@ -42,7 +40,14 @@ from parallel_ea.theory.pmf import (
     hypergeom_pmf,
 )
 
-from references import _delta0_tail_counts, delta0_tail_prob, delta_symmetry_report, drop_chain_series
+from references import (
+    D_DROP_CHAIN,
+    ETA_DROP_CHAIN,
+    _delta0_tail_counts,
+    delta0_tail_prob,
+    delta_symmetry_report,
+    drop_chain_series,
+)
 
 
 def test_hypergeom_tail_small_grid():

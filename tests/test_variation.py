@@ -50,6 +50,11 @@ def test_operator_validation():
         flip_exact(-1)
     with pytest.raises(ValueError):
         standard_mutation(1.5)
+    # a field the kind does not read is refused, not ignored by apply
+    with pytest.raises(ValueError, match="no rate"):
+        UnaryOperator("flip-exact-r", r=1, p=0.3)
+    with pytest.raises(ValueError, match="no radius"):
+        UnaryOperator("standard-mutation", r=3, p=0.1)
     with pytest.raises(ValueError):
         apply(flip_exact(11), BitString.zeros(10), derive_rng(0))
 
@@ -221,6 +226,12 @@ def test_exact_distribution_uniform_on_sphere():
 def test_radius_pmf_sums_to_one():
     for op in (flip_exact(3), standard_mutation(0.2), single_bit(), flip_exact(8)):
         assert sum(radius_pmf(op, 8).values()) == 1
+
+
+def test_radius_pmf_at_the_degenerate_rates():
+    # p = 1 flips every bit and p = 0 none
+    assert radius_pmf(standard_mutation(1.0), 8) == {r: Fraction(int(r == 8)) for r in range(9)}
+    assert radius_pmf(standard_mutation(0.0), 8) == {r: Fraction(int(r == 0)) for r in range(9)}
 
 
 def test_resolve_p():
