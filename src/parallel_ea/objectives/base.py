@@ -219,7 +219,7 @@ class Objective:
                     optima: Iterable[BitString], description: str, direction: str = "max",
                     chain: Optional[Chain] = None) -> "Objective":
         """An objective whose target is its global optima, given as points,
-        and which declares chain, when given, for the elitist runners."""
+        and which declares chain, when given, for the runners."""
         target = TargetSet.from_points(optima, GLOBAL_OPTIMA, description)
         return cls(name=name, n=n, evaluate=evaluate, target=target, direction=direction,
                    metadata={} if chain is None else {CHAIN: chain})

@@ -245,6 +245,23 @@ def test_chain_and_bit_path_agree(name, params, lam, ones, runs):
         assert stats.chi2_contingency(ends).pvalue > ALPHA
 
 
+def tie_ends(stub, batch, lam, runs, key):
+    """The ones count of the parent after one generation whose offspring are
+    the fixed batch, from a parent in state 12 of n = 20, in each of runs
+    runs on one stream."""
+    n = 20
+    chain = dataclasses.replace(ONES_COUNT, offspring=lambda op, n, s, lam, rng: batch)
+    obj = dataclasses.replace(stub_objective(stub, n), metadata={CHAIN: chain})
+    cfg = AlgoConfig("one-plus-lambda-fixed", n=n, lam=lam, budget=1 + lam)
+    rng = derive_rng(key)
+    parents = []
+    for _ in range(runs):
+        rec = run_one_plus_lambda(cfg, obj, rng, initial=BitString(n, (1 << 12) - 1),
+                                  on_generation=lambda g, q, x, f: parents.append(x.count_ones()))
+        assert rec.generations_used == 1
+    return parents[1::2]
+
+
 def tie_law(states, lam=None):
     # twomax at n=20 from 12 ones: the stub's offspring states 15 and 5 score
     # 15, so the one generation (budget 1 + lambda) ends on a tie.  Each tied
@@ -252,19 +269,9 @@ def tie_law(states, lam=None):
     # the parent moves to 5 ones in a third of the runs, and a pick among
     # distinct states would give a half.  A tuple is a histogram of lam
     # offspring, returned as it is.
-    n, runs, lam = 20, 1200, lam or len(states)
-    obj = make_objective("twomax", n)
+    runs, lam = 1200, lam or len(states)
     batch = states if isinstance(states, tuple) else list(states)
-    stub = dataclasses.replace(ONES_COUNT, offspring=lambda op, n, s, lam, rng: batch)
-    obj = dataclasses.replace(obj, metadata={CHAIN: stub})
-    cfg = AlgoConfig("one-plus-lambda-fixed", n=n, lam=lam, budget=1 + lam)
-    rng = derive_rng(911)
-    parents = []
-    for _ in range(runs):
-        rec = run_one_plus_lambda(cfg, obj, rng, initial=BitString(n, (1 << 12) - 1),
-                                  on_generation=lambda g, q, x, f: parents.append(x))
-        assert rec.generations_used == 1 and rec.best_fitness == 15
-    ends = [x.count_ones() for x in parents[1::2]]
+    ends = tie_ends("twomax", batch, lam, runs, 911)
     assert set(ends) <= {5, 15}
     to_five = ends.count(5)
     assert stats.chisquare([to_five, runs - to_five], [runs / 3, 2 * runs / 3]).pvalue > ALPHA
@@ -429,22 +436,12 @@ def test_each_branch_of_the_scan_selects_as_the_expansion(case):
 def test_a_three_way_tie_in_a_histogram():
     # the ranks rise and fall over states 4..14, so the scan lists the three
     # tied states; each tied offspring wins alike, a state with its count / 6
-    n, states, counts, runs = 20, [4, 9, 14], [1, 2, 3], 1200
+    states, counts, runs = [4, 9, 14], [1, 2, 3], 1200
     select_alike("mod-5", states, counts, set(states))
-    obj = stub_objective("mod-5", n)
-    tables = obj.state_tables
+    tables = stub_objective("mod-5", 20).state_tables
     assert tables.rank[4] == tables.rank[9] == tables.rank[14] == max(tables.rank)
     assert tables.rise[14] > 4 and tables.fall[14] > 4
-    batch = histogram(states, counts)
-    stub = dataclasses.replace(ONES_COUNT, offspring=lambda op, n, s, lam, rng: batch)
-    obj = dataclasses.replace(obj, metadata={CHAIN: stub})
-    cfg = AlgoConfig("one-plus-lambda-fixed", n=n, lam=sum(counts), budget=1 + sum(counts))
-    rng = derive_rng(918)
-    parents = []
-    for _ in range(runs):
-        run_one_plus_lambda(cfg, obj, rng, initial=BitString(n, (1 << 12) - 1),
-                            on_generation=lambda g, q, x, f: parents.append(x.count_ones()))
-    ends = parents[1::2]
+    ends = tie_ends("mod-5", histogram(states, counts), sum(counts), runs, 918)
     wins = [ends.count(s) for s in states]
     assert sum(wins) == runs
     assert stats.chisquare(wins, [runs * c / 6 for c in counts]).pvalue > ALPHA
