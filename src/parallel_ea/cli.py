@@ -215,6 +215,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy refuses an array too large for the machine before allocating
+        # any of it, so the request is a bad parameter like any other
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
+        return 2
     return 2
 
 

@@ -1,60 +1,1 @@
-from .base import (
-    CHAIN,
-    GLOBAL_OPTIMA,
-    LOCAL_OPTIMA,
-    ONES_COUNT,
-    WITHIN_DISTANCE,
-    Chain,
-    Objective,
-    TargetSet,
-)
-from .functions import (
-    cliff_d,
-    cliff_objective,
-    hiff,
-    hiff_objective,
-    jump_k,
-    jump_objective,
-    leadingones,
-    leadingones_objective,
-    leadingzeros,
-    leadingzeros_objective,
-    onemax,
-    onemax_objective,
-    twomax,
-    twomax_objective,
-    twomax_prime,
-    twomax_prime_objective,
-)
-from .instances import (
-    GraphInstance,
-    KnapsackInstance,
-    PartitionInstance,
-    SatInstance,
-    bichromatic_edges,
-    clause_satisfied,
-    gen_partition_random,
-    gen_planted_3sat,
-    gen_two_cliques,
-    knapsack_fitness,
-    knapsack_hard,
-    maxsat_hard,
-    maxsat_hard_count,
-    partition_makespan,
-    partition_objective,
-    planted_3sat_objective,
-    sat_count,
-    two_cliques_cut,
-    two_cliques_objective,
-)
-from .local_optima import (
-    is_local_optimum,
-    jump_local_optima,
-    local_optima,
-    maxsat_hard_local_optima,
-    two_cliques_local_optima,
-    twomax_local_optima,
-)
-from .registry import make_objective, objective_names
-
-__all__ = [name for name in dir() if not name.startswith("_")]
+"""The benchmark objective suite: base types, closed forms, instances, local optima, registry."""

@@ -1,48 +1,1 @@
-from .bounds import (
-    BOUNDS,
-    BoundSpec,
-    CouponBound,
-    adaptive_ub,
-    coupon_bound,
-    cutoff_fixed_ea,
-    cutoff_leadingones,
-    cutoff_onemax,
-    get_bound,
-    hcy_onemax,
-    lb_leadingones,
-    lb_nlogn_term,
-    lb_parallel_term,
-    lb_unique,
-    ln_plus,
-    multibit_nstar,
-    ub_leadingones,
-)
-from .lemmas import (
-    D_FREE_RIDERS,
-    ETA_FREE_RIDERS,
-    GAMMA_POTENTIAL,
-    LemmaReport,
-    expected_max_bound,
-    mgf_series_value,
-    verify_chvatal,
-    verify_coupon,
-    verify_delta_symmetry,
-    verify_hypergeom_tail,
-    verify_improve_prob,
-    verify_max_geometric,
-    verify_mgf_bound,
-    verify_multibit_progress,
-)
-from .pmf import (
-    ProgressParams,
-    delta0_log_prob_cells,
-    delta0_pmf,
-    delta0_point_log_prob,
-    delta0_point_prob,
-    hypergeom_log_pmf,
-    hypergeom_pmf,
-    hypergeom_support,
-    log_comb,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]
+"""Runtime-bound curves (bounds), exact progress laws (pmf) and lemma checks (lemmas)."""

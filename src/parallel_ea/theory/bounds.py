@@ -34,7 +34,6 @@ class BoundSpec:
     id: str
     evaluate: Callable[..., float]
     asymptotic_only: bool
-    description: str
     constants: dict = field(default_factory=dict)
 
     @cached_property
@@ -134,65 +133,54 @@ BOUNDS: dict[str, BoundSpec] = {
             id="lb-unique",
             evaluate=lb_unique,
             asymptotic_only=False,
-            description="max{lam n/(60 ln+ lam), (1-delta) n ln n} evaluations "
-            "before any small fixed target set is hit, with overwhelming probability",
             constants={"c": 1.0 / LB_PARALLEL_DIVISOR},
         ),
         BoundSpec(
             id="lb-parallel-term",
             evaluate=lb_parallel_term,
             asymptotic_only=False,
-            description="lam n/(60 ln+ lam): the parallelism term of lb-unique alone",
             constants={"c": 1.0 / LB_PARALLEL_DIVISOR},
         ),
         BoundSpec(
             id="lb-nlogn-term",
             evaluate=lb_nlogn_term,
             asymptotic_only=False,
-            description="(1-delta) n ln n: the sequential term of lb-unique alone",
         ),
         BoundSpec(
             id="lb-leadingones",
             evaluate=lb_leadingones,
             asymptotic_only=True,
-            description="lam n/ln+(lam/n) + n^2 lower-bound shape for leadingones",
         ),
         BoundSpec(
             id="ub-leadingones",
             evaluate=ub_leadingones,
             asymptotic_only=True,
-            description="lam n + n^2 upper-bound shape for leadingones",
         ),
         BoundSpec(
             id="hcy-onemax",
             evaluate=hcy_onemax,
             asymptotic_only=True,
-            description="n lam lnln(lam)/ln(lam) + n ln n fixed-rate EA shape on onemax",
         ),
         BoundSpec(
             id="adaptive-ub",
             evaluate=adaptive_ub,
             asymptotic_only=False,
-            description="(3+e) lam n/ln lam + e n (2 + ln n) adaptive-EA upper bound on onemax",
             constants={"a": 3.0 + e, "b": e},
         ),
         BoundSpec(
             id="cutoff-onemax",
             evaluate=cutoff_onemax,
             asymptotic_only=True,
-            description="ln(n) lnln(n) cut-off shape for onemax (adaptive EA)",
         ),
         BoundSpec(
             id="cutoff-leadingones",
             evaluate=cutoff_leadingones,
             asymptotic_only=True,
-            description="cut-off parallelism n for leadingones",
         ),
         BoundSpec(
             id="cutoff-fixed-ea",
             evaluate=cutoff_fixed_ea,
             asymptotic_only=True,
-            description="ln(n) lnln(n)/lnlnln(n) cut-off shape for the fixed-rate EA",
         ),
     )
 }

@@ -14,19 +14,16 @@ import pytest
 from parallel_ea.algorithms import AlgoConfig, run_one_plus_lambda
 from parallel_ea.bitstring import BitString
 from parallel_ea.harness import ExperimentSpec, check_lower_bound, read_runs, run_experiment
-from parallel_ea.objectives import (
+from parallel_ea.objectives.functions import hiff, leadingones_objective, onemax_objective, twomax
+from parallel_ea.objectives.instances import (
+    bichromatic_edges,
     gen_partition_random,
     gen_two_cliques,
-    bichromatic_edges,
-    hiff,
-    leadingones_objective,
-    local_optima,
-    make_objective,
     maxsat_hard_count,
-    onemax_objective,
     partition_makespan,
-    twomax,
 )
+from parallel_ea.objectives.local_optima import local_optima
+from parallel_ea.objectives.registry import make_objective
 from parallel_ea.rng import derive_rng, derive_run_seed
 from parallel_ea.theory.bounds import adaptive_ub, lb_unique, ln_plus
 from parallel_ea.theory.lemmas import (

@@ -18,14 +18,9 @@ from parallel_ea.algorithms import (
     run_rls,
 )
 from parallel_ea.bitstring import BitString, random_bitstring
-from parallel_ea.objectives import (
-    CHAIN,
-    ONES_COUNT,
-    Objective,
-    TargetSet,
-    make_objective,
-    onemax_objective,
-)
+from parallel_ea.objectives.base import CHAIN, ONES_COUNT, Objective, TargetSet
+from parallel_ea.objectives.functions import onemax_objective
+from parallel_ea.objectives.registry import make_objective
 from parallel_ea.rng import derive_rng, derive_run_seed
 from parallel_ea.variation import ones_counts, standard_mutation
 

@@ -21,7 +21,9 @@ import pytest
 from parallel_ea import cli
 from parallel_ea.algorithms import AlgoConfig, adaptive_rate, run_one_plus_lambda
 from parallel_ea.bitstring import BitString
-from parallel_ea.objectives import CHAIN, ONES_COUNT, local_optima, make_objective, objective_names
+from parallel_ea.objectives.base import CHAIN, ONES_COUNT
+from parallel_ea.objectives.local_optima import local_optima
+from parallel_ea.objectives.registry import make_objective, objective_names
 from parallel_ea.rng import derive_rng, derive_run_seed
 from parallel_ea.variation import (
     HISTOGRAM_LAMBDA,

@@ -166,6 +166,27 @@ def test_unreadable_input_exits_2(tmp_path, capsys, argv):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("message", ["", "Unable to allocate 1.46 TiB for an array with shape "
+                                     "(2000000000, 100) and data type int64"], ids=["bare", "numpy"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--lemma", "mgf-max", "--trials", "2000000000"],
+    ["run", "--objective", "onemax", "--n", "10", "--lambda", "100000000000",
+     "--budget", "1000000000000"],
+], ids=["verify-mgf-max", "run"])
+def test_out_of_memory_exits_2(capsys, monkeypatch, argv, message):
+    # the stand-ins raise as numpy does for an array it cannot allocate, so
+    # the test allocates nothing
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+    monkeypatch.setattr(lemmas, "verify_max_geometric", refuse)
+    monkeypatch.setattr(cli, "run_experiment", refuse)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
 @pytest.mark.parametrize("safety", ["-1", "nan"])
 def test_check_refuses_safety_that_cannot_flag(tmp_path, capsys, safety):
     runs = tmp_path / "runs.csv"

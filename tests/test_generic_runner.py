@@ -17,7 +17,8 @@ import pytest
 from parallel_ea import algorithms
 from parallel_ea.algorithms import AlgoConfig, make_best_so_far_policy, run_generic_parallel
 from parallel_ea.bitstring import BitString, random_bitstring
-from parallel_ea.objectives import CHAIN, GLOBAL_OPTIMA, Objective, TargetSet, make_objective
+from parallel_ea.objectives.base import CHAIN, GLOBAL_OPTIMA, Objective, TargetSet
+from parallel_ea.objectives.registry import make_objective
 from parallel_ea.rng import derive_rng, derive_run_seed
 from parallel_ea.variation import flip_exact, standard_mutation
 

@@ -4,10 +4,13 @@ import math
 import os
 import subprocess
 import sys
+from types import ModuleType
 
 import pytest
 
 import parallel_ea
+import parallel_ea.objectives
+import parallel_ea.theory
 from parallel_ea.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -379,3 +382,16 @@ def test_import_loads_no_process_pool():
              "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
+def test_packages_export_only_the_names_callers_reach_through_them():
+    # each name is imported from the module that defines it; the top level
+    # keeps the six names bench/ and the README reach as parallel_ea.<name>
+    def public(package):
+        return {name for name, value in vars(package).items()
+                if not name.startswith("_") and not isinstance(value, ModuleType)}
+
+    assert public(parallel_ea) == {"AlgoConfig", "BitString", "append_rows", "read_runs",
+                                   "run_generic_parallel", "run_one_plus_lambda"}
+    assert public(parallel_ea.objectives) == set()
+    assert public(parallel_ea.theory) == set()

@@ -20,7 +20,8 @@ import pytest
 
 from parallel_ea import cli
 from parallel_ea.algorithms import AlgoConfig, run_one_plus_lambda
-from parallel_ea.objectives import CHAIN, TargetSet, make_objective
+from parallel_ea.objectives.base import CHAIN, TargetSet
+from parallel_ea.objectives.registry import make_objective
 from parallel_ea.rng import BLOCK, derive_rng
 from parallel_ea.variation import (
     leading_ones_counts,

@@ -1,15 +1,15 @@
 import pytest
 
 from parallel_ea.bitstring import BitString
-from parallel_ea.objectives import (
+from parallel_ea.objectives.local_optima import (
     is_local_optimum,
     jump_local_optima,
     local_optima,
-    make_objective,
     maxsat_hard_local_optima,
     two_cliques_local_optima,
     twomax_local_optima,
 )
+from parallel_ea.objectives.registry import make_objective
 
 
 def members(target, n):

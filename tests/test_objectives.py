@@ -4,31 +4,32 @@ import random
 import pytest
 
 from parallel_ea.bitstring import BitString, hamming_ball_size
-from parallel_ea.objectives import (
+from parallel_ea.objectives.base import TargetSet
+from parallel_ea.objectives.functions import (
+    cliff_d,
+    hiff,
+    jump_k,
+    leadingones,
+    leadingzeros,
+    onemax,
+    twomax,
+    twomax_prime,
+)
+from parallel_ea.objectives.instances import (
     GraphInstance,
     PartitionInstance,
-    TargetSet,
     bichromatic_edges,
-    cliff_d,
     gen_partition_random,
     gen_planted_3sat,
     gen_two_cliques,
-    hiff,
-    jump_k,
     knapsack_hard,
-    leadingones,
-    leadingzeros,
-    make_objective,
     maxsat_hard_count,
-    objective_names,
-    onemax,
     partition_makespan,
     planted_3sat_objective,
     sat_count,
-    twomax,
-    twomax_prime,
     two_cliques_cut,
 )
+from parallel_ea.objectives.registry import make_objective, objective_names
 
 from references import matching_literals, maxsat_hard_enum_count
 
